@@ -7,7 +7,8 @@ schema marker; wall-clock measurements live only under the "timing"
 key so everything else is reproducible byte for byte.
 
 Exit codes: 0 success, 2 usage, 3 file I/O, 4 shape mismatch,
-5 numerical failure, 6 verification suite failure.
+5 numerical failure (including a NaN or infinity in an input matrix),
+6 verification suite failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from . import netsim as _netsim
 from . import qmx as _qmx
 from . import rounding as _rounding
 from . import verify as _verify
-from .errors import ConvergenceError, NotPositiveDefiniteError, QmxFormatError, ShapeError
+from .errors import (
+    ConvergenceError,
+    NonFiniteInputError,
+    NotPositiveDefiniteError,
+    QmxFormatError,
+    ShapeError,
+)
 from .linalg import DampingPolicy
 
 EXIT_OK = 0
@@ -75,13 +82,23 @@ def _resolve_levels(args) -> int:
         raise UsageError(str(exc)) from exc
 
 
+def _read_finite(path) -> np.ndarray:
+    """Read a matrix file and reject it if any entry is NaN or infinite."""
+    arr = _qmx.read_qmx(path)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise NonFiniteInputError(f"{path}: non-finite value {arr[row, col]} at row {row}, col {col}")
+    return arr
+
+
 def cmd_quantize(args) -> int:
     t_all = time.perf_counter()
     method = args.method.replace("-", "_")
     levels = _resolve_levels(args)
 
     t0 = time.perf_counter()
-    weights_raw = _qmx.read_qmx(args.weights)
+    weights_raw = _read_finite(args.weights)
     w = np.asarray(weights_raw, dtype=np.float64)
     n_in, n_out = w.shape
     raw_given = args.calib_x is not None or args.calib_xt is not None
@@ -99,7 +116,7 @@ def cmd_quantize(args) -> int:
         if raw_given:
             if args.calib_x is None:
                 raise UsageError(f"--method {args.method} needs --calib-x")
-            x = np.asarray(_qmx.read_qmx(args.calib_x), dtype=np.float64)
+            x = np.asarray(_read_finite(args.calib_x), dtype=np.float64)
             if x.ndim != 2 or x.shape[1] != n_in:
                 raise ShapeError(
                     f"{args.calib_x}: activations {x.shape} do not match weight rows {n_in}"
@@ -110,7 +127,7 @@ def cmd_quantize(args) -> int:
                         f"--method {args.method} needs the quantized-path activations: "
                         "pass --calib-xt (or precomputed --stats-h/--stats-g)"
                     )
-                xq = np.asarray(_qmx.read_qmx(args.calib_xt), dtype=np.float64)
+                xq = np.asarray(_read_finite(args.calib_xt), dtype=np.float64)
                 if xq.shape != x.shape:
                     raise ShapeError(
                         f"{args.calib_xt}: shape {xq.shape} does not match --calib-x {x.shape}"
@@ -123,7 +140,7 @@ def cmd_quantize(args) -> int:
                 raise UsageError("--method optq-ref re-solves against raw activations; pass --calib-x")
             if args.stats_h is None:
                 raise UsageError(f"--method {args.method} needs --stats-h")
-            h = np.asarray(_qmx.read_qmx(args.stats_h), dtype=np.float64)
+            h = np.asarray(_read_finite(args.stats_h), dtype=np.float64)
             if h.shape != (n_in, n_in):
                 raise ShapeError(f"{args.stats_h}: H {h.shape} must be {(n_in, n_in)}")
             if needs_pair:
@@ -132,7 +149,7 @@ def cmd_quantize(args) -> int:
                         f"--method {args.method} needs the cross moments: pass --stats-g "
                         "(or raw --calib-x/--calib-xt)"
                     )
-                g = np.asarray(_qmx.read_qmx(args.stats_g), dtype=np.float64)
+                g = np.asarray(_read_finite(args.stats_g), dtype=np.float64)
                 if g.shape != (n_in, n_in):
                     raise ShapeError(f"{args.stats_g}: G {g.shape} must be {(n_in, n_in)}")
             else:
@@ -443,7 +460,12 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (NotPositiveDefiniteError, ConvergenceError, np.linalg.LinAlgError) as exc:
+    except (
+        NonFiniteInputError,
+        NotPositiveDefiniteError,
+        ConvergenceError,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -2,8 +2,8 @@
 
 The CLI maps these onto distinct exit codes, so the classes matter more
 than the messages: ShapeError for dimension mismatches, QmxFormatError
-for unreadable matrix files, NotPositiveDefiniteError and
-ConvergenceError for numerical failures.
+for unreadable matrix files, NonFiniteInputError, NotPositiveDefiniteError
+and ConvergenceError for numerical failures.
 """
 
 
@@ -13,6 +13,10 @@ class ShapeError(ValueError):
 
 class QmxFormatError(OSError):
     """A .qmx file is truncated or its header is malformed."""
+
+
+class NonFiniteInputError(ArithmeticError):
+    """An input matrix holds a NaN or an infinity."""
 
 
 class NotPositiveDefiniteError(ArithmeticError):

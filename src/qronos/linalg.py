@@ -6,12 +6,17 @@ solves are LAPACK-backed; the routines the rounding algorithms actually
 reason about (inverse slicing, damping, residual projection, spectral
 norm estimation) are implemented explicitly on top of them.
 
-The inverse pipeline is fixed: Cholesky-factor the damped matrix, build
-its inverse by triangular solves, symmetrize, then factor the inverse
-again.  Downstream code leans on the identity that for H^-1 = L L^T
-(L lower triangular), the trailing principal block of L factors the
-inverse of the corresponding trailing block of H:
+The rounding engine never forms H^-1: it takes the lower Cholesky factor
+of the inverse from a single Cholesky factorization of the index-reversed
+matrix (``chol_of_inverse``).  The explicit inverse below is the
+verification suites' independent route to the same objects.  Downstream
+code leans on the identity that for H^-1 = L L^T (L lower triangular),
+the trailing principal block of L factors the inverse of the
+corresponding trailing block of H:
 (H[t:, t:])^-1 = L[t:, t:] L[t:, t:]^T.
+
+The spectral norm used for damping is one Lanczos (ARPACK) solve from a
+fixed-seed start vector, exact to working precision.
 """
 
 from __future__ import annotations
@@ -75,6 +80,37 @@ def cholesky_lower(m: np.ndarray) -> CholeskyFactor:
     return CholeskyFactor(c)
 
 
+def chol_of_inverse(m: np.ndarray) -> CholeskyFactor:
+    """Lower Cholesky factor of the inverse of an SPD matrix.
+
+    With J the index reversal and J m J = C C^T (C lower), m = U U^T for
+    the upper triangular U = J C J, so m^-1 = L L^T with L = U^-T =
+    J C^-T J lower triangular: one Cholesky and one triangular inverse,
+    never m^-1 itself.  A pivot with c_ii^2 <= n eps m_ii (the default
+    tolerance of LAPACK's pivoted Cholesky) also counts as a failure, so
+    an exactly singular matrix raises rather than passing on rounding
+    noise.  The NotPositiveDefiniteError pivot is 1-based in m's order.
+    """
+    m = _as_square(m)
+    _check_symmetric(m)
+    n = m.shape[0]
+    if n == 0:
+        return CholeskyFactor(np.zeros((0, 0)))
+    rev = m[::-1, ::-1]
+    c, info = lapack.dpotrf(rev, lower=1, clean=1, overwrite_a=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if info == 0:
+        weak = np.flatnonzero(np.diag(c) ** 2 <= n * np.finfo(np.float64).eps * np.diag(rev))
+        info = int(weak[0]) + 1 if weak.size else 0
+    if info > 0:
+        raise NotPositiveDefiniteError(n + 1 - int(info))
+    cinv, info = lapack.dtrtri(c, lower=1)
+    if info != 0:
+        raise NotPositiveDefiniteError(n + 1 - int(info))
+    return CholeskyFactor(np.ascontiguousarray(cinv.T[::-1, ::-1]))
+
+
 def chol_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b with two triangular solves."""
     y = solve_triangular(factor.L, b, lower=True)
@@ -102,42 +138,38 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def top_singular_value(m: np.ndarray, tol: float = 1e-6, max_iter: int = 1000) -> float:
-    """Largest singular value of a symmetric PSD matrix by power iteration.
+def top_singular_value(m: np.ndarray, max_iter: int | None = None) -> float:
+    """Largest singular value of a symmetric PSD matrix by Lanczos.
 
-    Runs once from the deterministic all-ones start, then once more from
-    a fixed-seed random start, and returns the larger Rayleigh estimate.
-    The all-ones vector can be exactly orthogonal to the top eigenspace
-    (that is the stagnation case); the seeded second phase removes that
-    failure mode without sacrificing determinism.
+    One ARPACK solve for the largest algebraic eigenvalue, started from
+    a fixed-seed Gaussian vector: deterministic, and unlike a structured
+    start such as all-ones it is orthogonal to the top eigenspace only
+    with probability zero.
+    ``max_iter`` caps the Arnoldi restarts (ARPACK's default when None);
+    running out raises ConvergenceError carrying the best estimate: a
+    converged Ritz value if ARPACK has one, else the largest diagonal
+    entry, which bounds the top eigenvalue from below.  A 1x1 matrix,
+    the one size ARPACK rejects, is read off directly.
     """
     m = _as_square(m)
     _check_symmetric(m)
     n = m.shape[0]
     if n == 0 or float(np.abs(m).max()) == 0.0:
         return 0.0
+    if n == 1:
+        return float(m[0, 0])
+    # imported here: loading scipy.sparse.linalg adds about 3.5 MB of
+    # resident memory, which runs that never use this damping mode skip
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    def run(v0: np.ndarray) -> float:
-        v = v0 / np.linalg.norm(v0)
-        lam = 0.0
-        for _ in range(max_iter):
-            y = m @ v
-            ny = float(np.linalg.norm(y))
-            if ny == 0.0:
-                return 0.0  # v sits in the nullspace; nothing further to extract
-            new = float(v @ y)
-            v = y / ny
-            if abs(new - lam) <= tol * max(abs(new), 1e-300):
-                return new
-            lam = new
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations", last_estimate=lam
-        )
-
-    est_ones = run(np.ones(n))
-    rng = np.random.default_rng(0x5EED)
-    est_rand = run(rng.standard_normal(n))
-    return max(est_ones, est_rand)
+    v0 = np.random.default_rng(0x5EED).standard_normal(n)
+    try:
+        vals = eigsh(m, k=1, which="LA", v0=v0, maxiter=max_iter, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        found = np.asarray(exc.eigenvalues, dtype=np.float64)
+        last = float(found.max()) if found.size else float(np.diag(m).max())
+        raise ConvergenceError(f"Lanczos did not converge: {exc}", last_estimate=last) from exc
+    return float(vals[0])
 
 
 @dataclass(frozen=True)

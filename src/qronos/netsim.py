@@ -52,11 +52,11 @@ def fwht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     flat = moved.reshape(-1, n)
     h = 1
     while h < n:
-        for lo in range(0, n, 2 * h):
-            a = flat[:, lo : lo + h].copy()
-            b = flat[:, lo + h : lo + 2 * h]
-            flat[:, lo : lo + h] = a + b
-            flat[:, lo + h : lo + 2 * h] = a - b
+        # every butterfly of the stage at once: pairs (a, b) sit h apart
+        pairs = flat.reshape(flat.shape[0], n // (2 * h), 2, h)
+        a = pairs[:, :, 0].copy()
+        pairs[:, :, 0] += pairs[:, :, 1]
+        np.subtract(a, pairs[:, :, 1], out=pairs[:, :, 1])
         h *= 2
     return np.moveaxis(flat.reshape(moved.shape), -1, axis)
 

@@ -39,9 +39,13 @@ G; this module therefore damps both (the ridge acts like phantom
 calibration rows appended to both activation sets).
 
 The layer driver runs all output channels of a weight matrix at once,
-step-synchronously, after applying the calib ordering; per-column
-entry points mirror the math one channel at a time and can record full
-per-step traces for verification.
+step-synchronously, after applying the calib ordering.  The diffusion
+sweep shared by optq and steps t >= 2 of qronos is blocked (the lazy
+batch update of GPTQ): rank-1 updates touch only the rows of the
+current block of SWEEP_BLOCK steps, the block's scaled errors are kept,
+and the rows below the block receive them in one matrix product when
+the block ends.  Per-column entry points mirror the math one channel at
+a time, unblocked, and can record full per-step traces for verification.
 """
 
 from __future__ import annotations
@@ -54,17 +58,13 @@ import numpy as np
 from . import calib as _calib
 from . import grid as _grid
 from .errors import ShapeError
-from .linalg import (
-    CholeskyFactor,
-    DampingPolicy,
-    apply_damping,
-    cholesky_lower,
-    solve_spd,
-    spd_inverse,
-)
+from .linalg import CholeskyFactor, DampingPolicy, apply_damping, chol_of_inverse, solve_spd
 
 METHODS = ("rtn", "optq", "optq_ref", "gpfq", "qronos_base", "qronos")
 ORDER_MODES = ("diag", "natural")
+# diffusion steps per block of the layer sweep; rows below a block are
+# updated once per block by a matrix product
+SWEEP_BLOCK = 128
 
 
 @dataclass
@@ -82,11 +82,6 @@ class RoundingTrace:
     w_states: list[np.ndarray] | None = None
     deltas: list[np.ndarray] | None = None
     objective: float | None = None
-
-
-def chol_of_inverse(h_damped: np.ndarray) -> CholeskyFactor:
-    """Lower Cholesky factor of the inverse of a damped second moment."""
-    return cholesky_lower(spd_inverse(h_damped))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +469,11 @@ def _gpfq_column_moments(w, h, g, grid, record_trace=False):
 
 
 def _run_columns_fast(method, wp, hp, gp, xp, grids, report_warnings, ridge):
-    """Step-synchronous drivers, vectorized across output columns."""
+    """Step-synchronous drivers, vectorized across output columns.
+
+    optq and qronos share one diffusion sweep, blocked by SWEEP_BLOCK
+    steps as the module docstring describes.
+    """
     n_in, n_out = wp.shape
     steps, zeros, levels = _grid_arrays(grids)
 
@@ -529,11 +528,15 @@ def _run_columns_fast(method, wp, hp, gp, xp, grids, report_warnings, ridge):
             tail = low[1:, 1:]
             state[1:] = tail @ (tail.T @ rhs)
         start = 1
-    for t in range(start, n_in):
-        q[t] = rtn_row(state[t])
-        if t + 1 < n_in:
-            err = (state[t] - q[t]) / low[t, t]
-            state[t + 1 :] -= np.outer(low[t + 1 :, t], err)
+    for b0 in range(start, n_in, SWEEP_BLOCK):
+        b1 = min(b0 + SWEEP_BLOCK, n_in)
+        errs = np.empty((b1 - b0, n_out))
+        for t in range(b0, b1):
+            q[t] = rtn_row(state[t])
+            errs[t - b0] = (state[t] - q[t]) / low[t, t]
+            state[t + 1 : b1] -= np.outer(low[t + 1 : b1, t], errs[t - b0])
+        if b1 < n_in:
+            state[b1:] -= low[b1:, b0:b1] @ errs
     return q
 
 

@@ -203,6 +203,49 @@ def test_indefinite_moments_without_damping_is_numeric_error(tmp_path):
     assert code == 5
 
 
+def test_nan_weight_is_numeric_error(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((64, 8))
+    w[5, 3] = np.nan
+    x = rng.standard_normal((128, 64))
+    code = run(quantize_args(tmp_path, w, x=x, xq=x, method="qronos", bits=4))
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "w.qmx" in err and "row 5, col 3" in err and "nan" in err
+    assert "Traceback" not in err
+
+
+def test_inf_activation_is_numeric_error(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((64, 8))
+    x = rng.standard_normal((512, 64))
+    xq = x.copy()
+    xq[100, 7] = np.inf
+    code = run(quantize_args(tmp_path, w, x=x, xq=xq, method="qronos", bits=4))
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "xq.qmx" in err and "row 100, col 7" in err and "inf" in err
+
+
+@pytest.mark.parametrize("which", ["calib_x", "stats_h", "stats_g"])
+def test_non_finite_input_files_are_numeric_errors(tmp_path, capsys, which):
+    rng = np.random.default_rng(13)
+    w = rng.standard_normal((6, 2))
+    x = rng.standard_normal((40, 6))
+    mats = {"calib_x": x, "calib_xt": x, "stats_h": x.T @ x, "stats_g": x.T @ x}
+    mats[which] = mats[which].copy()
+    mats[which][2, 1] = -np.inf
+    route = ("calib_x", "calib_xt") if which == "calib_x" else ("stats_h", "stats_g")
+    args = quantize_args(tmp_path, w, method="qronos")
+    for name in route:
+        path = tmp_path / f"{name}.qmx"
+        write_qmx(path, mats[name])
+        args += ["--" + name.replace("_", "-"), path]
+    assert run(args) == 5
+    err = capsys.readouterr().err
+    assert f"{which}.qmx" in err and "row 2, col 1" in err
+
+
 # verify
 
 def test_verify_zero_trials_is_vacuous_pass(capsys):

@@ -15,6 +15,7 @@ from qronos import (
     spd_inverse,
     top_singular_value,
 )
+from qronos.rounding import chol_of_inverse
 from helpers import random_spd
 
 
@@ -93,10 +94,61 @@ def test_top_singular_zero_matrix():
 
 
 def test_top_singular_nonconvergence_carries_estimate():
-    m = random_spd(np.random.default_rng(4), 8)
+    m = random_spd(np.random.default_rng(4), 700)
     with pytest.raises(ConvergenceError) as exc:
-        top_singular_value(m, tol=1e-16, max_iter=2)
+        top_singular_value(m, max_iter=1)
     assert exc.value.last_estimate > 0
+
+
+def _spd_with_top_vector(rng, n, top, gap):
+    """SPD matrix with eigenvector ``top`` for its largest eigenvalue."""
+    basis = np.column_stack([top, rng.standard_normal((n, n - 1))])
+    q, _ = np.linalg.qr(basis)
+    eigs = np.concatenate([[1.0 + gap], rng.uniform(0.01, 1.0, n - 1)])
+    m = (q * eigs) @ q.T
+    return (m + m.T) / 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 700])
+def test_top_singular_matches_eigvalsh(n):
+    m = random_spd(np.random.default_rng(n), n)
+    dense = float(np.linalg.eigvalsh(m)[-1])
+    assert top_singular_value(m) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("gap", [1.0, 0.015])
+def test_top_singular_top_vector_orthogonal_to_ones(gap):
+    """The all-ones vector carries no component of the top eigenvector."""
+    n = 700
+    top = np.zeros(n)
+    top[0], top[1] = 1.0, -1.0
+    m = _spd_with_top_vector(np.random.default_rng(11), n, top, gap)
+    assert abs(np.ones(n) @ np.linalg.eigh(m)[1][:, -1]) < 1e-10
+    dense = float(np.linalg.eigvalsh(m)[-1])
+    assert top_singular_value(m) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 300])
+def test_chol_of_inverse_factors_the_inverse(n):
+    h = random_spd(np.random.default_rng(12 + n), n)
+    low = chol_of_inverse(h).L
+    assert np.array_equal(np.tril(low), low)
+    assert np.all(np.diag(low) > 0)
+    assert np.linalg.norm(low @ low.T @ h - np.eye(n)) <= 1e-10 * np.sqrt(n)
+    ref = cholesky_lower(spd_inverse(h)).L
+    assert np.max(np.abs(low - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_chol_of_inverse_rejects_singular_and_indefinite():
+    x = np.random.default_rng(13).standard_normal((12, 5))
+    x[:, 4] = x[:, 3]
+    with pytest.raises(NotPositiveDefiniteError):
+        chol_of_inverse(x.T @ x)
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        chol_of_inverse(np.diag([1.0, -1.0, 2.0]))
+    assert exc.value.index == 2
+    with pytest.raises(ValueError):
+        chol_of_inverse(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_damping_mean_diag_percent():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from qronos import (
     CalibStats,
@@ -40,6 +41,14 @@ def test_fwht_involution_up_to_scale():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 16))
     assert np.allclose(fwht(fwht(x)) / 16.0, x, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 256])
+def test_fwht_matches_dense_hadamard_on_both_axes(n):
+    x = np.random.default_rng(n).standard_normal((n, 7))
+    dense = hadamard(n) @ x
+    for out in (fwht(x, axis=0), fwht(x.T, axis=1).T):
+        assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_fwht_rejects_non_power_of_two():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +25,8 @@ from qronos import (
     quantize_rtn,
     quantize_rtn_layer,
 )
-from qronos.oracle import step_objective, stepwise_argmin_oracle
+from qronos.oracle import TIE_TOL, step_objective, stepwise_argmin_oracle
+from qronos.rounding import SWEEP_BLOCK
 from helpers import column_instance, layer_instance, on_grid_weights
 
 
@@ -242,6 +248,73 @@ def test_layer_matches_column_ops(method):
     )
     assert np.array_equal(fast, traced)
     assert len(rep.traces) == 6
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos"])
+@pytest.mark.parametrize("n", [300, 1])
+def test_blocked_layer_matches_column_ops(method, n):
+    """The blocked sweep reproduces the unblocked per-column rounding.
+
+    n = 300 spans three blocks, the last one partial.  An entry may only
+    differ where the per-column state sat on an exact tie between two
+    alphabet values; the first such entry in a column ends the
+    comparison, because the trajectories part there.
+    """
+    assert n == 1 or n > 2 * SWEEP_BLOCK
+    rng = np.random.default_rng(30 + n)
+    w, x, xq, stats, grids = layer_instance(rng, n, 2 * n + 40, 6, 16)
+    policy = DampingPolicy("mean_diag_percent")
+    blocked, rep = quantize_layer(
+        LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                          damping=policy, order="natural")
+    )
+    lam = rep.damping_lambda
+    h = stats.H + lam * np.eye(n)
+    g = stats.G + lam * np.eye(n)
+    chol = chol_of_inverse(h)
+    for j in range(w.shape[1]):
+        if method == "optq":
+            tr = quantize_optq_column(w[:, j], chol, grids[j], record_trace=True)
+        else:
+            tr = quantize_qronos_column(w[:, j], h, g, chol, grids[j], record_trace=True)
+        differ = np.flatnonzero(blocked[:, j] != tr.q)
+        if differ.size:
+            t = int(differ[0])
+            assert t > 0
+            state = tr.w_states[t][0]
+            objs = [0.5 * (state - v) ** 2 / chol.L[t, t] ** 2 for v in (blocked[t, j], tr.q[t])]
+            assert abs(objs[0] - objs[1]) <= TIE_TOL * max(1.0, min(objs))
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from qronos import CalibStats, LayerQuantRequest, accumulate, grid_from_minmax, quantize_layer
+rng = np.random.default_rng(300)
+x = rng.standard_normal((700, 300)) * np.exp(rng.uniform(-1.0, 1.0, 300))
+xq = x + 0.1 * rng.standard_normal(x.shape)
+w = rng.standard_normal((300, 160))
+grids = [grid_from_minmax(w[:, j], 16) for j in range(w.shape[1])]
+stats = accumulate(CalibStats(300), x, xq)
+q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats))
+print(hashlib.sha256(q.tobytes()).hexdigest())
+"""
+
+
+def test_layer_q_independent_of_blas_threads():
+    """Blocked GEMMs and Lanczos products give the same q on 1 and 2 BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_layer_gpfq_moment_identity_matches_residual_recursion():
