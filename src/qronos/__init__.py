@@ -25,6 +25,7 @@ from .calib import (
 from .errors import (
     ConvergenceError,
     EnumerationCapError,
+    NonFiniteInputError,
     NotPositiveDefiniteError,
     QmxFormatError,
     ShapeError,
@@ -98,6 +99,7 @@ __all__ = [
     "LayerSpec",
     "METHODS",
     "NetworkSpec",
+    "NonFiniteInputError",
     "NotPositiveDefiniteError",
     "PropagationReport",
     "QmxFormatError",

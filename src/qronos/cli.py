@@ -34,7 +34,7 @@ from .errors import (
     QmxFormatError,
     ShapeError,
 )
-from .linalg import DampingPolicy
+from .linalg import DampingPolicy, check_finite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,10 +85,7 @@ def _resolve_levels(args) -> int:
 def _read_finite(path) -> np.ndarray:
     """Read a matrix file and reject it if any entry is NaN or infinite."""
     arr = _qmx.read_qmx(path)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        row, col = (int(i) for i in np.argwhere(~finite)[0])
-        raise NonFiniteInputError(f"{path}: non-finite value {arr[row, col]} at row {row}, col {col}")
+    check_finite(arr, path)
     return arr
 
 

@@ -21,14 +21,17 @@ fixed-seed start vector, exact to working precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
+from .errors import ConvergenceError, NonFiniteInputError, NotPositiveDefiniteError, ShapeError
 
 _SYM_RTOL = 1e-9
+# side of the square tiles the symmetry check compares
+_SYM_TILE = 128
 
 DAMPING_MODES = ("mean_diag_percent", "top_singular_fraction", "none")
 
@@ -40,9 +43,29 @@ def _as_square(m, name="matrix") -> np.ndarray:
     return m
 
 
+def check_finite(m: np.ndarray, name="matrix") -> None:
+    """Raise NonFiniteInputError naming the first NaN or inf of a 2-D m."""
+    finite = np.isfinite(m)
+    if not finite.all():
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise NonFiniteInputError(f"{name}: non-finite value {m[row, col]} at row {row}, col {col}")
+
+
 def _check_symmetric(m, name="matrix"):
+    """Reject a matrix holding NaN or inf, then one that is not symmetric.
+
+    The asymmetry max |m - m^T| is taken tile by tile, each upper tile
+    against the transpose of its mirror, so both reads stay in cache.
+    """
     scale = float(np.abs(m).max()) if m.size else 0.0
-    skew = float(np.abs(m - m.T).max()) if m.size else 0.0
+    if not math.isfinite(scale):
+        check_finite(m, name)
+    n = m.shape[0]
+    skew = 0.0
+    for i in range(0, n, _SYM_TILE):
+        for j in range(i, n, _SYM_TILE):
+            tile = m[i : i + _SYM_TILE, j : j + _SYM_TILE] - m[j : j + _SYM_TILE, i : i + _SYM_TILE].T
+            skew = max(skew, float(np.abs(tile).max()))
     if skew > _SYM_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not symmetric (max asymmetry {skew:.3e} at scale {scale:.3e})")
 
@@ -205,7 +228,10 @@ def apply_damping(h: np.ndarray, policy: DampingPolicy) -> tuple[np.ndarray, Dam
         lam = 0.01 * float(np.mean(np.diag(h))) if h.shape[0] else 0.0
     else:
         lam = policy.alpha * top_singular_value(h)
-    damped = h if lam == 0.0 else h + lam * np.eye(h.shape[0])
+    damped = h
+    if lam != 0.0:
+        damped = h.copy()
+        damped.flat[:: h.shape[0] + 1] += lam
     return damped, replace(policy, resolved_lambda=lam)
 
 

@@ -12,8 +12,11 @@ during calibration.
 quantize_network sweeps the layers in order.  At each depth the
 calibration pair is whatever the two paths actually feed that layer, so
 accumulated mismatch is visible to methods that look at both paths.  The
-reported per-layer errors come from a final clean pair of forwards with
-no resets; resets are a calibration device, not a measurement one.
+reported per-layer errors are those of the pair of forwards with no
+resets (resets are a calibration device, not a measurement one), computed
+in the same sweep: the reference path never resets, and from the first
+block boundary on the no-reset deployed path is carried alongside the
+calibration one.
 """
 
 from __future__ import annotations
@@ -43,22 +46,34 @@ METHOD_DAMPING = {
 
 
 def fwht(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along one axis."""
+    """Unnormalized fast Walsh-Hadamard transform along one axis.
+
+    The result is laid out as a C-contiguous array with the transform
+    axis last, moved back into place.
+    """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[axis]
     if n & (n - 1) or n == 0:
         raise ShapeError(f"transform length must be a power of two, got {n}")
-    moved = np.moveaxis(x, axis, -1).copy()
-    flat = moved.reshape(-1, n)
+    # transform axis first: every butterfly stage works on contiguous
+    # slabs of h * rest values
+    moved = np.moveaxis(x, axis, 0)
+    rest = x.size // n
+    work = np.array(moved.reshape(n, rest), order="C")
+    scratch = np.empty(n // 2 * rest)
     h = 1
     while h < n:
         # every butterfly of the stage at once: pairs (a, b) sit h apart
-        pairs = flat.reshape(flat.shape[0], n // (2 * h), 2, h)
-        a = pairs[:, :, 0].copy()
-        pairs[:, :, 0] += pairs[:, :, 1]
-        np.subtract(a, pairs[:, :, 1], out=pairs[:, :, 1])
+        pairs = work.reshape(n // (2 * h), 2, h * rest)
+        a, b = pairs[:, 0], pairs[:, 1]
+        old_a = scratch.reshape(n // (2 * h), h * rest)
+        np.copyto(old_a, a)
+        a += b
+        np.subtract(old_a, b, out=b)
         h *= 2
-    return np.moveaxis(flat.reshape(moved.shape), -1, axis)
+    out = np.empty(moved.shape[1:] + (n,))
+    out.reshape(rest, n)[...] = work.T
+    return np.moveaxis(out, -1, axis)
 
 
 def hadamard_rotate(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +157,23 @@ def _nonlin(tag: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _layer_inputs(spec: NetworkSpec, idx: int, x_cur: np.ndarray, *xq_curs: np.ndarray) -> tuple:
+    """Layer ``idx``'s weight and inputs: (weight, reference, *deployed).
+
+    With the layer's hadamard flag set the weight and every path are
+    rotated; the deployed paths then get per-token activation
+    quantization when the spec asks for it.
+    """
+    w = spec.layers[idx].weight
+    if spec.hadamard[idx]:
+        w = _rotate_weight(w)
+        x_cur = _rotate_acts(x_cur)
+        xq_curs = [_rotate_acts(v) for v in xq_curs]
+    if spec.act_levels is not None:
+        xq_curs = [_grid.quantize_per_token(v, spec.act_levels) for v in xq_curs]
+    return (w, x_cur, *xq_curs)
+
+
 def forward_pair(
     spec: NetworkSpec,
     x0: np.ndarray,
@@ -168,16 +200,7 @@ def forward_pair(
     for idx, layer in enumerate(spec.layers):
         if apply_resets and idx in spec.block_boundaries:
             xq_cur = x_cur.copy()
-        w_ref = layer.weight
-        if spec.hadamard[idx]:
-            w_ref = _rotate_weight(w_ref)
-            x_in = _rotate_acts(x_cur)
-            xq_in = _rotate_acts(xq_cur)
-        else:
-            x_in = x_cur
-            xq_in = xq_cur
-        if spec.act_levels is not None:
-            xq_in = _grid.quantize_per_token(xq_in, spec.act_levels)
+        w_ref, x_in, xq_in = _layer_inputs(spec, idx, x_cur, xq_cur)
         w_dep = quantized_weights[idx] if idx < quantized_prefix else w_ref
         x_cur = _nonlin(layer.nonlinearity, x_in @ w_ref)
         xq_cur = _nonlin(layer.nonlinearity, xq_in @ w_dep)
@@ -218,29 +241,25 @@ def quantize_network(
     layer will actually see: prior quantized layers, activation
     quantization, rotations, and any configured block resets.  The optq
     family calibrates on the reference path only; the gpfq/qronos side
-    sees both paths.
+    sees both paths.  The reported errors are those of
+    ``forward_pair(..., apply_resets=False)`` on the quantized weights,
+    computed in the same sweep.
     """
     if method not in _rounding.METHODS:
         raise ValueError(f"unknown method {method!r}")
     policy = damping if damping is not None else METHOD_DAMPING[method]
     x0 = np.asarray(calib_input, dtype=np.float64)
     x_cur = x0
-    xq_cur = x0.copy()
+    # deployed paths: the calibration one, then from the first block reset
+    # on the no-reset one the report measures; the last is always measured
+    deployed = [x0.copy()]
     qweights: list = []
-    objectives: list[float] = []
+    report = PropagationReport(method=method, seed=spec.seed)
     for idx, layer in enumerate(spec.layers):
-        if idx in spec.block_boundaries:
-            xq_cur = x_cur.copy()
-        w_ref = layer.weight
-        if spec.hadamard[idx]:
-            w_ref = _rotate_weight(w_ref)
-            x_in = _rotate_acts(x_cur)
-            xq_in = _rotate_acts(xq_cur)
-        else:
-            x_in = x_cur
-            xq_in = xq_cur
-        if spec.act_levels is not None:
-            xq_in = _grid.quantize_per_token(xq_in, spec.act_levels)
+        # a reset before layer 0 changes nothing: both paths start at x0
+        if idx in spec.block_boundaries and idx > 0:
+            deployed = [x_cur.copy(), deployed[-1]]
+        w_ref, x_in, xq_in, *no_reset_in = _layer_inputs(spec, idx, x_cur, *deployed)
         grids = [
             _grid.grid_from_minmax(w_ref[:, j], spec.weight_levels, spec.weight_beta)
             for j in range(w_ref.shape[1])
@@ -259,19 +278,14 @@ def quantize_network(
         raw_x = x_in if method == "optq_ref" else None
         q_l, _ = _rounding.quantize_layer(req, x=raw_x)
         qweights.append(q_l)
-        resid = x_in @ w_ref - xq_in @ q_l
-        objectives.append(0.5 * float(np.einsum("ij,ij->", resid, resid)))
-        x_cur = _nonlin(layer.nonlinearity, x_in @ w_ref)
-        xq_cur = _nonlin(layer.nonlinearity, xq_in @ q_l)
-    xs, xqs = forward_pair(
-        spec, x0, quantized_prefix=spec.n_layers, quantized_weights=qweights, apply_resets=False
-    )
-    report = PropagationReport(
-        method=method,
-        seed=spec.seed,
-        rel_errors=[_mean_row_relative_error(a, b) for a, b in zip(xs, xqs)],
-        objectives=objectives,
-    )
+        y = x_in @ w_ref
+        yq = xq_in @ q_l
+        resid = y - yq
+        report.objectives.append(0.5 * float(np.einsum("ij,ij->", resid, resid)))
+        x_cur = _nonlin(layer.nonlinearity, y)
+        deployed = [_nonlin(layer.nonlinearity, yq)]
+        deployed += [_nonlin(layer.nonlinearity, v @ q_l) for v in no_reset_in]
+        report.rel_errors.append(_mean_row_relative_error(x_cur, deployed[-1]))
     return qweights, report
 
 

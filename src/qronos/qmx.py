@@ -8,6 +8,7 @@ bit-exact because values are never re-encoded through text.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -39,14 +40,32 @@ def write_qmx(path, arr: np.ndarray, dtype: str | None = None) -> None:
 
 
 def read_qmx(path) -> np.ndarray:
-    """Read a matrix back; the dtype is whatever the file declares."""
+    """Read a matrix back; the dtype is whatever the file declares.
+
+    The payload is read straight into the returned array.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
+        line = fh.readline()
+        rows, cols, name = _parse_header(path, line)
+        dt = _DTYPES[name]
+        payload = os.fstat(fh.fileno()).st_size - len(line)
+        expect = rows * cols * dt.itemsize
+        if payload != expect:
+            raise QmxFormatError(
+                f"{path}: payload is {payload} bytes, header {rows}x{cols} {name} needs {expect}"
+            )
+        data = np.empty((rows, cols), dtype=dt)
+        if expect and fh.readinto(memoryview(data).cast("B")) != expect:
+            raise QmxFormatError(f"{path}: payload shorter than {expect} bytes")
+    return data if dt.isnative else data.astype(dt.newbyteorder("="))
+
+
+def _parse_header(path, line: bytes) -> tuple[int, int, str]:
+    """(rows, cols, dtype name) from the header line, newline included."""
+    if not line.endswith(b"\n"):
         raise QmxFormatError(f"{path}: no header line")
     try:
-        header = json.loads(raw[:nl].decode("ascii"))
+        header = json.loads(line[:-1].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise QmxFormatError(f"{path}: malformed header ({exc})") from exc
     if not isinstance(header, dict) or set(header) != {"rows", "cols", "dtype", "order"}:
@@ -58,12 +77,4 @@ def read_qmx(path) -> np.ndarray:
     rows, cols = header["rows"], header["cols"]
     if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
         raise QmxFormatError(f"{path}: bad dimensions {rows!r} x {cols!r}")
-    dt = _DTYPES[header["dtype"]]
-    payload = raw[nl + 1 :]
-    expect = rows * cols * dt.itemsize
-    if len(payload) != expect:
-        raise QmxFormatError(
-            f"{path}: payload is {len(payload)} bytes, header {rows}x{cols} {header['dtype']} needs {expect}"
-        )
-    data = np.frombuffer(payload, dtype=dt).reshape(rows, cols)
-    return data.astype(dt.newbyteorder("="), copy=True)
+    return rows, cols, header["dtype"]

@@ -57,8 +57,15 @@ import numpy as np
 
 from . import calib as _calib
 from . import grid as _grid
-from .errors import ShapeError
-from .linalg import CholeskyFactor, DampingPolicy, apply_damping, chol_of_inverse, solve_spd
+from .errors import NonFiniteInputError, ShapeError
+from .linalg import (
+    CholeskyFactor,
+    DampingPolicy,
+    apply_damping,
+    check_finite,
+    chol_of_inverse,
+    solve_spd,
+)
 
 METHODS = ("rtn", "optq", "optq_ref", "gpfq", "qronos_base", "qronos")
 ORDER_MODES = ("diag", "natural")
@@ -378,17 +385,24 @@ def quantize_layer(
         # undamped diagonal is the same permutation
         order = _calib.order_by_diag(stats.H) if req.order == "diag" else _calib.natural_order(n_in)
         hp = h_damped[np.ix_(order.perm, order.perm)]
-        g_damped = stats.G if lam == 0.0 else stats.G + lam * np.eye(n_in)
-        gp = g_damped[np.ix_(order.perm, order.perm)]
+        gp = stats.G[np.ix_(order.perm, order.perm)]
+        if lam:
+            # a permutation keeps the diagonal on the diagonal
+            gp.flat[:: n_in + 1] += lam
         wp = _calib.permute_weights(w, order)
         xp = x[:, order.perm] if x is not None else None
-        if req.record_trace:
-            qp, traces = _run_columns_traced(
-                req.method, wp, hp, gp, xp, req.grids, report_warnings, lam
-            )
-        else:
-            traces = None
-            qp = _run_columns_fast(req.method, wp, hp, gp, xp, req.grids, report_warnings, lam)
+        try:
+            if req.record_trace:
+                qp, traces = _run_columns_traced(
+                    req.method, wp, hp, gp, xp, req.grids, report_warnings, lam
+                )
+            else:
+                traces = None
+                qp = _run_columns_fast(req.method, wp, hp, gp, xp, req.grids, report_warnings, lam)
+        except NonFiniteInputError:
+            # name the cell in the caller's feature order, not the processing order
+            check_finite(stats.H, "H")
+            raise
         q = _calib.unpermute_result(qp, order)
 
     if x is not None:
@@ -397,9 +411,8 @@ def quantize_layer(
         objectives = 0.5 * np.einsum("ij,ij->j", resid, resid)
         objective_form = "residual"
     elif req.method != "rtn":
-        hd = req.stats.H + lam * np.eye(n_in) if lam else req.stats.H
         objectives = 0.5 * (
-            np.einsum("ij,ij->j", q, hd @ q) - 2.0 * np.einsum("ij,ij->j", q, req.stats.G @ w)
+            np.einsum("ij,ij->j", q, h_damped @ q) - 2.0 * np.einsum("ij,ij->j", q, req.stats.G @ w)
         )
         objective_form = "moment_quadratic"
     else:

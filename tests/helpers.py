@@ -44,3 +44,22 @@ def on_grid_weights(rng, n, n_out, levels=4):
         codes[0], codes[1] = 0.0, levels - 1.0
         w[:, j] = scale * (lo + codes)
     return w
+
+
+def fwht_reference(x, axis=-1):
+    """Plain butterfly loop: one (a, b) slice pair per block per stage.
+
+    Returns the transform laid out C-contiguous with the transform axis
+    last, moved back into place.
+    """
+    out = np.moveaxis(np.array(x, dtype=np.float64), axis, -1).copy()
+    n = out.shape[-1]
+    h = 1
+    while h < n:
+        for i in range(0, n, 2 * h):
+            a = out[..., i : i + h].copy()
+            b = out[..., i + h : i + 2 * h]
+            out[..., i : i + h] = a + b
+            out[..., i + h : i + 2 * h] = a - b
+        h *= 2
+    return np.moveaxis(out, -1, axis)

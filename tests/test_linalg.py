@@ -1,16 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qronos import (
+    CalibStats,
     ConvergenceError,
     DampingPolicy,
+    LayerQuantRequest,
+    NonFiniteInputError,
     NotPositiveDefiniteError,
     apply_damping,
     chol_solve,
     cholesky_lower,
+    grid_from_minmax,
     inverse_hessian_step,
     project_residual,
+    quantize_layer,
     solve_spd,
     spd_inverse,
     top_singular_value,
@@ -162,6 +169,57 @@ def test_damping_top_singular_fraction():
     damped, policy = apply_damping(np.eye(3), DampingPolicy("top_singular_fraction", alpha=1e-3))
     assert policy.resolved_lambda == pytest.approx(1e-3, rel=1e-9)
     assert np.allclose(damped, (1 + policy.resolved_lambda) * np.eye(3))
+
+
+def test_damping_adds_the_ridge_to_a_copy():
+    h = random_spd(np.random.default_rng(6), 7)
+    before = h.copy()
+    damped, policy = apply_damping(h, DampingPolicy("top_singular_fraction", alpha=1e-2))
+    assert np.array_equal(damped, h + policy.resolved_lambda * np.eye(7))
+    assert np.array_equal(h, before)
+
+
+@pytest.mark.parametrize("where", [(140, 3), (3, 140), (70, 66)])
+def test_symmetry_check_spans_tiles(where):
+    m = random_spd(np.random.default_rng(7), 150)
+    m[where] += 1e-3
+    skew = float(np.abs(m - m.T).max())
+    with pytest.raises(ValueError, match=f"max asymmetry {skew:.3e} "):
+        cholesky_lower(m)
+
+
+def _qronos_layer(h):
+    grids = [grid_from_minmax(np.arange(5.0), 4)] * 2
+    stats = CalibStats(5, H=h, G=np.eye(5))
+    return quantize_layer(LayerQuantRequest(np.ones((5, 2)), grids, "qronos", stats=stats))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "route",
+    [
+        top_singular_value,
+        lambda h: apply_damping(h, DampingPolicy("top_singular_fraction")),
+        _qronos_layer,
+    ],
+    ids=["top_singular_value", "apply_damping", "quantize_layer"],
+)
+def test_non_finite_matrix_is_named_without_warnings(bad, route):
+    h = np.eye(5)
+    h[2, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError, match="row 2, col 3"):
+            route(h)
+
+
+def test_non_finite_cell_is_named_in_caller_order():
+    # descending-diagonal ordering reverses the features; the message
+    # still names the caller's cell
+    h = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    h[1, 3] = np.inf
+    with pytest.raises(NonFiniteInputError, match="row 1, col 3"):
+        _qronos_layer(h)
 
 
 def test_damping_none_is_exact_passthrough():

@@ -19,7 +19,7 @@ from qronos import (
     quantize_network,
 )
 from qronos.netsim import METHOD_DAMPING
-from helpers import on_grid_weights
+from helpers import fwht_reference, on_grid_weights
 
 
 def _row_errors(y, yq):
@@ -49,6 +49,18 @@ def test_fwht_matches_dense_hadamard_on_both_axes(n):
     dense = hadamard(n) @ x
     for out in (fwht(x, axis=0), fwht(x.T, axis=1).T):
         assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize(
+    "shape, axis",
+    [((1, 5), 0), ((5, 1), 1), ((2, 3), 0), ((3, 2), 1), ((64, 48), 0), ((48, 64), 1),
+     ((256, 256), 0), ((2048, 256), 1), ((3, 32, 5), 1), ((4, 2, 8), -1)],
+)
+def test_fwht_matches_butterfly_loop_bit_for_bit(shape, axis):
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    out, ref = fwht(x, axis=axis), fwht_reference(x, axis=axis)
+    assert out.shape == ref.shape and out.strides == ref.strides
+    assert out.tobytes(order="A") == ref.tobytes(order="A")
 
 
 def test_fwht_rejects_non_power_of_two():
@@ -219,6 +231,28 @@ def test_error_correction_ordering_on_small_instance():
             finals.append(rep.rel_errors[-1])
         errs[method] = float(np.mean(finals))
     assert errs["qronos"] <= errs["optq"]
+
+
+def _block_variants(n_layers, width, seed, hadamard, act_levels):
+    for n_blocks in (1, 2, 3):
+        yield build_random_network(n_layers, width, seed=seed, weight_levels=8,
+                                   act_levels=act_levels, n_blocks=n_blocks, hadamard=hadamard)
+    spec = build_random_network(n_layers, width, seed=seed, weight_levels=8,
+                                act_levels=act_levels, hadamard=hadamard)
+    spec.block_boundaries = (0,)
+    yield spec
+
+
+@pytest.mark.parametrize("method", ["rtn", "optq", "optq_ref", "gpfq", "qronos_base", "qronos"])
+def test_reported_errors_are_those_of_the_no_reset_forward(method):
+    calib = np.random.default_rng(20).standard_normal((40, 16))
+    for hadamard in (False, True):
+        for act_levels in (None, 16):
+            for spec in _block_variants(4, 16, 21, hadamard, act_levels):
+                qweights, report = quantize_network(spec, calib, method)
+                xs, xqs = forward_pair(spec, calib, spec.n_layers, qweights, apply_resets=False)
+                expected = [float(_row_errors(y, yq).mean()) for y, yq in zip(xs, xqs)]
+                assert report.rel_errors == expected, (spec.block_boundaries, hadamard, act_levels)
 
 
 def test_method_validation():
