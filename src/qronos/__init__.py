@@ -45,7 +45,6 @@ from .linalg import (
     chol_solve,
     cholesky_lower,
     inverse_hessian_step,
-    project_residual,
     solve_spd,
     spd_inverse,
     top_singular_value,
@@ -57,7 +56,6 @@ from .netsim import (
     build_random_network,
     forward_pair,
     fwht,
-    hadamard_rotate,
     quantize_network,
 )
 from .oracle import (
@@ -71,6 +69,7 @@ from .qmx import read_qmx, write_qmx
 from .rounding import (
     LayerQuantRequest,
     LayerReport,
+    METHOD_SPECS,
     METHODS,
     RoundingTrace,
     chol_of_inverse,
@@ -97,6 +96,7 @@ __all__ = [
     "LayerQuantRequest",
     "LayerReport",
     "LayerSpec",
+    "METHOD_SPECS",
     "METHODS",
     "NetworkSpec",
     "NonFiniteInputError",
@@ -120,7 +120,6 @@ __all__ = [
     "forward_pair",
     "fwht",
     "grid_from_minmax",
-    "hadamard_rotate",
     "inverse_hessian_step",
     "levels_from_bits",
     "median_algo_times",
@@ -129,7 +128,6 @@ __all__ = [
     "order_by_diag",
     "permute_stats",
     "permute_weights",
-    "project_residual",
     "quantize_gpfq_column",
     "quantize_layer",
     "quantize_network",

@@ -24,9 +24,8 @@ import numpy as np
 from . import calib as _calib
 from . import rounding as _rounding
 from .grid import grid_from_minmax
-from .netsim import METHOD_DAMPING
 
-BENCH_METHODS = ("optq", "gpfq", "qronos_base", "qronos")
+BENCH_METHODS = tuple(m for m, spec in _rounding.METHOD_SPECS.items() if spec.benchmarkable)
 
 
 @dataclass
@@ -44,7 +43,7 @@ class BenchConfig:
         if self.k_min < 4 or self.k_max < self.k_min:
             raise ValueError(f"bad K range [{self.k_min}, {self.k_max}]")
         for m in self.methods:
-            if m not in _rounding.METHODS or m in ("rtn", "optq_ref"):
+            if m not in BENCH_METHODS:
                 raise ValueError(f"method {m!r} is not benchmarkable")
         if self.dtype not in ("f64", "f32"):
             raise ValueError(f"dtype must be f64 or f32, got {self.dtype!r}")
@@ -63,7 +62,11 @@ def _drive_algorithm(method, w, h, g, grids):
     """Moments to quantized weights; this is the timed algorithm phase."""
     stats = _calib.CalibStats(w.shape[0], H=h, G=g)
     req = _rounding.LayerQuantRequest(
-        weights=w, grids=grids, method=method, stats=stats, damping=METHOD_DAMPING[method]
+        weights=w,
+        grids=grids,
+        method=method,
+        stats=stats,
+        damping=_rounding.METHOD_SPECS[method].damping,
     )
     return _rounding.quantize_layer(req)[0]
 
@@ -74,12 +77,12 @@ def _time_cell(method, x, xq, w, grids, cfg):
     algo_times = []
     for _ in range(cfg.inner_reps):
         t0 = time.perf_counter()
-        if method == "optq":
-            h = x.T @ x
-            g = h
-        else:
+        if _rounding.METHOD_SPECS[method].two_path:
             h = xq.T @ xq
             g = xq.T @ x
+        else:
+            h = x.T @ x
+            g = h
         t1 = time.perf_counter()
         if cfg.dtype == "f32":
             # truncation knob for precision studies; the drive itself is f64

@@ -31,7 +31,6 @@ from .errors import (
     ConvergenceError,
     NonFiniteInputError,
     NotPositiveDefiniteError,
-    QmxFormatError,
     ShapeError,
 )
 from .linalg import DampingPolicy, check_finite
@@ -49,15 +48,8 @@ _DAMPING_TOKENS = {
     "none": "none",
 }
 
-# used when --damping is not given
-_METHOD_DAMPING_TOKEN = {
-    "rtn": "none",
-    "optq": "meandiag",
-    "optq_ref": "meandiag",
-    "gpfq": "none",
-    "qronos_base": "topsv",
-    "qronos": "topsv",
-}
+# --damping token of each mode, for the per-method default
+_MODE_TOKENS = {mode: token for token, mode in _DAMPING_TOKENS.items()}
 
 
 class UsageError(Exception):
@@ -109,7 +101,7 @@ def cmd_quantize(args) -> int:
 
     t0 = time.perf_counter()
     if method != "rtn":
-        needs_pair = method in ("gpfq", "qronos", "qronos_base")
+        needs_pair = _rounding.METHOD_SPECS[method].two_path
         if raw_given:
             if args.calib_x is None:
                 raise UsageError(f"--method {args.method} needs --calib-x")
@@ -118,6 +110,7 @@ def cmd_quantize(args) -> int:
                 raise ShapeError(
                     f"{args.calib_x}: activations {x.shape} do not match weight rows {n_in}"
                 )
+            xq = x
             if needs_pair:
                 if args.calib_xt is None:
                     raise UsageError(
@@ -129,9 +122,7 @@ def cmd_quantize(args) -> int:
                     raise ShapeError(
                         f"{args.calib_xt}: shape {xq.shape} does not match --calib-x {x.shape}"
                     )
-                stats = _calib.accumulate(_calib.CalibStats(n_in), x, xq)
-            else:
-                stats = _calib.accumulate(_calib.CalibStats(n_in), x, x)
+            stats = _calib.accumulate(_calib.CalibStats(n_in), x, xq)
         elif stats_given:
             if method == "optq_ref":
                 raise UsageError("--method optq-ref re-solves against raw activations; pass --calib-x")
@@ -140,6 +131,7 @@ def cmd_quantize(args) -> int:
             h = np.asarray(_read_finite(args.stats_h), dtype=np.float64)
             if h.shape != (n_in, n_in):
                 raise ShapeError(f"{args.stats_h}: H {h.shape} must be {(n_in, n_in)}")
+            g = h
             if needs_pair:
                 if args.stats_g is None:
                     raise UsageError(
@@ -149,8 +141,6 @@ def cmd_quantize(args) -> int:
                 g = np.asarray(_read_finite(args.stats_g), dtype=np.float64)
                 if g.shape != (n_in, n_in):
                     raise ShapeError(f"{args.stats_g}: G {g.shape} must be {(n_in, n_in)}")
-            else:
-                g = h
             stats = _calib.CalibStats(n_in, H=h, G=g)
         else:
             raise UsageError(
@@ -164,7 +154,7 @@ def cmd_quantize(args) -> int:
     else:
         grids = [_grid.grid_from_minmax(w[:, j], levels, args.beta) for j in range(n_out)]
 
-    damping_token = args.damping if args.damping else _METHOD_DAMPING_TOKEN[method]
+    damping_token = args.damping or _MODE_TOKENS[_rounding.METHOD_SPECS[method].damping.mode]
     policy = DampingPolicy(_DAMPING_TOKENS[damping_token], alpha=args.alpha)
 
     t0 = time.perf_counter()
@@ -384,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         required=True,
-        choices=["rtn", "optq", "optq-ref", "gpfq", "qronos", "qronos-base"],
+        choices=[m.replace("_", "-") for m in _rounding.METHODS],
     )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--bits", type=float, help="bit width (integer, or 1.58 for ternary)")
@@ -405,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=10000, help="calibration rows")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--levels", type=int, default=16)
-    p.add_argument("--methods", default="optq,gpfq,qronos-base,qronos")
+    p.add_argument("--methods", default=",".join(m.replace("_", "-") for m in _bench.BENCH_METHODS))
     p.add_argument("--dtype", choices=["f64", "f32"], default="f64")
     p.add_argument("--reps", type=int, default=3, help="inner repetitions per cell")
     p.add_argument("--out", help="write the JSON report here")
@@ -448,10 +438,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QmxFormatError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ShapeError as exc:

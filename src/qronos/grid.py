@@ -34,9 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _round_half_away(x):
-    # np.round ties to even; the alphabet convention here is half away from zero
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def _codes(values, step, shift, anchor, top):
+    # np.round ties to even; the alphabet convention here is half away from
+    # zero.  trunc(y + copysign(0.5, y)) is sign(y) * floor(|y| + 0.5) bit
+    # for bit up to the sign of a zero, which adding the anchor makes +0.0,
+    # so maximum/minimum clip exactly as np.clip does, at less cost per call
+    y = values / step + shift
+    return np.minimum(np.maximum(np.trunc(y + np.copysign(0.5, y)) + anchor, 0.0), top)
 
 
 def integer_codes(values, step, zero, levels):
@@ -47,8 +51,19 @@ def integer_codes(values, step, zero, levels):
     identical to ``round(values / step) + zero``.
     """
     anchor = np.floor(zero + 0.5)
-    code = _round_half_away(values / step + (zero - anchor)) + anchor
-    return np.clip(code, 0.0, levels - 1.0)
+    return _codes(values, step, zero - anchor, anchor, levels - 1.0)
+
+
+def row_rounder(grids):
+    """Round-to-nearest of one value per grid, as a function of that row.
+
+    The per-grid constants are formed once; every call then rounds each
+    entry exactly as ``quantize_rtn`` does on its own grid.
+    """
+    step, zero, top = np.array([(g.step_size, g.zero_point, g.levels - 1.0) for g in grids]).T
+    anchor = np.floor(zero + 0.5)
+    shift = zero - anchor
+    return lambda values: step * (_codes(values, step, shift, anchor, top) - zero)
 
 
 @dataclass(frozen=True)

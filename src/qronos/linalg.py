@@ -3,8 +3,8 @@
 Everything here operates on small-to-medium SPD matrices (calibration
 second moments and their inverses).  Factorizations and triangular
 solves are LAPACK-backed; the routines the rounding algorithms actually
-reason about (inverse slicing, damping, residual projection, spectral
-norm estimation) are implemented explicitly on top of them.
+reason about (inverse slicing, damping, spectral norm estimation) are
+implemented explicitly on top of them.
 
 The rounding engine never forms H^-1: it takes the lower Cholesky factor
 of the inverse from a single Cholesky factorization of the index-reversed
@@ -44,10 +44,13 @@ def _as_square(m, name="matrix") -> np.ndarray:
 
 
 def check_finite(m: np.ndarray, name="matrix") -> None:
-    """Raise NonFiniteInputError naming the first NaN or inf of a 2-D m."""
-    finite = np.isfinite(m)
-    if not finite.all():
-        row, col = (int(i) for i in np.argwhere(~finite)[0])
+    """Raise NonFiniteInputError naming the first NaN or inf of a 2-D m.
+
+    A finite m costs a max and a min, which propagate NaN, and no
+    temporary of m's size.
+    """
+    if m.size and not (math.isfinite(m.max()) and math.isfinite(m.min())):
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(m))[0])
         raise NonFiniteInputError(f"{name}: non-finite value {m[row, col]} at row {row}, col {col}")
 
 
@@ -79,10 +82,6 @@ class CholeskyFactor:
     @property
     def dim(self) -> int:
         return self.L.shape[0]
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.L)
 
 
 def cholesky_lower(m: np.ndarray) -> CholeskyFactor:
@@ -256,21 +255,3 @@ def inverse_hessian_step(hinv: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.zeros((0, 0))
     return hinv[1:, 1:] - np.outer(hinv[1:, 0], hinv[0, 1:]) / lead
-
-
-def project_residual(r: np.ndarray, basis: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Remove from ``r`` its best approximation by columns of ``basis``.
-
-    Solves the (optionally ridge-damped) normal equations via Cholesky.
-    Linearly dependent columns with ridge 0 surface as
-    NotPositiveDefiniteError.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    basis = np.asarray(basis, dtype=np.float64)
-    if basis.ndim != 2 or basis.shape[0] != r.shape[0]:
-        raise ShapeError(f"basis shape {basis.shape} does not match residual length {r.shape[0]}")
-    gram = basis.T @ basis
-    if ridge > 0.0:
-        gram = gram + ridge * np.eye(gram.shape[0])
-    coef = chol_solve(cholesky_lower(gram), basis.T @ r)
-    return r - basis @ coef

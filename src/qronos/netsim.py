@@ -33,17 +33,6 @@ from .linalg import DampingPolicy
 
 NONLINEARITIES = ("none", "relu")
 
-# method-native ridge choices: optq traditionally damps by mean diagonal,
-# the error-corrected methods by a small fraction of the spectral norm
-METHOD_DAMPING = {
-    "rtn": DampingPolicy("none"),
-    "optq": DampingPolicy("mean_diag_percent"),
-    "optq_ref": DampingPolicy("mean_diag_percent"),
-    "gpfq": DampingPolicy("none"),
-    "qronos_base": DampingPolicy("top_singular_fraction", alpha=1e-6),
-    "qronos": DampingPolicy("top_singular_fraction", alpha=1e-6),
-}
-
 
 def fwht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along one axis.
@@ -74,20 +63,6 @@ def fwht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     out = np.empty(moved.shape[1:] + (n,))
     out.reshape(rest, n)[...] = work.T
     return np.moveaxis(out, -1, axis)
-
-
-def hadamard_rotate(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a (weights, activations) pair by the normalized Hadamard matrix.
-
-    Products are preserved: (X R)(R^T W) = X W for R = H_n / sqrt(n).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape[0] != x.shape[1]:
-        raise ShapeError(f"weight rows {w.shape[0]} do not match activation dim {x.shape[1]}")
-    n = w.shape[0]
-    scale = 1.0 / np.sqrt(n)
-    return fwht(w, axis=0) * scale, fwht(x, axis=1) * scale
 
 
 def _rotate_weight(w: np.ndarray) -> np.ndarray:
@@ -247,7 +222,8 @@ def quantize_network(
     """
     if method not in _rounding.METHODS:
         raise ValueError(f"unknown method {method!r}")
-    policy = damping if damping is not None else METHOD_DAMPING[method]
+    two_path = _rounding.METHOD_SPECS[method].two_path
+    policy = damping if damping is not None else _rounding.METHOD_SPECS[method].damping
     x0 = np.asarray(calib_input, dtype=np.float64)
     x_cur = x0
     # deployed paths: the calibration one, then from the first block reset
@@ -264,14 +240,10 @@ def quantize_network(
             _grid.grid_from_minmax(w_ref[:, j], spec.weight_levels, spec.weight_beta)
             for j in range(w_ref.shape[1])
         ]
-        if method == "rtn":
-            stats = None
-        else:
-            stats = _calib.CalibStats(w_ref.shape[0])
-            if method in ("optq", "optq_ref"):
-                _calib.accumulate(stats, x_in, x_in)
-            else:
-                _calib.accumulate(stats, x_in, xq_in)
+        stats = None
+        if method != "rtn":
+            calib_xq = xq_in if two_path else x_in
+            stats = _calib.accumulate(_calib.CalibStats(w_ref.shape[0]), x_in, calib_xq)
         req = _rounding.LayerQuantRequest(
             weights=w_ref, grids=grids, method=method, stats=stats, damping=policy
         )

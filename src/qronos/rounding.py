@@ -44,8 +44,10 @@ sweep shared by optq and steps t >= 2 of qronos is blocked (the lazy
 batch update of GPTQ): rank-1 updates touch only the rows of the
 current block of SWEEP_BLOCK steps, the block's scaled errors are kept,
 and the rows below the block receive them in one matrix product when
-the block ends.  Per-column entry points mirror the math one channel at
-a time, unblocked, and can record full per-step traces for verification.
+the block ends.  The per-column entry points are that same driver on
+one channel (n_out = 1).  Either can record full per-step traces for
+verification; a recorded state brings the rows below the block up to
+date on the side, so recording never changes q.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import calib as _calib
 from . import grid as _grid
-from .errors import NonFiniteInputError, ShapeError
+from .errors import ShapeError
 from .linalg import (
     CholeskyFactor,
     DampingPolicy,
@@ -67,7 +69,34 @@ from .linalg import (
     solve_spd,
 )
 
-METHODS = ("rtn", "optq", "optq_ref", "gpfq", "qronos_base", "qronos")
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One method's defaults.
+
+    ``damping`` is the ridge used when the caller names none;
+    ``two_path`` methods calibrate on the (reference, quantized-path)
+    pair, the others on the reference activations alone; ``benchmarkable``
+    methods run in the runtime ladder.
+    """
+
+    damping: DampingPolicy
+    two_path: bool
+    benchmarkable: bool
+
+
+# optq traditionally damps by mean diagonal, the error-corrected methods
+# by a small fraction of the spectral norm
+_TOPSV = DampingPolicy("top_singular_fraction", alpha=1e-6)
+METHOD_SPECS = {
+    "rtn": MethodSpec(DampingPolicy("none"), two_path=False, benchmarkable=False),
+    "optq": MethodSpec(DampingPolicy("mean_diag_percent"), two_path=False, benchmarkable=True),
+    "optq_ref": MethodSpec(DampingPolicy("mean_diag_percent"), two_path=False, benchmarkable=False),
+    "gpfq": MethodSpec(DampingPolicy("none"), two_path=True, benchmarkable=True),
+    "qronos_base": MethodSpec(_TOPSV, two_path=True, benchmarkable=True),
+    "qronos": MethodSpec(_TOPSV, two_path=True, benchmarkable=True),
+}
+METHODS = tuple(METHOD_SPECS)
 ORDER_MODES = ("diag", "natural")
 # diffusion steps per block of the layer sweep; rows below a block are
 # updated once per block by a matrix product
@@ -92,7 +121,7 @@ class RoundingTrace:
 
 
 # ---------------------------------------------------------------------------
-# per-column reference implementations
+# per-column entry points
 
 
 def quantize_rtn_layer(w: np.ndarray, grids) -> np.ndarray:
@@ -101,10 +130,7 @@ def quantize_rtn_layer(w: np.ndarray, grids) -> np.ndarray:
     if w.ndim != 2:
         raise ShapeError(f"expected a 2-D weight matrix, got shape {w.shape}")
     _check_grids(grids, w.shape[1])
-    out = np.empty_like(w)
-    for j, g in enumerate(grids):
-        out[:, j] = _grid.quantize_rtn(w[:, j], g)
-    return out
+    return _grid.row_rounder(grids)(w)
 
 
 def quantize_optq_column(
@@ -118,24 +144,7 @@ def quantize_optq_column(
     ``chol`` factors the inverse of the damped second moment of the
     layer's own input (this method consumes one activation set only).
     """
-    w = _as_column(w)
-    n = w.size
-    if chol.dim != n:
-        raise ShapeError(f"factor dim {chol.dim} does not match column length {n}")
-    low = chol.L
-    state = w.copy()
-    q = np.empty(n)
-    w_states = [state.copy()] if record_trace else None
-    deltas = [] if record_trace else None
-    for t in range(n):
-        q[t] = _grid.quantize_rtn(state[t], grid)
-        if t + 1 < n:
-            move = -((state[t] - q[t]) / low[t, t]) * low[t + 1 :, t]
-            state[t + 1 :] += move
-            if record_trace:
-                deltas.append(move.copy())
-                w_states.append(state[t + 1 :].copy())
-    return RoundingTrace(q=q, w_states=w_states, deltas=deltas)
+    return _round_column("optq", w, grid, record_trace, chol=chol)
 
 
 def quantize_optq_column_ref(
@@ -237,25 +246,7 @@ def quantize_qronos_base_column(
     Every step re-solves the trailing normal equations from scratch; a
     non-positive-definite trailing block raises.
     """
-    w = _as_column(w)
-    n = w.size
-    h_damped, g = _check_moment_pair(h_damped, g, n)
-    state = w.copy()
-    q = np.empty(n)
-    gw = g @ w
-    w_states = [state.copy()] if record_trace else None
-    deltas = [] if record_trace else None
-    for t in range(n):
-        num = gw[t] - h_damped[t, :t] @ q[:t] - h_damped[t, t + 1 :] @ state[t + 1 :]
-        q[t] = _grid.quantize_rtn(num / h_damped[t, t], grid)
-        if t + 1 < n:
-            rhs = gw[t + 1 :] - h_damped[t + 1 :, : t + 1] @ q[: t + 1]
-            new_tail = solve_spd(h_damped[t + 1 :, t + 1 :], rhs)
-            if record_trace:
-                deltas.append(new_tail - state[t + 1 :])
-                w_states.append(new_tail.copy())
-            state[t + 1 :] = new_tail
-    return RoundingTrace(q=q, w_states=w_states, deltas=deltas)
+    return _round_column("qronos_base", w, grid, record_trace, h_damped, g)
 
 
 def quantize_qronos_column(
@@ -272,35 +263,7 @@ def quantize_qronos_column(
     block of ``chol`` (the factor of the damped inverse); afterwards the
     trajectory is the optq-style diffusion on the corrected state.
     """
-    w = _as_column(w)
-    n = w.size
-    h_damped, g = _check_moment_pair(h_damped, g, n)
-    if chol.dim != n:
-        raise ShapeError(f"factor dim {chol.dim} does not match column length {n}")
-    low = chol.L
-    state = w.copy()
-    q = np.empty(n)
-    w_states = [state.copy()] if record_trace else None
-    deltas = [] if record_trace else None
-    num = g[0, :] @ w - h_damped[0, 1:] @ w[1:]
-    q[0] = _grid.quantize_rtn(num / h_damped[0, 0], grid)
-    if n > 1:
-        rhs = g[1:, :] @ w - h_damped[1:, 0] * q[0]
-        tail = low[1:, 1:]
-        new_tail = tail @ (tail.T @ rhs)
-        if record_trace:
-            deltas.append(new_tail - state[1:])
-            w_states.append(new_tail.copy())
-        state[1:] = new_tail
-        for t in range(1, n):
-            q[t] = _grid.quantize_rtn(state[t], grid)
-            if t + 1 < n:
-                move = -((state[t] - q[t]) / low[t, t]) * low[t + 1 :, t]
-                state[t + 1 :] += move
-                if record_trace:
-                    deltas.append(move.copy())
-                    w_states.append(state[t + 1 :].copy())
-    return RoundingTrace(q=q, w_states=w_states, deltas=deltas)
+    return _round_column("qronos", w, grid, record_trace, h_damped, g, chol)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +275,9 @@ class LayerQuantRequest:
     """Everything needed to quantize one weight matrix.
 
     ``weights`` is (n_in, n_out); ``grids`` one QuantGrid per output
-    column.  ``stats`` supplies the moment pair: for optq-family methods
-    its H must be built from the reference activations alone, for the
-    gpfq/qronos family from the (reference, quantized-path) pair.  The
+    column.  ``stats`` supplies the moment pair: for one-path methods
+    (optq family) its H must be built from the reference activations
+    alone, for two-path ones (``METHOD_SPECS``) from the pair.  The
     ordering permutation is derived from the undamped diagonal of H
     ("diag") or skipped ("natural"); results are returned in the
     caller's original row order either way.
@@ -379,6 +342,9 @@ def quantize_layer(
         if req.method == "optq_ref" and x is None:
             raise ValueError("optq_ref re-solves against raw activations; pass x")
 
+        # the sweeps would carry a NaN or inf into q without raising
+        check_finite(stats.H, "H")
+        check_finite(stats.G, "G")
         h_damped, resolved = apply_damping(stats.H, req.damping)
         lam = float(resolved.resolved_lambda)
         # the ridge shifts every diagonal entry equally, so ordering from the
@@ -390,19 +356,19 @@ def quantize_layer(
             # a permutation keeps the diagonal on the diagonal
             gp.flat[:: n_in + 1] += lam
         wp = _calib.permute_weights(w, order)
-        xp = x[:, order.perm] if x is not None else None
-        try:
-            if req.record_trace:
-                qp, traces = _run_columns_traced(
-                    req.method, wp, hp, gp, xp, req.grids, report_warnings, lam
-                )
-            else:
-                traces = None
-                qp = _run_columns_fast(req.method, wp, hp, gp, xp, req.grids, report_warnings, lam)
-        except NonFiniteInputError:
-            # name the cell in the caller's feature order, not the processing order
-            check_finite(stats.H, "H")
-            raise
+        if req.method == "optq_ref":
+            xp = x[:, order.perm]
+            traces = [
+                quantize_optq_column_ref(wp[:, j], xp, req.grids[j], lam, req.record_trace)
+                for j in range(n_out)
+            ]
+            qp = np.stack([tr.q for tr in traces], axis=1)
+            traces = traces if req.record_trace else None
+        else:
+            low = chol_of_inverse(hp).L if req.method in ("optq", "qronos") else None
+            qp, traces = _round_columns(
+                req.method, wp, req.grids, hp, gp, low, req.record_trace, report_warnings
+            )
         q = _calib.unpermute_result(qp, order)
 
     if x is not None:
@@ -433,80 +399,31 @@ def quantize_layer(
     return q, report
 
 
-def _run_columns_traced(method, wp, hp, gp, xp, grids, report_warnings, ridge):
-    """Column-at-a-time path used when per-step traces are requested."""
-    n_in, n_out = wp.shape
-    qp = np.empty_like(wp)
-    traces = []
-    chol = chol_of_inverse(hp) if method in ("optq", "qronos") else None
-    for j in range(n_out):
-        col = wp[:, j]
-        if method == "optq":
-            tr = quantize_optq_column(col, chol, grids[j], record_trace=True)
-        elif method == "optq_ref":
-            tr = quantize_optq_column_ref(col, xp, grids[j], ridge=ridge, record_trace=True)
-        elif method == "gpfq":
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                tr = _gpfq_column_moments(col, hp, gp, grids[j], record_trace=True)
-            report_warnings.extend(str(c.message) for c in caught)
-        elif method == "qronos_base":
-            tr = quantize_qronos_base_column(col, hp, gp, grids[j], record_trace=True)
-        else:
-            tr = quantize_qronos_column(col, hp, gp, chol, grids[j], record_trace=True)
-        qp[:, j] = tr.q
-        traces.append(tr)
-    return qp, traces
+def _round_columns(
+    method, wp, grids, hp=None, gp=None, low=None, record=False, report_warnings=None
+):
+    """Round every column of ``wp`` (n, n_out), step-synchronously.
 
-
-def _gpfq_column_moments(w, h, g, grid, record_trace=False):
-    # same iterates as the residual recursion, read off the moment pair
-    n = w.size
-    q = np.empty(n)
-    w_states = [w.copy()] if record_trace else None
-    for t in range(n):
-        htt = h[t, t]
-        if htt > 0.0:
-            num = g[t, : t + 1] @ w[: t + 1] - h[t, :t] @ q[:t]
-            q[t] = _grid.quantize_rtn(num / htt, grid)
-        else:
-            warnings.warn(
-                f"quantized-path column {t} has zero norm; falling back to RTN for that step",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            q[t] = _grid.quantize_rtn(w[t], grid)
-        if record_trace and t + 1 < n:
-            w_states.append(w[t + 1 :].copy())
-    return RoundingTrace(q=q, w_states=w_states)
-
-
-def _run_columns_fast(method, wp, hp, gp, xp, grids, report_warnings, ridge):
-    """Step-synchronous drivers, vectorized across output columns.
-
-    optq and qronos share one diffusion sweep, blocked by SWEEP_BLOCK
-    steps as the module docstring describes.
+    One loop per method family: gpfq reads each step off the moment pair
+    (hp, gp), qronos_base re-solves the trailing normal equations at
+    every step, and optq and the steps t >= 2 of qronos share the
+    diffusion sweep on ``low``, blocked by SWEEP_BLOCK steps.  Returns q
+    and, with ``record``, one RoundingTrace per column (else None).  A
+    recorded state brings the rows below the current block up to date
+    on the side, so recording never changes q.
     """
-    n_in, n_out = wp.shape
-    steps, zeros, levels = _grid_arrays(grids)
-
-    def rtn_row(vals):
-        code = _grid.integer_codes(vals, steps, zeros, levels)
-        return steps * (code - zeros)
-
-    if method == "optq_ref":
-        qp = np.empty_like(wp)
-        for j in range(n_out):
-            qp[:, j] = quantize_optq_column_ref(wp[:, j], xp, grids[j], ridge=ridge).q
-        return qp
+    n, n_out = wp.shape
+    rtn = _grid.row_rounder(grids)
+    q = np.empty_like(wp)
+    # states[k] holds rows k: after step k - 1; moves[k - 1] the step's move
+    states = [wp] if record else None
+    moves = [] if record and method != "gpfq" else None
 
     if method == "gpfq":
-        q = np.empty_like(wp)
-        for t in range(n_in):
-            htt = hp[t, t]
-            if htt > 0.0:
+        for t in range(n):
+            if hp[t, t] > 0.0:
                 num = gp[t, : t + 1] @ wp[: t + 1] - hp[t, :t] @ q[:t]
-                q[t] = rtn_row(num / htt)
+                q[t] = rtn(num / hp[t, t])
             else:
                 warnings.warn(
                     f"quantized-path column {t} has zero norm; falling back to RTN for that step",
@@ -514,43 +431,82 @@ def _run_columns_fast(method, wp, hp, gp, xp, grids, report_warnings, ridge):
                     stacklevel=3,
                 )
                 report_warnings.append(f"gpfq: zero-norm quantized-path column {t}, RTN fallback")
-                q[t] = rtn_row(wp[t])
-        return q
-
-    if method == "qronos_base":
+                q[t] = rtn(wp[t])
+            if record and t + 1 < n:
+                states.append(wp[t + 1 :])
+    elif method == "qronos_base":
         state = wp.copy()
-        q = np.zeros_like(wp)
         gw = gp @ wp
-        for t in range(n_in):
+        for t in range(n):
             num = gw[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ state[t + 1 :]
-            q[t] = rtn_row(num / hp[t, t])
-            if t + 1 < n_in:
+            q[t] = rtn(num / hp[t, t])
+            if t + 1 < n:
                 rhs = gw[t + 1 :] - hp[t + 1 :, : t + 1] @ q[: t + 1]
-                state[t + 1 :] = solve_spd(hp[t + 1 :, t + 1 :], rhs)
-        return q
+                tail = solve_spd(hp[t + 1 :, t + 1 :], rhs)
+                if record:
+                    states.append(tail)
+                    moves.append(tail - state[t + 1 :])
+                state[t + 1 :] = tail
+    else:
+        state = wp.copy()
+        start = 0
+        if method == "qronos":
+            # step 1 interpolates through the trailing block of the factor
+            num = gp[0] @ wp - hp[0, 1:] @ wp[1:]
+            q[0] = rtn(num / hp[0, 0])
+            if n > 1:
+                tail = low[1:, 1:] @ (low[1:, 1:].T @ (gp[1:] @ wp - hp[1:, :1] * q[0]))
+                if record:
+                    states.append(tail)
+                    moves.append(tail - state[1:])
+                state[1:] = tail
+            start = 1
+        for b0 in range(start, n, SWEEP_BLOCK):
+            b1 = min(b0 + SWEEP_BLOCK, n)
+            # the block's scaled errors, negated: each has its move's sign
+            errs = np.empty((b1 - b0, n_out))
+            for t in range(b0, b1):
+                q[t] = rtn(state[t])
+                errs[t - b0] = (q[t] - state[t]) / low[t, t]
+                if not record:
+                    state[t + 1 : b1] += low[t + 1 : b1, t, None] * errs[t - b0]
+                elif t + 1 < n:
+                    move = low[t + 1 :, t, None] * errs[t - b0]
+                    state[t + 1 : b1] += move[: b1 - t - 1]
+                    tail = state[t + 1 :].copy()
+                    if b1 < n:
+                        tail[b1 - t - 1 :] += low[b1:, b0 : t + 1] @ errs[: t + 1 - b0]
+                    states.append(tail)
+                    moves.append(move)
+            if b1 < n:
+                state[b1:] += low[b1:, b0:b1] @ errs
 
-    low = chol_of_inverse(hp).L
-    state = wp.copy()
-    q = np.empty_like(wp)
-    start = 0
-    if method == "qronos":
-        num = gp[0, :] @ wp - hp[0, 1:] @ wp[1:]
-        q[0] = rtn_row(num / hp[0, 0])
-        if n_in > 1:
-            rhs = gp[1:, :] @ wp - np.outer(hp[1:, 0], q[0])
-            tail = low[1:, 1:]
-            state[1:] = tail @ (tail.T @ rhs)
-        start = 1
-    for b0 in range(start, n_in, SWEEP_BLOCK):
-        b1 = min(b0 + SWEEP_BLOCK, n_in)
-        errs = np.empty((b1 - b0, n_out))
-        for t in range(b0, b1):
-            q[t] = rtn_row(state[t])
-            errs[t - b0] = (state[t] - q[t]) / low[t, t]
-            state[t + 1 : b1] -= np.outer(low[t + 1 : b1, t], errs[t - b0])
-        if b1 < n_in:
-            state[b1:] -= low[b1:, b0:b1] @ errs
-    return q
+    if not record:
+        return q, None
+    return q, [
+        RoundingTrace(
+            q=q[:, j],
+            w_states=[s[:, j] for s in states],
+            deltas=None if moves is None else [m[:, j] for m in moves],
+        )
+        for j in range(n_out)
+    ]
+
+
+def _round_column(method, w, grid, record_trace, h=None, g=None, chol=None) -> RoundingTrace:
+    """One column through the layer driver (n_out = 1), after shape checks."""
+    w = _as_column(w)
+    n = w.size
+    if h is not None:
+        h = np.asarray(h, dtype=np.float64)
+        g = np.asarray(g, dtype=np.float64)
+        if h.shape != (n, n) or g.shape != (n, n):
+            raise ShapeError(f"moment matrices must be {(n, n)}, got H {h.shape} and G {g.shape}")
+    if chol is not None and chol.dim != n:
+        raise ShapeError(f"factor dim {chol.dim} does not match column length {n}")
+    low = None if chol is None else chol.L
+    q, traces = _round_columns(method, w[:, None], [grid], h, g, low, record_trace)
+    return traces[0] if record_trace else RoundingTrace(q=q[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -564,21 +520,6 @@ def _as_column(w) -> np.ndarray:
     return w.copy()
 
 
-def _check_moment_pair(h, g, n):
-    h = np.asarray(h, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if h.shape != (n, n) or g.shape != (n, n):
-        raise ShapeError(f"moment matrices must be {(n, n)}, got H {h.shape} and G {g.shape}")
-    return h, g
-
-
 def _check_grids(grids, n_out):
     if len(grids) != n_out:
         raise ShapeError(f"got {len(grids)} grids for {n_out} output columns")
-
-
-def _grid_arrays(grids):
-    steps = np.array([g.step_size for g in grids])
-    zeros = np.array([g.zero_point for g in grids])
-    levels = np.array([float(g.levels) for g in grids])
-    return steps, zeros, levels

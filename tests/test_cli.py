@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -126,6 +127,31 @@ def test_report_contents(tmp_path):
     assert len(res["trace"]) == 2
     assert "lambda" in res and res["lambda"] > 0
 
+
+@pytest.mark.parametrize("method", ["gpfq", "qronos"])
+def test_traced_report_equals_untraced_outside_trace(tmp_path, method):
+    """--trace adds the "trace" key and changes nothing else."""
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((140, 3))
+    x = rng.standard_normal((200, 140))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    xq[:, 7] = 0.0
+    reports = []
+    for trace in (False, True):
+        flags = {"trace": True} if trace else {}
+        args = quantize_args(tmp_path, w, x=x, xq=xq, method=method,
+                             report=tmp_path / "r.json", **flags)
+        with pytest.warns(RuntimeWarning) if method == "gpfq" else contextlib.nullcontext():
+            assert run(args) == 0
+        rep = json.loads((tmp_path / "r.json").read_text())
+        rep.pop("timing")
+        assert ("trace" in rep["result"]) == trace
+        rep["result"].pop("trace", None)
+        reports.append(json.dumps(rep, sort_keys=True))
+    assert reports[0] == reports[1]
+    if method == "gpfq":
+        warned = json.loads(reports[0])["result"]["warnings"]
+        assert len(warned) == 1 and "zero-norm" in warned[0]
 
 # usage errors: exit 2
 

@@ -16,7 +16,6 @@ from qronos import (
     cholesky_lower,
     grid_from_minmax,
     inverse_hessian_step,
-    project_residual,
     quantize_layer,
     solve_spd,
     spd_inverse,
@@ -188,10 +187,10 @@ def test_symmetry_check_spans_tiles(where):
         cholesky_lower(m)
 
 
-def _qronos_layer(h):
+def _qronos_layer(h, method="qronos"):
     grids = [grid_from_minmax(np.arange(5.0), 4)] * 2
     stats = CalibStats(5, H=h, G=np.eye(5))
-    return quantize_layer(LayerQuantRequest(np.ones((5, 2)), grids, "qronos", stats=stats))
+    return quantize_layer(LayerQuantRequest(np.ones((5, 2)), grids, method, stats=stats))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -201,8 +200,9 @@ def _qronos_layer(h):
         top_singular_value,
         lambda h: apply_damping(h, DampingPolicy("top_singular_fraction")),
         _qronos_layer,
+        lambda h: _qronos_layer(h, method="gpfq"),
     ],
-    ids=["top_singular_value", "apply_damping", "quantize_layer"],
+    ids=["top_singular_value", "apply_damping", "quantize_layer", "quantize_layer_gpfq"],
 )
 def test_non_finite_matrix_is_named_without_warnings(bad, route):
     h = np.eye(5)
@@ -259,31 +259,3 @@ def test_inverse_step_edge_cases():
     assert inverse_hessian_step(np.array([[2.0]])).shape == (0, 0)
     with pytest.raises(ValueError):
         inverse_hessian_step(np.array([[0.0, 0.0], [0.0, 1.0]]))
-
-
-def test_projection_kills_column_space():
-    rng = np.random.default_rng(8)
-    b = rng.standard_normal((20, 3))
-    r = b @ rng.standard_normal(3)
-    assert np.linalg.norm(project_residual(r, b)) <= 1e-9 * np.linalg.norm(r)
-
-
-def test_projection_preserves_orthogonal_complement():
-    rng = np.random.default_rng(9)
-    b = rng.standard_normal((20, 3))
-    r = rng.standard_normal(20)
-    r -= b @ np.linalg.lstsq(b, r, rcond=None)[0]
-    out = project_residual(r, b)
-    assert np.allclose(out, r, atol=1e-10)
-
-
-def test_projection_orthogonality_and_idempotence():
-    rng = np.random.default_rng(10)
-    b = rng.standard_normal((32, 4))
-    r = rng.standard_normal(32)
-    out = project_residual(r, b)
-    for j in range(4):
-        lhs = abs(out @ b[:, j])
-        assert lhs <= 1e-9 * np.linalg.norm(out) * np.linalg.norm(b[:, j])
-    again = project_residual(out, b)
-    assert np.linalg.norm(again - out) <= 1e-10 * max(1.0, np.linalg.norm(out))

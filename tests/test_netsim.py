@@ -14,11 +14,11 @@ from qronos import (
     forward_pair,
     fwht,
     grid_from_minmax,
-    hadamard_rotate,
     quantize_layer,
     quantize_network,
 )
-from qronos.netsim import METHOD_DAMPING
+from qronos.netsim import _rotate_acts, _rotate_weight
+from qronos.rounding import METHOD_SPECS
 from helpers import fwht_reference, on_grid_weights
 
 
@@ -68,11 +68,15 @@ def test_fwht_rejects_non_power_of_two():
         fwht(np.ones((2, 6)))
 
 
+def _hadamard_rotate(w, x):
+    return _rotate_weight(w), _rotate_acts(x)
+
+
 def test_hadamard_rotate_preserves_product():
     rng = np.random.default_rng(1)
     w = rng.standard_normal((64, 8))
     x = rng.standard_normal((32, 64))
-    wr, xr = hadamard_rotate(w, x)
+    wr, xr = _hadamard_rotate(w, x)
     base = x @ w
     assert np.linalg.norm(xr @ wr - base) <= 1e-10 * np.linalg.norm(base)
 
@@ -81,8 +85,8 @@ def test_hadamard_rotate_round_trip():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((2, 3))
     x = rng.standard_normal((4, 2))
-    wr, xr = hadamard_rotate(w, x)
-    wrr, xrr = hadamard_rotate(wr, xr)
+    wr, xr = _hadamard_rotate(w, x)
+    wrr, xrr = _hadamard_rotate(wr, xr)
     assert np.allclose(wrr, w, atol=1e-12)
     assert np.allclose(xrr, x, atol=1e-12)
 
@@ -90,7 +94,7 @@ def test_hadamard_rotate_round_trip():
 def test_hadamard_rotate_width_one_is_identity():
     w = np.array([[2.0, 3.0]])
     x = np.array([[1.0], [4.0]])
-    wr, xr = hadamard_rotate(w, x)
+    wr, xr = _hadamard_rotate(w, x)
     assert np.allclose(wr, w)
     assert np.allclose(xr, x)
 
@@ -203,7 +207,7 @@ def test_single_layer_objective_matches_layer_driver():
     grids = [grid_from_minmax(w[:, j], 16) for j in range(6)]
     _, layer_report = quantize_layer(
         LayerQuantRequest(weights=w, grids=grids, method="optq", stats=stats,
-                          damping=METHOD_DAMPING["optq"]),
+                          damping=METHOD_SPECS["optq"].damping),
         x=calib, xq=calib,
     )
     assert report.objectives[0] == pytest.approx(float(np.sum(layer_report.objectives)), rel=1e-12)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from qronos import (
     DampingPolicy,
     LayerQuantRequest,
     METHODS,
+    NonFiniteInputError,
     ShapeError,
     accumulate,
     chol_of_inverse,
@@ -284,6 +286,83 @@ def test_blocked_layer_matches_column_ops(method, n):
             state = tr.w_states[t][0]
             objs = [0.5 * (state - v) ** 2 / chol.L[t, t] ** 2 for v in (blocked[t, j], tr.q[t])]
             assert abs(objs[0] - objs[1]) <= TIE_TOL * max(1.0, min(objs))
+
+
+@pytest.mark.parametrize("method", ["optq", "gpfq", "qronos_base", "qronos"])
+def test_trace_does_not_change_layer_results(method):
+    """Recording traces leaves q and the warnings bit for bit as they were.
+
+    n = 300 spans three sweep blocks; gpfq meets a zero-norm
+    quantized-path column.
+    """
+    rng = np.random.default_rng(40)
+    n = 300
+    x = rng.standard_normal((2 * n, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    xq[:, 5] = 0.0
+    w = rng.standard_normal((n, 3))
+    grids = [grid_from_minmax(w[:, j], 16) for j in range(3)]
+    stats = _stats_of(x, xq if method != "optq" else x)
+    policy = DampingPolicy("none" if method == "gpfq" else "mean_diag_percent")
+    runs = []
+    for record in (False, True):
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            runs.append(quantize_layer(
+                LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                                  damping=policy, record_trace=record)
+            ))
+    (q0, rep0), (q1, rep1) = runs
+    assert q0.tobytes() == q1.tobytes()
+    assert rep0.warnings == rep1.warnings
+    assert len(rep0.warnings) == (1 if method == "gpfq" else 0)
+    assert rep0.objectives.tobytes() == rep1.objectives.tobytes()
+    for j, tr in enumerate(rep1.traces):
+        assert np.array_equal(tr.q, q1[rep1.order, j])
+        assert [s.size for s in tr.w_states] == list(range(n, 0, -1))
+        if method != "gpfq":
+            assert [d.size for d in tr.deltas] == list(range(n - 1, 0, -1))
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos_base", "qronos"])
+def test_traced_states_match_the_unblocked_recursion(method):
+    """Recorded states across block boundaries equal the plain per-step update."""
+    rng = np.random.default_rng(41)
+    n = 2 * SWEEP_BLOCK + 20
+    w, x, xq, grid = column_instance(rng, n, 2 * n, 16)
+    h, g = xq.T @ xq, xq.T @ x
+    chol = chol_of_inverse(h)
+    if method == "optq":
+        tr = quantize_optq_column(w, chol, grid, record_trace=True)
+    elif method == "qronos":
+        tr = quantize_qronos_column(w, h, g, chol, grid, record_trace=True)
+    else:
+        tr = quantize_qronos_base_column(w, h, g, grid, record_trace=True)
+    low = chol.L
+    for t in range(1, n - 1):
+        # one unblocked step from the recorded state before it
+        prev = tr.w_states[t]
+        expect = prev[1:] - (prev[0] - tr.q[t]) / low[t, t] * low[t + 1 :, t]
+        got = tr.w_states[t + 1]
+        assert np.linalg.norm(got - expect) <= 1e-9 * max(1.0, np.linalg.norm(expect))
+        assert np.linalg.norm(tr.deltas[t] - (got - prev[1:])) <= 1e-9 * max(
+            1.0, np.linalg.norm(got)
+        )
+
+
+@pytest.mark.parametrize("method", ["optq", "optq_ref", "gpfq", "qronos_base", "qronos"])
+def test_non_finite_g_raises_in_caller_order(method):
+    # descending-diagonal ordering reverses the features; the message
+    # names the caller's cell
+    h = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    g = np.eye(5)
+    g[1, 3] = np.nan
+    grids = [grid_from_minmax(np.arange(5.0), 4)] * 2
+    req = LayerQuantRequest(np.ones((5, 2)), grids, method, stats=CalibStats(5, H=h, G=g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError, match="G: non-finite value nan at row 1, col 3"):
+            quantize_layer(req, x=np.eye(5))
 
 
 _THREADS_SCRIPT = """
