@@ -15,10 +15,8 @@ from .calib import (
     CalibStats,
     ColumnOrder,
     accumulate,
-    merge_stats,
     natural_order,
     order_by_diag,
-    permute_stats,
     permute_weights,
     unpermute_result,
 )
@@ -42,7 +40,6 @@ from .linalg import (
     CholeskyFactor,
     DampingPolicy,
     apply_damping,
-    chol_solve,
     cholesky_lower,
     inverse_hessian_step,
     solve_spd,
@@ -113,7 +110,6 @@ __all__ = [
     "brute_force_ils",
     "build_random_network",
     "chol_of_inverse",
-    "chol_solve",
     "cholesky_lower",
     "direct_lstsq",
     "first_step_pinv",
@@ -123,10 +119,8 @@ __all__ = [
     "inverse_hessian_step",
     "levels_from_bits",
     "median_algo_times",
-    "merge_stats",
     "natural_order",
     "order_by_diag",
-    "permute_stats",
     "permute_weights",
     "quantize_gpfq_column",
     "quantize_layer",

@@ -65,23 +65,12 @@ def accumulate(stats: CalibStats, x_batch: np.ndarray, xq_batch: np.ndarray) -> 
     return stats
 
 
-def merge_stats(a: CalibStats, b: CalibStats) -> CalibStats:
-    """Combine two independently accumulated stats objects."""
-    if a.dim != b.dim:
-        raise ShapeError(f"cannot merge stats of dims {a.dim} and {b.dim}")
-    return CalibStats(a.dim, H=a.H + b.H, G=a.G + b.G, n_samples=a.n_samples + b.n_samples)
-
-
 @dataclass(frozen=True)
 class ColumnOrder:
     """A processing permutation and its inverse."""
 
     perm: np.ndarray
     inverse: np.ndarray
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.all(self.perm == np.arange(self.perm.size)))
 
 
 def natural_order(dim: int) -> ColumnOrder:
@@ -97,17 +86,6 @@ def order_by_diag(h: np.ndarray) -> ColumnOrder:
     diag = np.diag(h)
     perm = np.argsort(-diag, kind="stable")
     return ColumnOrder(perm, np.argsort(perm))
-
-
-def permute_stats(stats: CalibStats, order: ColumnOrder) -> CalibStats:
-    """Reindex H and G (both axes, same perm) into processing order."""
-    p = order.perm
-    return CalibStats(
-        stats.dim,
-        H=stats.H[np.ix_(p, p)],
-        G=stats.G[np.ix_(p, p)],
-        n_samples=stats.n_samples,
-    )
 
 
 def permute_weights(w: np.ndarray, order: ColumnOrder) -> np.ndarray:

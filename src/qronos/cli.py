@@ -188,7 +188,7 @@ def cmd_quantize(args) -> int:
             result["trace"] = [
                 {
                     "column": j,
-                    "q": [float(v) for v in tr.q],
+                    "q": [float(v) for v in q[:, j]],
                     "delta_norms": [float(np.linalg.norm(d)) for d in tr.deltas]
                     if tr.deltas is not None
                     else [],

@@ -22,7 +22,7 @@ fixed-seed start vector, exact to working precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -43,26 +43,29 @@ def _as_square(m, name="matrix") -> np.ndarray:
     return m
 
 
-def check_finite(m: np.ndarray, name="matrix") -> None:
-    """Raise NonFiniteInputError naming the first NaN or inf of a 2-D m.
+def check_finite(m: np.ndarray, name="matrix") -> float:
+    """Return max |m| of a 2-D m, or raise NonFiniteInputError naming its
+    first NaN or inf.
 
-    A finite m costs a max and a min, which propagate NaN, and no
-    temporary of m's size.
+    One max and one min, which propagate NaN, and no temporary of m's size.
     """
-    if m.size and not (math.isfinite(m.max()) and math.isfinite(m.min())):
+    if not m.size:
+        return 0.0
+    hi, lo = float(m.max()), float(m.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         row, col = (int(i) for i in np.argwhere(~np.isfinite(m))[0])
         raise NonFiniteInputError(f"{name}: non-finite value {m[row, col]} at row {row}, col {col}")
+    return max(hi, -lo)
 
 
-def _check_symmetric(m, name="matrix"):
-    """Reject a matrix holding NaN or inf, then one that is not symmetric.
+def _check_symmetric(m, name="matrix") -> float:
+    """Reject a matrix holding NaN or inf, then one that is not symmetric;
+    return max |m|.
 
     The asymmetry max |m - m^T| is taken tile by tile, each upper tile
     against the transpose of its mirror, so both reads stay in cache.
     """
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if not math.isfinite(scale):
-        check_finite(m, name)
+    scale = check_finite(m, name)
     n = m.shape[0]
     skew = 0.0
     for i in range(0, n, _SYM_TILE):
@@ -71,6 +74,7 @@ def _check_symmetric(m, name="matrix"):
             skew = max(skew, float(np.abs(tile).max()))
     if skew > _SYM_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not symmetric (max asymmetry {skew:.3e} at scale {scale:.3e})")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -127,21 +131,18 @@ def chol_of_inverse(m: np.ndarray) -> CholeskyFactor:
         info = int(weak[0]) + 1 if weak.size else 0
     if info > 0:
         raise NotPositiveDefiniteError(n + 1 - int(info))
-    cinv, info = lapack.dtrtri(c, lower=1)
+    cinv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefiniteError(n + 1 - int(info))
     return CholeskyFactor(np.ascontiguousarray(cinv.T[::-1, ::-1]))
 
 
-def chol_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b with two triangular solves."""
-    y = solve_triangular(factor.L, b, lower=True)
-    return solve_triangular(factor.L, y, lower=True, trans="T")
-
-
 def solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b for symmetric positive definite m."""
-    return chol_solve(cholesky_lower(m), b)
+    """Solve m x = b for symmetric positive definite m: the Cholesky
+    factor L of m, then two triangular solves."""
+    low = cholesky_lower(m).L
+    y = solve_triangular(low, b, lower=True)
+    return solve_triangular(low, y, lower=True, trans="T")
 
 
 def spd_inverse(m: np.ndarray) -> np.ndarray:
@@ -174,9 +175,8 @@ def top_singular_value(m: np.ndarray, max_iter: int | None = None) -> float:
     the one size ARPACK rejects, is read off directly.
     """
     m = _as_square(m)
-    _check_symmetric(m)
     n = m.shape[0]
-    if n == 0 or float(np.abs(m).max()) == 0.0:
+    if _check_symmetric(m) == 0.0:
         return 0.0
     if n == 1:
         return float(m[0, 0])
@@ -200,38 +200,31 @@ class DampingPolicy:
 
     mode "mean_diag_percent" uses 1 percent of the mean diagonal entry;
     "top_singular_fraction" uses alpha times the largest singular value;
-    "none" leaves H untouched.  ``resolved_lambda`` is filled in by
-    apply_damping and echoes the value actually used.
+    "none" uses no ridge.  apply_damping resolves a policy on one H to
+    the number lambda.
     """
 
     mode: str
     alpha: float = 1e-6
-    resolved_lambda: float | None = None
 
     def __post_init__(self):
         if self.mode not in DAMPING_MODES:
             raise ValueError(f"unknown damping mode {self.mode!r} (expected one of {DAMPING_MODES})")
 
 
-def apply_damping(h: np.ndarray, policy: DampingPolicy) -> tuple[np.ndarray, DampingPolicy]:
-    """Resolve the policy on H and return (H + lambda I, resolved policy).
+def apply_damping(h: np.ndarray, policy: DampingPolicy) -> float:
+    """Resolve the policy on the undamped H and return the ridge lambda.
 
-    The ridge is resolved once, on the undamped matrix it is handed; all
-    downstream consumers must share the returned value rather than
-    re-resolving on modified matrices.
+    H is only read.  The caller adds lambda to the diagonal of the
+    copies it holds, and everything downstream shares that one number
+    rather than re-resolving it on a modified matrix.
     """
     h = _as_square(h, "H")
     if policy.mode == "none":
-        lam = 0.0
-    elif policy.mode == "mean_diag_percent":
-        lam = 0.01 * float(np.mean(np.diag(h))) if h.shape[0] else 0.0
-    else:
-        lam = policy.alpha * top_singular_value(h)
-    damped = h
-    if lam != 0.0:
-        damped = h.copy()
-        damped.flat[:: h.shape[0] + 1] += lam
-    return damped, replace(policy, resolved_lambda=lam)
+        return 0.0
+    if policy.mode == "mean_diag_percent":
+        return 0.01 * float(np.mean(np.diag(h))) if h.shape[0] else 0.0
+    return policy.alpha * top_singular_value(h)
 
 
 def inverse_hessian_step(hinv: np.ndarray) -> np.ndarray:

@@ -35,8 +35,11 @@ The two qronos forms are algebraically identical on the same (H, G)
 pair, damped or not, which the verification suites certify numerically.
 When the quantized path equals the reference path (G = H) qronos
 collapses onto optq exactly, provided the ridge is added to both H and
-G; this module therefore damps both (the ridge acts like phantom
-calibration rows appended to both activation sets).
+G.  The layer driver therefore resolves the ridge lambda once, on the
+caller's undamped H, and adds it to the diagonals of its permuted copies
+of both H and G, as if sqrt(lambda) I were appended to both activation
+sets as phantom calibration rows.  The caller's matrices are never
+written.
 
 The layer driver runs all output channels of a weight matrix at once,
 step-synchronously, after applying the calib ordering.  The diffusion
@@ -59,7 +62,7 @@ import numpy as np
 
 from . import calib as _calib
 from . import grid as _grid
-from .errors import ShapeError
+from .errors import NotPositiveDefiniteError, ShapeError
 from .linalg import (
     CholeskyFactor,
     DampingPolicy,
@@ -236,7 +239,7 @@ def quantize_gpfq_column(
 
 def quantize_qronos_base_column(
     w: np.ndarray,
-    h_damped: np.ndarray,
+    h: np.ndarray,
     g: np.ndarray,
     grid: _grid.QuantGrid,
     record_trace: bool = False,
@@ -244,14 +247,15 @@ def quantize_qronos_base_column(
     """Direct-evaluation error-corrected rounding on a moment pair.
 
     Every step re-solves the trailing normal equations from scratch; a
-    non-positive-definite trailing block raises.
+    non-positive-definite trailing block raises, naming its 1-based
+    pivot in the column's order.
     """
-    return _round_column("qronos_base", w, grid, record_trace, h_damped, g)
+    return _round_column("qronos_base", w, grid, record_trace, h, g)
 
 
 def quantize_qronos_column(
     w: np.ndarray,
-    h_damped: np.ndarray,
+    h: np.ndarray,
     g: np.ndarray,
     chol: CholeskyFactor,
     grid: _grid.QuantGrid,
@@ -260,10 +264,10 @@ def quantize_qronos_column(
     """Efficient form of the error-corrected iterates.
 
     Step 1 interpolates the unquantized column through the trailing
-    block of ``chol`` (the factor of the damped inverse); afterwards the
+    block of ``chol`` (the factor of the inverse of h); afterwards the
     trajectory is the optq-style diffusion on the corrected state.
     """
-    return _round_column("qronos", w, grid, record_trace, h_damped, g, chol)
+    return _round_column("qronos", w, grid, record_trace, h, g, chol)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +318,9 @@ def quantize_layer(
 
     Raw activations are optional and only used (a) by optq_ref, which
     has no moment-space form, and (b) to report residual objectives
-    instead of the moment-space surrogate.
+    instead of the moment-space surrogate.  Warnings and a
+    NotPositiveDefiniteError name the caller's feature, not the
+    processing step.
     """
     w = np.asarray(req.weights, dtype=np.float64)
     if w.ndim != 2:
@@ -345,15 +351,17 @@ def quantize_layer(
         # the sweeps would carry a NaN or inf into q without raising
         check_finite(stats.H, "H")
         check_finite(stats.G, "G")
-        h_damped, resolved = apply_damping(stats.H, req.damping)
-        lam = float(resolved.resolved_lambda)
+        lam = apply_damping(stats.H, req.damping)
         # the ridge shifts every diagonal entry equally, so ordering from the
         # undamped diagonal is the same permutation
         order = _calib.order_by_diag(stats.H) if req.order == "diag" else _calib.natural_order(n_in)
-        hp = h_damped[np.ix_(order.perm, order.perm)]
-        gp = stats.G[np.ix_(order.perm, order.perm)]
+        ix = np.ix_(order.perm, order.perm)
+        hp = stats.H[ix]
+        gp = stats.G[ix]
         if lam:
-            # a permutation keeps the diagonal on the diagonal
+            # the one place the ridge is added; a permutation keeps the
+            # diagonal on the diagonal
+            hp.flat[:: n_in + 1] += lam
             gp.flat[:: n_in + 1] += lam
         wp = _calib.permute_weights(w, order)
         if req.method == "optq_ref":
@@ -365,10 +373,23 @@ def quantize_layer(
             qp = np.stack([tr.q for tr in traces], axis=1)
             traces = traces if req.record_trace else None
         else:
-            low = chol_of_inverse(hp).L if req.method in ("optq", "qronos") else None
-            qp, traces = _round_columns(
-                req.method, wp, req.grids, hp, gp, low, req.record_trace, report_warnings
-            )
+            if req.method == "gpfq":
+                for t in np.flatnonzero(np.diag(hp) <= 0.0):
+                    feature = int(order.perm[t])
+                    warnings.warn(
+                        f"quantized-path column {feature} has zero norm; falling back to RTN for that step",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    report_warnings.append(f"gpfq: zero-norm quantized-path column {feature}, RTN fallback")
+            try:
+                low = chol_of_inverse(hp).L if req.method in ("optq", "qronos") else None
+                qp, traces = _round_columns(req.method, wp, req.grids, hp, gp, low, req.record_trace)
+            except NotPositiveDefiniteError as exc:
+                feature = int(order.perm[exc.index - 1]) + 1
+                raise NotPositiveDefiniteError(
+                    feature, f"H is not positive definite (failing pivot at feature {feature}, 1-based)"
+                ) from None
         q = _calib.unpermute_result(qp, order)
 
     if x is not None:
@@ -377,9 +398,9 @@ def quantize_layer(
         objectives = 0.5 * np.einsum("ij,ij->j", resid, resid)
         objective_form = "residual"
     elif req.method != "rtn":
-        objectives = 0.5 * (
-            np.einsum("ij,ij->j", q, h_damped @ q) - 2.0 * np.einsum("ij,ij->j", q, req.stats.G @ w)
-        )
+        # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
+        qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
+        objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, stats.G @ w)
         objective_form = "moment_quadratic"
     else:
         objectives = np.full(n_out, np.nan)
@@ -399,18 +420,18 @@ def quantize_layer(
     return q, report
 
 
-def _round_columns(
-    method, wp, grids, hp=None, gp=None, low=None, record=False, report_warnings=None
-):
+def _round_columns(method, wp, grids, hp=None, gp=None, low=None, record=False):
     """Round every column of ``wp`` (n, n_out), step-synchronously.
 
     One loop per method family: gpfq reads each step off the moment pair
-    (hp, gp), qronos_base re-solves the trailing normal equations at
-    every step, and optq and the steps t >= 2 of qronos share the
-    diffusion sweep on ``low``, blocked by SWEEP_BLOCK steps.  Returns q
-    and, with ``record``, one RoundingTrace per column (else None).  A
-    recorded state brings the rows below the current block up to date
-    on the side, so recording never changes q.
+    (hp, gp) and rounds w_t itself where hp[t, t] is zero, qronos_base
+    re-solves the trailing normal equations at every step, and optq and
+    the steps t >= 2 of qronos share the diffusion sweep on ``low``,
+    blocked by SWEEP_BLOCK steps.  Returns q and, with ``record``, one
+    RoundingTrace per column (else None).  A recorded state brings the
+    rows below the current block up to date on the side, so recording
+    never changes q.  A NotPositiveDefiniteError names its 1-based pivot
+    in processing order.
     """
     n, n_out = wp.shape
     rtn = _grid.row_rounder(grids)
@@ -425,12 +446,6 @@ def _round_columns(
                 num = gp[t, : t + 1] @ wp[: t + 1] - hp[t, :t] @ q[:t]
                 q[t] = rtn(num / hp[t, t])
             else:
-                warnings.warn(
-                    f"quantized-path column {t} has zero norm; falling back to RTN for that step",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                report_warnings.append(f"gpfq: zero-norm quantized-path column {t}, RTN fallback")
                 q[t] = rtn(wp[t])
             if record and t + 1 < n:
                 states.append(wp[t + 1 :])
@@ -442,7 +457,10 @@ def _round_columns(
             q[t] = rtn(num / hp[t, t])
             if t + 1 < n:
                 rhs = gw[t + 1 :] - hp[t + 1 :, : t + 1] @ q[: t + 1]
-                tail = solve_spd(hp[t + 1 :, t + 1 :], rhs)
+                try:
+                    tail = solve_spd(hp[t + 1 :, t + 1 :], rhs)
+                except NotPositiveDefiniteError as exc:
+                    raise NotPositiveDefiniteError(t + 1 + exc.index) from None
                 if record:
                     states.append(tail)
                     moves.append(tail - state[t + 1 :])

@@ -9,10 +9,7 @@ from qronos import (
     ShapeError,
     accumulate,
     grid_from_minmax,
-    merge_stats,
-    natural_order,
     order_by_diag,
-    permute_stats,
     permute_weights,
     quantize_layer,
     unpermute_result,
@@ -63,19 +60,6 @@ def test_accumulate_rejects_shape_mismatch():
         accumulate(stats, np.zeros((8, 5)), np.zeros((8, 5)))
 
 
-def test_merge_matches_single_fold():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((30, 4))
-    xq = x + 0.1 * rng.standard_normal((30, 4))
-    whole = accumulate(CalibStats(4), x, xq)
-    a = accumulate(CalibStats(4), x[:11], xq[:11])
-    b = accumulate(CalibStats(4), x[11:], xq[11:])
-    merged = merge_stats(a, b)
-    assert np.abs(merged.H - whole.H).max() <= 1e-12 * np.abs(whole.H).max()
-    assert np.abs(merged.G - whole.G).max() <= 1e-12 * np.abs(whole.G).max()
-    assert merged.n_samples == 30
-
-
 def test_order_by_diag_worked_example():
     order = order_by_diag(np.diag([1.0, 3.0, 2.0]))
     assert order.perm.tolist() == [1, 2, 0]
@@ -84,7 +68,6 @@ def test_order_by_diag_worked_example():
 
 def test_order_by_diag_ties_are_stable():
     order = order_by_diag(np.eye(5))
-    assert order.is_identity
     assert order.perm.tolist() == [0, 1, 2, 3, 4]
 
 
@@ -111,28 +94,17 @@ def test_permute_round_trip():
     assert np.array_equal(unpermute_result(permute_weights(w, order), order), w)
 
 
-def test_permute_stats_identity_passthrough():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((12, 4))
-    stats = accumulate(CalibStats(4), x, x)
-    out = permute_stats(stats, natural_order(4))
-    assert np.array_equal(out.H, stats.H)
-    assert np.array_equal(out.G, stats.G)
-
-
 def test_permute_stats_is_congruent():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((20, 5))
     xq = x + 0.1 * rng.standard_normal((20, 5))
     stats = accumulate(CalibStats(5), x, xq)
     order = order_by_diag(stats.H)
-    permuted = permute_stats(stats, order)
-    assert np.array_equal(permuted.H, stats.H[np.ix_(order.perm, order.perm)])
-    assert np.array_equal(permuted.G, stats.G[np.ix_(order.perm, order.perm)])
+    ix = np.ix_(order.perm, order.perm)
     # permuting the activations first must build the same moments
     direct = accumulate(CalibStats(5), x[:, order.perm], xq[:, order.perm])
-    assert np.allclose(permuted.H, direct.H, atol=1e-12)
-    assert np.allclose(permuted.G, direct.G, atol=1e-12)
+    assert np.allclose(stats.H[ix], direct.H, atol=1e-12)
+    assert np.allclose(stats.G[ix], direct.G, atol=1e-12)
 
 
 def test_equal_diagonal_makes_ordering_a_no_op():

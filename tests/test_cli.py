@@ -152,6 +152,27 @@ def test_traced_report_equals_untraced_outside_trace(tmp_path, method):
     if method == "gpfq":
         warned = json.loads(reports[0])["result"]["warnings"]
         assert len(warned) == 1 and "zero-norm" in warned[0]
+        # ordering moves the dead feature last; the warning names the caller's
+        assert "column 7," in warned[0]
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos"])
+def test_trace_q_is_in_caller_row_order(tmp_path, method):
+    """Each trace[j].q is column j of --out, whatever the processing order."""
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((9, 3))
+    x = rng.standard_normal((64, 9)) * np.exp(rng.uniform(-1.0, 1.0, 9))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    args = quantize_args(tmp_path, w, x=x, xq=xq, method=method,
+                         report=tmp_path / "r.json", trace=True)
+    assert run(args) == 0
+    res = json.loads((tmp_path / "r.json").read_text())["result"]
+    assert res["order_perm"] != list(range(9))
+    q = read_qmx(tmp_path / "q.qmx")
+    for j, tr in enumerate(res["trace"]):
+        assert tr["column"] == j
+        assert tr["q"] == q[:, j].tolist()
+        assert len(tr["delta_norms"]) == 8
 
 # usage errors: exit 2
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -433,19 +434,37 @@ def test_layer_order_is_internal_bijection():
     """Running permuted inputs without ordering equals the ordered run."""
     rng = np.random.default_rng(21)
     w, x, xq, stats, grids = layer_instance(rng, 8, 64, 3, 4)
-    from qronos import order_by_diag, permute_stats, permute_weights, unpermute_result
+    from qronos import order_by_diag, permute_weights, unpermute_result
 
     ordered, _ = quantize_layer(
         LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats,
                           damping=DampingPolicy("none"), order="diag")
     )
     order = order_by_diag(stats.H)
+    ix = np.ix_(order.perm, order.perm)
+    permuted = CalibStats(stats.dim, H=stats.H[ix], G=stats.G[ix])
     manual, _ = quantize_layer(
         LayerQuantRequest(weights=permute_weights(w, order), grids=grids, method="qronos",
-                          stats=permute_stats(stats, order), damping=DampingPolicy("none"),
-                          order="natural")
+                          stats=permuted, damping=DampingPolicy("none"), order="natural")
     )
     assert np.array_equal(ordered, unpermute_result(manual, order))
+
+
+def test_layer_peak_memory_is_a_few_copies_of_h():
+    """A qronos layer holds the permuted pair, the factor and its
+    workspace: its tracemalloc peak stays within 6 copies of H."""
+    rng = np.random.default_rng(29)
+    w, x, xq, stats, grids = layer_instance(rng, 512, 1024, 128, 16)
+    req = LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats,
+                            damping=DampingPolicy("top_singular_fraction"))
+    quantize_layer(req)  # first call imports the Lanczos solver
+    tracemalloc.start()
+    try:
+        quantize_layer(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * stats.H.nbytes
 
 
 def test_layer_residual_objective_form():
@@ -459,17 +478,37 @@ def test_layer_residual_objective_form():
     assert np.allclose(report.objectives, 0.5 * np.sum(resid**2, axis=0))
 
 
-def test_layer_moment_objective_is_shifted_residual():
-    """Moment-form objective differs from the true residual by a q-free constant."""
+@pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
+def test_layer_moment_objective_is_shifted_residual(mode):
+    """Moment-form objective is 0.5 q^T (H + lam I) q - q^T G w: the
+    residual of the ridge-augmented pair, shifted by a q-free constant."""
     rng = np.random.default_rng(23)
     w, x, xq, stats, grids = layer_instance(rng, 6, 48, 3, 4)
     req = LayerQuantRequest(weights=w, grids=grids, method="optq", stats=stats,
-                            damping=DampingPolicy("none"))
+                            damping=DampingPolicy(mode, alpha=1e-2))
     q, rep_m = quantize_layer(req)
     assert rep_m.objective_form == "moment_quadratic"
+    lam = rep_m.damping_lambda
+    assert (lam == 0.0) == (mode == "none")
+    h_damped = stats.H + lam * np.eye(6)
     for j in range(3):
-        direct = 0.5 * float(q[:, j] @ stats.H @ q[:, j]) - float(q[:, j] @ stats.G @ w[:, j])
+        direct = 0.5 * float(q[:, j] @ h_damped @ q[:, j]) - float(q[:, j] @ stats.G @ w[:, j])
         assert rep_m.objectives[j] == pytest.approx(direct, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["optq", "gpfq", "qronos_base", "qronos"])
+@pytest.mark.parametrize("order", ["diag", "natural"])
+def test_layer_leaves_the_moments_untouched(method, order):
+    """The ridge goes on the driver's own copies, never on stats.H or stats.G."""
+    rng = np.random.default_rng(27)
+    w, x, xq, stats, grids = layer_instance(rng, 7, 56, 3, 4)
+    h0, g0 = stats.H.copy(), stats.G.copy()
+    _, rep = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                                              damping=DampingPolicy("mean_diag_percent"),
+                                              order=order))
+    assert rep.damping_lambda > 0.0
+    assert stats.H.tobytes() == h0.tobytes()
+    assert stats.G.tobytes() == g0.tobytes()
 
 
 def test_layer_validation_errors():
@@ -500,6 +539,25 @@ def test_singular_trailing_block_raises_without_damping():
     with pytest.raises(NotPositiveDefiniteError):
         quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos",
                                          stats=stats, damping=DampingPolicy("none")))
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos_base", "qronos"])
+def test_dead_feature_is_named_in_caller_order(method):
+    """Without damping a zero feature makes H singular; the error names
+    the caller's 1-based feature, although ordering moves it last."""
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((40, 6))
+    x[:, 2] = 0.0
+    w = rng.standard_normal((6, 2))
+    stats = _stats_of(x, x)
+    grids = [grid_from_minmax(w[:, j], 4) for j in range(2)]
+    from qronos import NotPositiveDefiniteError
+
+    req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                            damping=DampingPolicy("none"))
+    with pytest.raises(NotPositiveDefiniteError, match="feature 3") as exc:
+        quantize_layer(req)
+    assert exc.value.index == 3
 
 
 def test_layer_reports_gpfq_zero_column_warning():
