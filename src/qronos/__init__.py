@@ -25,6 +25,7 @@ from .errors import (
     EnumerationCapError,
     NonFiniteInputError,
     NotPositiveDefiniteError,
+    NotSymmetricError,
     QmxFormatError,
     ShapeError,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "NetworkSpec",
     "NonFiniteInputError",
     "NotPositiveDefiniteError",
+    "NotSymmetricError",
     "PropagationReport",
     "QmxFormatError",
     "QuantGrid",

@@ -7,7 +7,8 @@ schema marker; wall-clock measurements live only under the "timing"
 key so everything else is reproducible byte for byte.
 
 Exit codes: 0 success, 2 usage, 3 file I/O, 4 shape mismatch,
-5 numerical failure (including a NaN or infinity in an input matrix),
+5 numerical failure (including a NaN or infinity in an input matrix, or
+an asymmetric --stats-h),
 6 verification suite failure.
 """
 
@@ -31,6 +32,7 @@ from .errors import (
     ConvergenceError,
     NonFiniteInputError,
     NotPositiveDefiniteError,
+    NotSymmetricError,
     ShapeError,
 )
 from .linalg import DampingPolicy, check_finite
@@ -101,7 +103,8 @@ def cmd_quantize(args) -> int:
 
     t0 = time.perf_counter()
     if method != "rtn":
-        needs_pair = _rounding.METHOD_SPECS[method].two_path
+        spec = _rounding.METHOD_SPECS[method]
+        needs_pair = spec.two_path
         if raw_given:
             if args.calib_x is None:
                 raise UsageError(f"--method {args.method} needs --calib-x")
@@ -122,7 +125,13 @@ def cmd_quantize(args) -> int:
                     raise ShapeError(
                         f"{args.calib_xt}: shape {xq.shape} does not match --calib-x {x.shape}"
                     )
-            stats = _calib.accumulate(_calib.CalibStats(n_in), x, xq)
+            stats = _calib.accumulate(
+                _calib.CalibStats(n_in), x, xq, weights=None if spec.reads_g else w
+            )
+            if method != "optq_ref":
+                # only optq_ref reads the activations again; the moments
+                # hold everything the others need
+                x = xq = None
         elif stats_given:
             if method == "optq_ref":
                 raise UsageError("--method optq-ref re-solves against raw activations; pass --calib-x")
@@ -167,7 +176,7 @@ def cmd_quantize(args) -> int:
         order=args.order,
         record_trace=args.trace,
     )
-    q, layer_report = _rounding.quantize_layer(req, x=x if method == "optq_ref" else None)
+    q, layer_report = _rounding.quantize_layer(req, x=x)
     t_algo = time.perf_counter() - t0
 
     out_dtype = "f32" if weights_raw.dtype == np.float32 else "f64"
@@ -217,6 +226,7 @@ def cmd_quantize(args) -> int:
                 "load_seconds": t_load,
                 "stats_seconds": t_stats,
                 "algorithm_seconds": t_algo,
+                "phases": layer_report.timings,
                 "total_seconds": time.perf_counter() - t_all,
             },
         }
@@ -446,6 +456,7 @@ def main(argv=None) -> int:
         return EXIT_SHAPE
     except (
         NonFiniteInputError,
+        NotSymmetricError,
         NotPositiveDefiniteError,
         ConvergenceError,
         np.linalg.LinAlgError,

@@ -2,8 +2,8 @@
 
 The CLI maps these onto distinct exit codes, so the classes matter more
 than the messages: ShapeError for dimension mismatches, QmxFormatError
-for unreadable matrix files, NonFiniteInputError, NotPositiveDefiniteError
-and ConvergenceError for numerical failures.
+for unreadable matrix files, NonFiniteInputError, NotSymmetricError,
+NotPositiveDefiniteError and ConvergenceError for numerical failures.
 """
 
 
@@ -17,6 +17,10 @@ class QmxFormatError(OSError):
 
 class NonFiniteInputError(ArithmeticError):
     """An input matrix holds a NaN or an infinity."""
+
+
+class NotSymmetricError(ValueError):
+    """A matrix required to be symmetric is not, beyond rounding."""
 
 
 class NotPositiveDefiniteError(ArithmeticError):

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .errors import ConvergenceError, NonFiniteInputError, NotPositiveDefiniteError, ShapeError
+from .errors import (
+    ConvergenceError,
+    NonFiniteInputError,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
+    ShapeError,
+)
 
 _SYM_RTOL = 1e-9
 # side of the square tiles the symmetry check compares
@@ -58,7 +64,7 @@ def check_finite(m: np.ndarray, name="matrix") -> float:
     return max(hi, -lo)
 
 
-def _check_symmetric(m, name="matrix") -> float:
+def check_symmetric(m, name="matrix") -> float:
     """Reject a matrix holding NaN or inf, then one that is not symmetric;
     return max |m|.
 
@@ -73,7 +79,7 @@ def _check_symmetric(m, name="matrix") -> float:
             tile = m[i : i + _SYM_TILE, j : j + _SYM_TILE] - m[j : j + _SYM_TILE, i : i + _SYM_TILE].T
             skew = max(skew, float(np.abs(tile).max()))
     if skew > _SYM_RTOL * max(scale, 1e-300):
-        raise ValueError(f"{name} is not symmetric (max asymmetry {skew:.3e} at scale {scale:.3e})")
+        raise NotSymmetricError(f"{name} is not symmetric (max asymmetry {skew:.3e} at scale {scale:.3e})")
     return scale
 
 
@@ -88,14 +94,16 @@ class CholeskyFactor:
         return self.L.shape[0]
 
 
-def cholesky_lower(m: np.ndarray) -> CholeskyFactor:
+def cholesky_lower(m: np.ndarray, *, checked: bool = False) -> CholeskyFactor:
     """Cholesky factorization of a symmetric positive definite matrix.
 
     Raises NotPositiveDefiniteError carrying the 1-based failing pivot
-    when the matrix is not positive definite.
+    when the matrix is not positive definite.  ``checked`` skips the
+    finiteness and symmetry scan, for a caller that has made it.
     """
     m = _as_square(m)
-    _check_symmetric(m)
+    if not checked:
+        check_symmetric(m)
     if m.shape[0] == 0:
         return CholeskyFactor(np.zeros((0, 0)))
     c, info = lapack.dpotrf(m, lower=1, clean=1, overwrite_a=0)
@@ -106,7 +114,7 @@ def cholesky_lower(m: np.ndarray) -> CholeskyFactor:
     return CholeskyFactor(c)
 
 
-def chol_of_inverse(m: np.ndarray) -> CholeskyFactor:
+def chol_of_inverse(m: np.ndarray, *, checked: bool = False) -> CholeskyFactor:
     """Lower Cholesky factor of the inverse of an SPD matrix.
 
     With J the index reversal and J m J = C C^T (C lower), m = U U^T for
@@ -116,9 +124,12 @@ def chol_of_inverse(m: np.ndarray) -> CholeskyFactor:
     tolerance of LAPACK's pivoted Cholesky) also counts as a failure, so
     an exactly singular matrix raises rather than passing on rounding
     noise.  The NotPositiveDefiniteError pivot is 1-based in m's order.
+    ``checked`` skips the finiteness and symmetry scan, for a caller
+    that has made it.
     """
     m = _as_square(m)
-    _check_symmetric(m)
+    if not checked:
+        check_symmetric(m)
     n = m.shape[0]
     if n == 0:
         return CholeskyFactor(np.zeros((0, 0)))
@@ -137,10 +148,10 @@ def chol_of_inverse(m: np.ndarray) -> CholeskyFactor:
     return CholeskyFactor(np.ascontiguousarray(cinv.T[::-1, ::-1]))
 
 
-def solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_spd(m: np.ndarray, b: np.ndarray, *, checked: bool = False) -> np.ndarray:
     """Solve m x = b for symmetric positive definite m: the Cholesky
     factor L of m, then two triangular solves."""
-    low = cholesky_lower(m).L
+    low = cholesky_lower(m, checked=checked).L
     y = solve_triangular(low, b, lower=True)
     return solve_triangular(low, y, lower=True, trans="T")
 
@@ -161,7 +172,7 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def top_singular_value(m: np.ndarray, max_iter: int | None = None) -> float:
+def top_singular_value(m: np.ndarray, max_iter: int | None = None, *, checked: bool = False) -> float:
     """Largest singular value of a symmetric PSD matrix by Lanczos.
 
     One ARPACK solve for the largest algebraic eigenvalue, started from
@@ -172,11 +183,17 @@ def top_singular_value(m: np.ndarray, max_iter: int | None = None) -> float:
     running out raises ConvergenceError carrying the best estimate: a
     converged Ritz value if ARPACK has one, else the largest diagonal
     entry, which bounds the top eigenvalue from below.  A 1x1 matrix,
-    the one size ARPACK rejects, is read off directly.
+    the one size ARPACK rejects, is read off directly.  ``checked``
+    skips the finiteness and symmetry scan, for a caller that has made
+    it.
     """
     m = _as_square(m)
     n = m.shape[0]
-    if _check_symmetric(m) == 0.0:
+    if not checked:
+        check_symmetric(m)
+    # a zero matrix is the one ARPACK cannot start on; the diagonal rules
+    # it out without a full scan on every other input
+    if not (m.diagonal().any() or m.any()):
         return 0.0
     if n == 1:
         return float(m[0, 0])
@@ -212,19 +229,21 @@ class DampingPolicy:
             raise ValueError(f"unknown damping mode {self.mode!r} (expected one of {DAMPING_MODES})")
 
 
-def apply_damping(h: np.ndarray, policy: DampingPolicy) -> float:
+def apply_damping(h: np.ndarray, policy: DampingPolicy, *, checked: bool = False) -> float:
     """Resolve the policy on the undamped H and return the ridge lambda.
 
     H is only read.  The caller adds lambda to the diagonal of the
     copies it holds, and everything downstream shares that one number
-    rather than re-resolving it on a modified matrix.
+    rather than re-resolving it on a modified matrix.  ``checked`` skips
+    the spectral norm's finiteness and symmetry scan, for a caller that
+    has made it.
     """
     h = _as_square(h, "H")
     if policy.mode == "none":
         return 0.0
     if policy.mode == "mean_diag_percent":
         return 0.01 * float(np.mean(np.diag(h))) if h.shape[0] else 0.0
-    return policy.alpha * top_singular_value(h)
+    return policy.alpha * top_singular_value(h, checked=checked)
 
 
 def inverse_hessian_step(hinv: np.ndarray) -> np.ndarray:

@@ -222,8 +222,8 @@ def quantize_network(
     """
     if method not in _rounding.METHODS:
         raise ValueError(f"unknown method {method!r}")
-    two_path = _rounding.METHOD_SPECS[method].two_path
-    policy = damping if damping is not None else _rounding.METHOD_SPECS[method].damping
+    method_spec = _rounding.METHOD_SPECS[method]
+    policy = damping if damping is not None else method_spec.damping
     x0 = np.asarray(calib_input, dtype=np.float64)
     x_cur = x0
     # deployed paths: the calibration one, then from the first block reset
@@ -242,8 +242,11 @@ def quantize_network(
         ]
         stats = None
         if method != "rtn":
-            calib_xq = xq_in if two_path else x_in
-            stats = _calib.accumulate(_calib.CalibStats(w_ref.shape[0]), x_in, calib_xq)
+            calib_xq = xq_in if method_spec.two_path else x_in
+            stats = _calib.accumulate(
+                _calib.CalibStats(w_ref.shape[0]), x_in, calib_xq,
+                weights=None if method_spec.reads_g else w_ref,
+            )
         req = _rounding.LayerQuantRequest(
             weights=w_ref, grids=grids, method=method, stats=stats, damping=policy
         )

@@ -36,10 +36,19 @@ pair, damped or not, which the verification suites certify numerically.
 When the quantized path equals the reference path (G = H) qronos
 collapses onto optq exactly, provided the ridge is added to both H and
 G.  The layer driver therefore resolves the ridge lambda once, on the
-caller's undamped H, and adds it to the diagonals of its permuted copies
-of both H and G, as if sqrt(lambda) I were appended to both activation
-sets as phantom calibration rows.  The caller's matrices are never
-written.
+caller's undamped H, and adds it to the diagonal of its permuted copy of
+H and to the cross term, as if sqrt(lambda) I were appended to both
+activation sets as phantom calibration rows.  The caller's matrices are
+never written.
+
+Only gpfq reads G's entries.  qronos and qronos_base read G through the
+product G W alone, and so does the moment objective, so the layer driver
+holds the cross term as one n x n_out array, (G W)[perm] + lambda W[perm],
+formed once: from the stats' GW when calibration folded Xq^T (X W)
+directly (``calib.accumulate`` picks that association from the shape),
+else as one product G @ W.  H is checked for finiteness and symmetry
+once, at the layer's entry, and the damping and factor calls skip their
+own scans.
 
 The layer driver runs all output channels of a weight matrix at once,
 step-synchronously, after applying the calib ordering.  The diffusion
@@ -55,6 +64,7 @@ date on the side, so recording never changes q.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,6 +78,7 @@ from .linalg import (
     DampingPolicy,
     apply_damping,
     check_finite,
+    check_symmetric,
     chol_of_inverse,
     solve_spd,
 )
@@ -80,12 +91,15 @@ class MethodSpec:
     ``damping`` is the ridge used when the caller names none;
     ``two_path`` methods calibrate on the (reference, quantized-path)
     pair, the others on the reference activations alone; ``benchmarkable``
-    methods run in the runtime ladder.
+    methods run in the runtime ladder; ``reads_g`` methods read the
+    entries of the cross moment G, the others only G W, so only their
+    stats must hold G itself.
     """
 
     damping: DampingPolicy
     two_path: bool
     benchmarkable: bool
+    reads_g: bool = False
 
 
 # optq traditionally damps by mean diagonal, the error-corrected methods
@@ -95,7 +109,7 @@ METHOD_SPECS = {
     "rtn": MethodSpec(DampingPolicy("none"), two_path=False, benchmarkable=False),
     "optq": MethodSpec(DampingPolicy("mean_diag_percent"), two_path=False, benchmarkable=True),
     "optq_ref": MethodSpec(DampingPolicy("mean_diag_percent"), two_path=False, benchmarkable=False),
-    "gpfq": MethodSpec(DampingPolicy("none"), two_path=True, benchmarkable=True),
+    "gpfq": MethodSpec(DampingPolicy("none"), two_path=True, benchmarkable=True, reads_g=True),
     "qronos_base": MethodSpec(_TOPSV, two_path=True, benchmarkable=True),
     "qronos": MethodSpec(_TOPSV, two_path=True, benchmarkable=True),
 }
@@ -104,6 +118,9 @@ ORDER_MODES = ("diag", "natural")
 # diffusion steps per block of the layer sweep; rows below a block are
 # updated once per block by a matrix product
 SWEEP_BLOCK = 128
+# LayerReport.timings keys, in the order the layer runs them; "permute"
+# also forms the cross term, G @ W included when the stats hold G
+PHASES = ("check", "damping", "permute", "factor", "first_step", "sweep", "unpermute", "objective")
 
 
 @dataclass
@@ -281,7 +298,9 @@ class LayerQuantRequest:
     ``weights`` is (n_in, n_out); ``grids`` one QuantGrid per output
     column.  ``stats`` supplies the moment pair: for one-path methods
     (optq family) its H must be built from the reference activations
-    alone, for two-path ones (``METHOD_SPECS``) from the pair.  The
+    alone, for two-path ones (``METHOD_SPECS``) from the pair.  Its
+    cross moment may be G, or G W for these same weights unless the
+    method reads G's entries (gpfq).  The
     ordering permutation is derived from the undamped diagonal of H
     ("diag") or skipped ("natural"); results are returned in the
     caller's original row order either way.
@@ -307,6 +326,8 @@ class LayerReport:
     objectives: np.ndarray
     warnings: list[str] = field(default_factory=list)
     traces: list[RoundingTrace] | None = None
+    # wall-clock seconds per phase, keyed by PHASES
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 def quantize_layer(
@@ -333,9 +354,14 @@ def quantize_layer(
         raise ValueError(f"unknown order mode {req.order!r} (expected one of {ORDER_MODES})")
 
     report_warnings: list[str] = []
+    timings = dict.fromkeys(PHASES, 0.0)
+    clock = time.perf_counter
+    gw = None
 
     if req.method == "rtn":
+        t0 = clock()
         q = quantize_rtn_layer(w, req.grids)
+        timings["sweep"] = clock() - t0
         lam = 0.0
         order = _calib.natural_order(n_in)
         traces = [RoundingTrace(q=q[:, j].copy()) for j in range(n_out)] if req.record_trace else None
@@ -347,23 +373,50 @@ def quantize_layer(
             raise ShapeError(f"stats dim {stats.dim} does not match weight rows {n_in}")
         if req.method == "optq_ref" and x is None:
             raise ValueError("optq_ref re-solves against raw activations; pass x")
+        reads_g = METHOD_SPECS[req.method].reads_g
+        if stats.GW is not None:
+            if reads_g:
+                raise ValueError(f"method {req.method!r} reads the entries of G; these stats hold only G W")
+            if stats.GW.shape != w.shape or not np.array_equal(stats.W, w):
+                raise ValueError("these stats hold G W for other weights")
+        elif stats.G is None:
+            raise ValueError("these stats hold no cross moment")
 
-        # the sweeps would carry a NaN or inf into q without raising
-        check_finite(stats.H, "H")
-        check_finite(stats.G, "G")
-        lam = apply_damping(stats.H, req.damping)
+        t0 = clock()
+        # the one finiteness and symmetry scan of H: the sweeps would carry
+        # a NaN or inf into q without raising, and the damping and factor
+        # calls below skip their own scans
+        check_symmetric(stats.H, "H")
+        if stats.GW is not None:
+            check_finite(stats.GW, "GW")
+        elif stats.G is not stats.H:
+            check_finite(stats.G, "G")
+        t1 = clock()
+        lam = apply_damping(stats.H, req.damping, checked=True)
+        t2 = clock()
         # the ridge shifts every diagonal entry equally, so ordering from the
         # undamped diagonal is the same permutation
         order = _calib.order_by_diag(stats.H) if req.order == "diag" else _calib.natural_order(n_in)
         ix = np.ix_(order.perm, order.perm)
         hp = stats.H[ix]
-        gp = stats.G[ix]
+        wp = _calib.permute_weights(w, order)
+        gp = gwp = None
+        if reads_g:
+            gp = stats.G[ix]
+        if req.method in ("qronos", "qronos_base") or x is None:
+            gw = stats.GW if stats.GW is not None else stats.G @ w
+        if req.method in ("qronos", "qronos_base"):
+            gwp = gw[order.perm]
         if lam:
             # the one place the ridge is added; a permutation keeps the
             # diagonal on the diagonal
             hp.flat[:: n_in + 1] += lam
-            gp.flat[:: n_in + 1] += lam
-        wp = _calib.permute_weights(w, order)
+            if gp is not None:
+                gp.flat[:: n_in + 1] += lam
+            if gwp is not None:
+                gwp += lam * wp
+        t3 = clock()
+        timings.update(check=t1 - t0, damping=t2 - t1, permute=t3 - t2)
         if req.method == "optq_ref":
             xp = x[:, order.perm]
             traces = [
@@ -372,6 +425,7 @@ def quantize_layer(
             ]
             qp = np.stack([tr.q for tr in traces], axis=1)
             traces = traces if req.record_trace else None
+            timings["sweep"] = clock() - t3
         else:
             if req.method == "gpfq":
                 for t in np.flatnonzero(np.diag(hp) <= 0.0):
@@ -383,15 +437,21 @@ def quantize_layer(
                     )
                     report_warnings.append(f"gpfq: zero-norm quantized-path column {feature}, RTN fallback")
             try:
-                low = chol_of_inverse(hp).L if req.method in ("optq", "qronos") else None
-                qp, traces = _round_columns(req.method, wp, req.grids, hp, gp, low, req.record_trace)
+                low = chol_of_inverse(hp, checked=True).L if req.method in ("optq", "qronos") else None
+                timings["factor"] = clock() - t3
+                qp, traces = _round_columns(
+                    req.method, wp, req.grids, hp, gp, gwp, low, req.record_trace, timings
+                )
             except NotPositiveDefiniteError as exc:
                 feature = int(order.perm[exc.index - 1]) + 1
                 raise NotPositiveDefiniteError(
                     feature, f"H is not positive definite (failing pivot at feature {feature}, 1-based)"
                 ) from None
+        t0 = clock()
         q = _calib.unpermute_result(qp, order)
+        timings["unpermute"] = clock() - t0
 
+    t0 = clock()
     if x is not None:
         xq_eff = xq if xq is not None else x
         resid = x @ w - xq_eff @ q
@@ -400,11 +460,12 @@ def quantize_layer(
     elif req.method != "rtn":
         # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
         qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
-        objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, stats.G @ w)
+        objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, gw)
         objective_form = "moment_quadratic"
     else:
         objectives = np.full(n_out, np.nan)
         objective_form = "unavailable"
+    timings["objective"] = clock() - t0
 
     report = LayerReport(
         method=req.method,
@@ -416,24 +477,29 @@ def quantize_layer(
         objectives=objectives,
         warnings=report_warnings,
         traces=traces,
+        timings=timings,
     )
     return q, report
 
 
-def _round_columns(method, wp, grids, hp=None, gp=None, low=None, record=False):
+def _round_columns(method, wp, grids, hp=None, gp=None, gwp=None, low=None, record=False, timings=None):
     """Round every column of ``wp`` (n, n_out), step-synchronously.
 
     One loop per method family: gpfq reads each step off the moment pair
     (hp, gp) and rounds w_t itself where hp[t, t] is zero, qronos_base
     re-solves the trailing normal equations at every step, and optq and
     the steps t >= 2 of qronos share the diffusion sweep on ``low``,
-    blocked by SWEEP_BLOCK steps.  Returns q and, with ``record``, one
-    RoundingTrace per column (else None).  A recorded state brings the
-    rows below the current block up to date on the side, so recording
-    never changes q.  A NotPositiveDefiniteError names its 1-based pivot
-    in processing order.
+    blocked by SWEEP_BLOCK steps.  ``gwp`` is the cross term gp @ wp
+    that qronos and qronos_base read.  Returns q and, with ``record``,
+    one RoundingTrace per column (else None); ``timings`` receives the
+    seconds of qronos's first step and of the sweep.  A recorded state
+    brings the rows below the current block up to date on the side, so
+    recording never changes q.  A NotPositiveDefiniteError names its
+    1-based pivot in processing order.
     """
     n, n_out = wp.shape
+    timings = {} if timings is None else timings
+    t0 = time.perf_counter()
     rtn = _grid.row_rounder(grids)
     q = np.empty_like(wp)
     # states[k] holds rows k: after step k - 1; moves[k - 1] the step's move
@@ -451,14 +517,14 @@ def _round_columns(method, wp, grids, hp=None, gp=None, low=None, record=False):
                 states.append(wp[t + 1 :])
     elif method == "qronos_base":
         state = wp.copy()
-        gw = gp @ wp
         for t in range(n):
-            num = gw[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ state[t + 1 :]
+            num = gwp[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ state[t + 1 :]
             q[t] = rtn(num / hp[t, t])
             if t + 1 < n:
-                rhs = gw[t + 1 :] - hp[t + 1 :, : t + 1] @ q[: t + 1]
+                rhs = gwp[t + 1 :] - hp[t + 1 :, : t + 1] @ q[: t + 1]
                 try:
-                    tail = solve_spd(hp[t + 1 :, t + 1 :], rhs)
+                    # hp was checked whole; its trailing blocks need no scan
+                    tail = solve_spd(hp[t + 1 :, t + 1 :], rhs, checked=True)
                 except NotPositiveDefiniteError as exc:
                     raise NotPositiveDefiniteError(t + 1 + exc.index) from None
                 if record:
@@ -470,15 +536,18 @@ def _round_columns(method, wp, grids, hp=None, gp=None, low=None, record=False):
         start = 0
         if method == "qronos":
             # step 1 interpolates through the trailing block of the factor
-            num = gp[0] @ wp - hp[0, 1:] @ wp[1:]
+            num = gwp[0] - hp[0, 1:] @ wp[1:]
             q[0] = rtn(num / hp[0, 0])
             if n > 1:
-                tail = low[1:, 1:] @ (low[1:, 1:].T @ (gp[1:] @ wp - hp[1:, :1] * q[0]))
+                tail = low[1:, 1:] @ (low[1:, 1:].T @ (gwp[1:] - hp[1:, :1] * q[0]))
                 if record:
                     states.append(tail)
                     moves.append(tail - state[1:])
                 state[1:] = tail
             start = 1
+            t1 = time.perf_counter()
+            timings["first_step"] = t1 - t0
+            t0 = t1
         for b0 in range(start, n, SWEEP_BLOCK):
             b1 = min(b0 + SWEEP_BLOCK, n)
             # the block's scaled errors, negated: each has its move's sign
@@ -498,6 +567,7 @@ def _round_columns(method, wp, grids, hp=None, gp=None, low=None, record=False):
                     moves.append(move)
             if b1 < n:
                 state[b1:] += low[b1:, b0:b1] @ errs
+    timings["sweep"] = time.perf_counter() - t0
 
     if not record:
         return q, None
@@ -520,10 +590,14 @@ def _round_column(method, w, grid, record_trace, h=None, g=None, chol=None) -> R
         g = np.asarray(g, dtype=np.float64)
         if h.shape != (n, n) or g.shape != (n, n):
             raise ShapeError(f"moment matrices must be {(n, n)}, got H {h.shape} and G {g.shape}")
+        # the driver's trailing solves trust h, as they do the layer's checked copy
+        check_symmetric(h, "H")
     if chol is not None and chol.dim != n:
         raise ShapeError(f"factor dim {chol.dim} does not match column length {n}")
     low = None if chol is None else chol.L
-    q, traces = _round_columns(method, w[:, None], [grid], h, g, low, record_trace)
+    wp = w[:, None]
+    gwp = None if g is None else g @ wp
+    q, traces = _round_columns(method, wp, [grid], h, None, gwp, low, record_trace)
     return traces[0] if record_trace else RoundingTrace(q=q[:, 0])
 
 

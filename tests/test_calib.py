@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +9,7 @@ from qronos import (
     CalibStats,
     DampingPolicy,
     LayerQuantRequest,
+    NonFiniteInputError,
     ShapeError,
     accumulate,
     grid_from_minmax,
@@ -124,3 +128,104 @@ def test_equal_diagonal_makes_ordering_a_no_op():
         )
         outs[mode], _ = quantize_layer(req)
     assert np.array_equal(outs["diag"], outs["natural"])
+
+
+def test_one_path_batch_shares_h_and_forms_one_product():
+    rng = np.random.default_rng(11)
+    n = 64
+    x = rng.standard_normal((256, n))
+    stats = accumulate(CalibStats(n), x, x)
+    assert stats.G is stats.H
+    assert np.array_equal(stats.H, x.T @ x)
+    # one n x n product besides H itself; two products and G's own array
+    # would need two more
+    tracemalloc.start()
+    try:
+        accumulate(CalibStats(n), x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
+    # a later batch of two distinct paths would add to H through G
+    before = stats.H.copy()
+    with pytest.raises(ValueError, match="one path"):
+        accumulate(stats, x, x.copy())
+    assert stats.H.tobytes() == before.tobytes()
+    # a one-path batch into stats built from two paths adds to both
+    pair = accumulate(CalibStats(n), x, x.copy())
+    accumulate(pair, x, x)
+    assert pair.G is not pair.H and np.array_equal(pair.G, 2 * (x.T @ x))
+
+
+def test_shared_moments_leave_optq_unchanged():
+    rng = np.random.default_rng(12)
+    n, n_out = 40, 6
+    x = rng.standard_normal((160, n))
+    w = rng.standard_normal((n, n_out))
+    grids = [grid_from_minmax(w[:, j], 8) for j in range(n_out)]
+    shared = accumulate(CalibStats(n), x, x)
+    separate = CalibStats(n, H=x.T @ x, G=x.T @ x)
+    outs = [
+        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="optq", stats=s,
+                                         damping=DampingPolicy("mean_diag_percent")))
+        for s in (shared, separate)
+    ]
+    assert outs[0][0].tobytes() == outs[1][0].tobytes()
+    assert outs[0][1].objectives.tobytes() == outs[1][1].objectives.tobytes()
+
+
+@pytest.mark.parametrize(
+    "one_path, where, name",
+    [(False, "x", "x"), (False, "xq", "xq"), (True, "x", "x")],
+)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("with_weights", [False, True])
+def test_non_finite_batch_is_named_and_stats_untouched(one_path, where, name, bad, with_weights):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((8, 5))
+    xq = x if one_path else x + 0.1 * rng.standard_normal((8, 5))
+    (x if where == "x" else xq)[2, 1] = bad
+    stats = CalibStats(5)
+    weights = rng.standard_normal((5, 2)) if with_weights else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError, match=f"^{name} batch: .* at row 2, feature 1$"):
+            accumulate(stats, x, xq, weights=weights)
+    assert stats.n_samples == 0 and not stats.H.any()
+    assert stats.G is None and stats.GW is None
+
+
+def test_shape_rule_picks_the_cross_form():
+    rng = np.random.default_rng(14)
+    for n_in, n_out, form in [(2048, 512, "GW"), (256, 256, "G"), (10, 5, "G"), (11, 5, "GW")]:
+        x = rng.standard_normal((4, n_in))
+        xq = x + 0.1 * rng.standard_normal((4, n_in))
+        w = rng.standard_normal((n_in, n_out))
+        stats = accumulate(CalibStats(n_in), x, xq, weights=w)
+        if form == "GW":
+            assert stats.G is None and stats.GW.shape == (n_in, n_out) and stats.W is w
+            assert np.allclose(stats.GW, (xq.T @ x) @ w, rtol=1e-12, atol=1e-12)
+        else:
+            assert stats.GW is None and np.array_equal(stats.G, xq.T @ x)
+    # without weights, and for one path, the cross moment is never G W
+    # (x, xq and w are the (11, 5) case's)
+    assert accumulate(CalibStats(11), x, xq).GW is None
+    assert accumulate(CalibStats(11), x, x, weights=w).GW is None
+
+
+def test_gw_batches_stream_and_keep_their_weights():
+    rng = np.random.default_rng(15)
+    n, n_out, m = 30, 4, 90
+    x = rng.standard_normal((m, n))
+    xq = x + 0.1 * rng.standard_normal((m, n))
+    w = rng.standard_normal((n, n_out))
+    stats = CalibStats(n)
+    for lo in range(0, m, 30):
+        accumulate(stats, x[lo : lo + 30], xq[lo : lo + 30], weights=w)
+    assert np.abs(stats.GW - xq.T @ (x @ w)).max() <= 1e-12 * np.abs(xq.T @ (x @ w)).max()
+    assert stats.n_samples == m
+    with pytest.raises(ValueError, match="same weights"):
+        accumulate(stats, x, xq)
+    with pytest.raises(ValueError, match="same weights"):
+        accumulate(stats, x, xq, weights=w + 1.0)
+    assert stats.n_samples == m

@@ -378,3 +378,125 @@ def test_simulate_rejects_bad_activation_levels():
 
 def test_simulate_hadamard_needs_power_of_two_width():
     assert run(["simulate", "--width", "12", "--hadamard"]) == 2
+
+
+def _stats_args(tmp_path, w, h, g=None, **flags):
+    write_qmx(tmp_path / "w.qmx", w)
+    write_qmx(tmp_path / "h.qmx", h)
+    args = ["quantize", "--weights", tmp_path / "w.qmx", "--stats-h", tmp_path / "h.qmx",
+            "--out", tmp_path / "q.qmx"]
+    if g is not None:
+        write_qmx(tmp_path / "g.qmx", g)
+        args += ["--stats-g", tmp_path / "g.qmx"]
+    for key, val in flags.items():
+        args += ["--" + key.replace("_", "-"), val]
+    return args
+
+
+@pytest.mark.parametrize("method", ["optq", "gpfq", "qronos-base", "qronos"])
+def test_raw_activations_and_stats_files_give_the_same_q(tmp_path, method):
+    """Raw input takes the G W association where the shape allows it,
+    stats files always hold G; q is the same either way."""
+    rng = np.random.default_rng(21)
+    n, n_out = (64, 16) if method == "qronos-base" else (300, 64)
+    w = rng.standard_normal((n, n_out))
+    x = rng.standard_normal((3 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    two_path = method != "optq"
+    assert run(quantize_args(a, w, x=x, xq=xq if two_path else None, method=method,
+                             report=a / "r.json")) == 0
+    h, g = (xq.T @ xq, xq.T @ x) if two_path else (x.T @ x, None)
+    assert run(_stats_args(b, w, h, g, method=method, report=b / "r.json")) == 0
+    assert read_qmx(a / "q.qmx").tobytes() == read_qmx(b / "q.qmx").tobytes()
+    lams = [json.loads((d / "r.json").read_text())["result"]["lambda"] for d in (a, b)]
+    assert lams[0] == lams[1]
+
+
+@pytest.mark.parametrize(
+    "method, source, form",
+    [("qronos", "raw", "GW"), ("qronos-base", "raw", "GW"), ("gpfq", "raw", "G"),
+     ("qronos", "stats", "G"), ("optq", "raw", "shared")],
+)
+def test_cli_cross_moment_form(tmp_path, monkeypatch, method, source, form):
+    import qronos.rounding as rounding_mod
+
+    seen = []
+    original = rounding_mod.quantize_layer
+
+    def spy(req, x=None, xq=None):
+        seen.append(req.stats)
+        return original(req, x=x, xq=xq)
+
+    monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
+    rng = np.random.default_rng(22)
+    w = rng.standard_normal((20, 4))
+    x = rng.standard_normal((60, 20))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    if source == "raw":
+        args = quantize_args(tmp_path, w, x=x, xq=None if method == "optq" else xq, method=method)
+    else:
+        args = _stats_args(tmp_path, w, xq.T @ xq, xq.T @ x, method=method)
+    assert run(args) == 0
+    (stats,) = seen
+    got = "GW" if stats.GW is not None else "shared" if stats.G is stats.H else "G"
+    assert got == form
+
+
+@pytest.mark.parametrize("method, kept", [("qronos", False), ("optq", False), ("optq-ref", True)])
+def test_cli_releases_activations_before_the_layer(tmp_path, monkeypatch, method, kept):
+    """Only optq_ref reads the raw activations after the moments exist."""
+    import weakref
+
+    import qronos.cli as cli_mod
+    import qronos.rounding as rounding_mod
+
+    refs = []
+    read = cli_mod._qmx.read_qmx
+
+    def tracking_read(path):
+        arr = read(path)
+        refs.append(weakref.ref(arr))
+        return arr
+
+    alive = []
+    original = rounding_mod.quantize_layer
+
+    def spy(req, x=None, xq=None):
+        alive.extend(r() is not None for r in refs[1:])
+        return original(req, x=x, xq=xq)
+
+    monkeypatch.setattr(cli_mod._qmx, "read_qmx", tracking_read)
+    monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
+    rng = np.random.default_rng(23)
+    w = rng.standard_normal((16, 3))
+    x = rng.standard_normal((48, 16))
+    xq = x + 0.1 * rng.standard_normal(x.shape) if method == "qronos" else None
+    assert run(quantize_args(tmp_path, w, x=x, xq=xq, method=method)) == 0
+    assert alive and all(a == kept for a in alive)
+
+
+def test_report_times_every_phase(tmp_path):
+    from qronos.rounding import PHASES
+
+    rng = np.random.default_rng(24)
+    w = rng.standard_normal((30, 4))
+    x = rng.standard_normal((90, 30))
+    assert run(quantize_args(tmp_path, w, x=x, xq=x + 0.1, method="qronos",
+                             report=tmp_path / "r.json")) == 0
+    phases = json.loads((tmp_path / "r.json").read_text())["timing"]["phases"]
+    assert sorted(phases) == sorted(PHASES)
+    assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+
+
+@pytest.mark.parametrize("method", ["gpfq", "optq", "qronos"])
+def test_asymmetric_stats_h_exits_numerical(tmp_path, capsys, method):
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((40, 6))
+    h = a.T @ a
+    h[0, 3] += 1.0
+    args = _stats_args(tmp_path, rng.standard_normal((6, 2)), h, h, method=method)
+    assert run(args) == 5
+    assert "H is not symmetric" in capsys.readouterr().err

@@ -187,6 +187,31 @@ def test_symmetry_check_spans_tiles(where):
         cholesky_lower(m)
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        cholesky_lower,
+        chol_of_inverse,
+        top_singular_value,
+        lambda m: apply_damping(m, DampingPolicy("top_singular_fraction")),
+        lambda m: solve_spd(m, np.ones(6)),
+    ],
+    ids=["cholesky_lower", "chol_of_inverse", "top_singular_value", "apply_damping", "solve_spd"],
+)
+def test_public_routes_still_reject_asymmetry(route):
+    m = random_spd(np.random.default_rng(9), 6)
+    m[4, 1] += 1e-3
+    with pytest.raises(ValueError, match="not symmetric"):
+        route(m)
+
+
+def test_layer_rejects_asymmetric_h_at_its_entry():
+    h = random_spd(np.random.default_rng(10), 5)
+    h[0, 3] += 1e-3
+    with pytest.raises(ValueError, match="H is not symmetric"):
+        _qronos_layer(h, method="gpfq")
+
+
 def _qronos_layer(h, method="qronos"):
     grids = [grid_from_minmax(np.arange(5.0), 4)] * 2
     stats = CalibStats(5, H=h, G=np.eye(5))

@@ -29,7 +29,7 @@ from qronos import (
     quantize_rtn_layer,
 )
 from qronos.oracle import TIE_TOL, step_objective, stepwise_argmin_oracle
-from qronos.rounding import SWEEP_BLOCK
+from qronos.rounding import PHASES, SWEEP_BLOCK
 from helpers import column_instance, layer_instance, on_grid_weights
 
 
@@ -584,3 +584,85 @@ def test_layer_outputs_stay_on_grid(seed, method):
     q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats))
     for j, g in enumerate(grids):
         assert set(np.round(q[:, j], 10)) <= set(np.round(g.alphabet, 10))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("method", ["optq", "qronos_base", "qronos"])
+@pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
+def test_g_path_and_gw_path_agree(seed, method, mode):
+    """Stats holding G and stats holding G W (formed as Xq^T (X W)) give
+    the same q; the moment objectives agree to rounding."""
+    rng = np.random.default_rng([seed, 31])
+    n, n_out = (64, 16) if method == "qronos_base" else (300, 64)
+    x = rng.standard_normal((4 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    w = rng.standard_normal((n, n_out))
+    grids = [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    via_g = accumulate(CalibStats(n), x, xq)
+    via_gw = accumulate(CalibStats(n), x, xq, weights=w)
+    assert via_g.GW is None and via_gw.G is None
+    (q_g, rep_g), (q_gw, rep_gw) = (
+        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=s,
+                                         damping=DampingPolicy(mode)))
+        for s in (via_g, via_gw)
+    )
+    assert q_g.tobytes() == q_gw.tobytes()
+    assert rep_g.damping_lambda == rep_gw.damping_lambda
+    scale = np.abs(rep_g.objectives)
+    assert np.all(np.abs(rep_g.objectives - rep_gw.objectives) <= 1e-14 * scale)
+
+
+def test_gw_stats_are_refused_where_g_is_read_or_w_differs():
+    rng = np.random.default_rng(32)
+    n, n_out = 20, 3
+    x = rng.standard_normal((60, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    w = rng.standard_normal((n, n_out))
+    grids = [grid_from_minmax(w[:, j], 8) for j in range(n_out)]
+    stats = accumulate(CalibStats(n), x, xq, weights=w)
+    with pytest.raises(ValueError, match="entries of G"):
+        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="gpfq", stats=stats))
+    with pytest.raises(ValueError, match="other weights"):
+        quantize_layer(LayerQuantRequest(weights=w + 1.0, grids=grids, method="qronos", stats=stats))
+    with pytest.raises(ValueError, match="no cross moment"):
+        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=CalibStats(n)))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_layer_reports_every_phase(method):
+    rng = np.random.default_rng(33)
+    w, x, xq, stats, grids = layer_instance(rng, 140, 420, 4, 8)
+    _, report = quantize_layer(
+        LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats),
+        x=x if method == "optq_ref" else None,
+    )
+    assert tuple(report.timings) == PHASES
+    assert all(v >= 0.0 for v in report.timings.values())
+    if method == "qronos":
+        assert report.timings["first_step"] > 0.0 and report.timings["factor"] > 0.0
+    assert report.timings["sweep"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "method, mode",
+    [("qronos", "top_singular_fraction"), ("optq", "mean_diag_percent"),
+     ("qronos_base", "top_singular_fraction"), ("gpfq", "none")],
+)
+def test_layer_scans_h_for_symmetry_once(monkeypatch, method, mode):
+    import qronos.linalg as linalg_mod
+    import qronos.rounding as rounding_mod
+
+    calls = []
+    original = linalg_mod.check_symmetric
+
+    def counting(m, name="matrix"):
+        calls.append(m.shape)
+        return original(m, name)
+
+    monkeypatch.setattr(linalg_mod, "check_symmetric", counting)
+    monkeypatch.setattr(rounding_mod, "check_symmetric", counting)
+    rng = np.random.default_rng(34)
+    w, _, _, stats, grids = layer_instance(rng, 40, 160, 3, 8)
+    quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                                     damping=DampingPolicy(mode)))
+    assert calls == [(40, 40)]
