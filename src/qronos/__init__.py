@@ -13,9 +13,7 @@ rounding error compounds through depth.
 from .bench import BenchConfig, median_algo_times, run_bench
 from .calib import (
     CalibStats,
-    ColumnOrder,
     accumulate,
-    natural_order,
     order_by_diag,
     permute_weights,
     unpermute_result,
@@ -38,7 +36,6 @@ from .grid import (
     symmetric_scale_search,
 )
 from .linalg import (
-    CholeskyFactor,
     DampingPolicy,
     apply_damping,
     cholesky_lower,
@@ -50,7 +47,6 @@ from .linalg import (
 from .netsim import (
     LayerSpec,
     NetworkSpec,
-    PropagationReport,
     build_random_network,
     forward_pair,
     fwht,
@@ -69,8 +65,8 @@ from .rounding import (
     LayerReport,
     METHOD_SPECS,
     METHODS,
-    RoundingTrace,
     chol_of_inverse,
+    layer_stats,
     quantize_gpfq_column,
     quantize_layer,
     quantize_optq_column,
@@ -79,15 +75,13 @@ from .rounding import (
     quantize_qronos_column,
     quantize_rtn_layer,
 )
-from .verify import SUITE_NAMES, SuiteResult, run_suite
+from .verify import SUITE_NAMES, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig",
     "CalibStats",
-    "CholeskyFactor",
-    "ColumnOrder",
     "ConvergenceError",
     "DampingPolicy",
     "EnumerationCapError",
@@ -100,13 +94,10 @@ __all__ = [
     "NonFiniteInputError",
     "NotPositiveDefiniteError",
     "NotSymmetricError",
-    "PropagationReport",
     "QmxFormatError",
     "QuantGrid",
-    "RoundingTrace",
     "SUITE_NAMES",
     "ShapeError",
-    "SuiteResult",
     "accumulate",
     "apply_damping",
     "brute_force_ils",
@@ -119,9 +110,9 @@ __all__ = [
     "fwht",
     "grid_from_minmax",
     "inverse_hessian_step",
+    "layer_stats",
     "levels_from_bits",
     "median_algo_times",
-    "natural_order",
     "order_by_diag",
     "permute_weights",
     "quantize_gpfq_column",

@@ -2,11 +2,13 @@
 
 One synthetic layer per cell: K Gaussian input features, K/4 output
 channels, m calibration rows, quantized-path activations = reference
-plus 10 percent noise.  The stats phase (building the moment matrices)
-and the algorithm phase (everything from moments to quantized weights)
-are timed separately inside one execution; end to end is their sum.
-Each (method, K, seed) cell runs a fixed number of inner repetitions
-and reports the minimum and the mean.
+plus 10 percent noise.  The stats phase is ``rounding.layer_stats``, the
+same route and association from activations to moments that
+``qronos quantize`` runs, and the algorithm phase is everything from
+moments to quantized weights; both are timed separately inside one
+execution, and end to end is their sum.  Each (method, K, seed) cell
+runs a fixed number of inner repetitions and reports the minimum and
+the mean.
 
 Normalized views divide by the optq algorithm (or end-to-end) time at
 the smallest K, averaged over seeds, so curves from different machines
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import calib as _calib
 from . import rounding as _rounding
 from .grid import grid_from_minmax
 
@@ -36,7 +37,6 @@ class BenchConfig:
     seeds: int = 3
     levels: int = 16
     methods: tuple = BENCH_METHODS
-    dtype: str = "f64"
     inner_reps: int = 3
 
     def __post_init__(self):
@@ -45,8 +45,6 @@ class BenchConfig:
         for m in self.methods:
             if m not in BENCH_METHODS:
                 raise ValueError(f"method {m!r} is not benchmarkable")
-        if self.dtype not in ("f64", "f32"):
-            raise ValueError(f"dtype must be f64 or f32, got {self.dtype!r}")
 
     @property
     def ladder(self) -> list[int]:
@@ -58,41 +56,25 @@ class BenchConfig:
         return ks
 
 
-def _drive_algorithm(method, w, h, g, grids):
-    """Moments to quantized weights; this is the timed algorithm phase."""
-    stats = _calib.CalibStats(w.shape[0], H=h, G=g)
-    req = _rounding.LayerQuantRequest(
-        weights=w,
-        grids=grids,
-        method=method,
-        stats=stats,
-        damping=_rounding.METHOD_SPECS[method].damping,
-    )
-    return _rounding.quantize_layer(req)[0]
-
-
 def _time_cell(method, x, xq, w, grids, cfg):
     """Return (stats_time, algo_time) lists over the inner repetitions."""
     stats_times = []
     algo_times = []
     for _ in range(cfg.inner_reps):
         t0 = time.perf_counter()
-        if _rounding.METHOD_SPECS[method].two_path:
-            h = xq.T @ xq
-            g = xq.T @ x
-        else:
-            h = x.T @ x
-            g = h
+        stats = _rounding.layer_stats(method, w, x, xq)
         t1 = time.perf_counter()
-        if cfg.dtype == "f32":
-            # truncation knob for precision studies; the drive itself is f64
-            h = h.astype(np.float32).astype(np.float64)
-            g = g.astype(np.float32).astype(np.float64)
+        req = _rounding.LayerQuantRequest(
+            weights=w,
+            grids=grids,
+            method=method,
+            stats=stats,
+            damping=_rounding.METHOD_SPECS[method].damping,
+        )
+        _rounding.quantize_layer(req)
         t2 = time.perf_counter()
-        _drive_algorithm(method, w, h, g, grids)
-        t3 = time.perf_counter()
         stats_times.append(t1 - t0)
-        algo_times.append(t3 - t2)
+        algo_times.append(t2 - t1)
     return stats_times, algo_times
 
 
@@ -133,7 +115,6 @@ def run_bench(cfg: BenchConfig) -> dict:
             "seeds": cfg.seeds,
             "levels": cfg.levels,
             "methods": list(cfg.methods),
-            "dtype": cfg.dtype,
             "inner_reps": cfg.inner_reps,
         },
         "machine": {
@@ -158,18 +139,11 @@ def _normalize(rows, cfg):
         if not base_vals:
             continue
         base = sum(base_vals) / len(base_vals)
-        norm_rows = []
-        for r in rows:
-            if "skipped" in r:
-                continue
-            norm_rows.append(
-                {
-                    "method": r["method"],
-                    "k": r["k"],
-                    "seed": r["seed"],
-                    "value": r[phase]["min"] / base,
-                }
-            )
+        norm_rows = [
+            {"method": r["method"], "k": r["k"], "seed": r["seed"], "value": r[phase]["min"] / base}
+            for r in rows
+            if "skipped" not in r
+        ]
         out[phase] = {"baseline_seconds": base, "rows": norm_rows}
     return out
 

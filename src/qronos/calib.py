@@ -5,7 +5,9 @@ moments H = Xq^T Xq and the cross moments G = Xq^T X, where X holds the
 reference activations and Xq whatever the quantized network actually
 feeds the layer (G[i, j] = <Xq_i, X_j>).  Both are accumulated batch by
 batch in 64-bit so a stream of chunks reproduces the monolithic product
-to rounding error.
+to rounding error.  ``rounding.layer_stats`` is the route from one
+layer's activations to the moments its method reads: it picks the
+paths and whether to pass the weights, and calls ``accumulate``.
 
 Every method but gpfq reads G only through the product G W with the
 layer's weights W (n_in x n_out).  Given those weights, ``accumulate``
@@ -50,11 +52,14 @@ class CalibStats:
     n_samples: int = 0
     GW: np.ndarray | None = None
     W: np.ndarray | None = None
+    # H is the zeros made here, which the first batch may replace
+    _zero_h: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ShapeError(f"stats dimension must be positive, got {self.dim}")
         square = (self.dim, self.dim)
+        self._zero_h = self.H is None
         self.H = np.zeros(square) if self.H is None else np.asarray(self.H, dtype=np.float64)
         if self.G is not None:
             self.G = np.asarray(self.G, dtype=np.float64)
@@ -77,8 +82,10 @@ def accumulate(
     instead of G; passing ``xq_batch is x_batch`` makes G share H.
     Later batches follow the form the first one chose: a GW batch needs
     the same weights, and two distinct paths cannot enter one-path
-    stats.  A NaN or infinity in either batch raises NonFiniteInputError
-    naming the batch, its row and feature, and leaves stats untouched.
+    stats.  The first batch into stats made without an H takes its
+    product as H instead of adding it into zeros.  A NaN or infinity in
+    either batch raises NonFiniteInputError naming the batch, its row and
+    feature, and leaves stats untouched.
     """
     one_path = xq_batch is x_batch
     x = np.asarray(x_batch, dtype=np.float64)
@@ -102,29 +109,50 @@ def accumulate(
     if stats.GW is not None and (w is None or not np.array_equal(w, stats.W)):
         raise ValueError("these stats hold G W; every batch must pass the same weights")
 
-    # an inf or NaN in xq reaches H's diagonal, one in x every entry of
-    # its cross column; only then is the batch scanned for the cell
-    with np.errstate(invalid="ignore", over="ignore"):
-        h_part = xq.T @ xq
-        if use_gw:
-            cross = xq.T @ (x @ w)
-        elif one_path:
-            cross = h_part
-        else:
-            cross = xq.T @ x
-    bad = not np.isfinite(h_part.diagonal()).all()
-    if cross is not h_part:
-        bad |= not (math.isfinite(cross.max(initial=0.0)) and math.isfinite(cross.min(initial=0.0)))
-    if bad:
-        _raise_non_finite(x, xq, one_path)
+    # fresh stats whose H is still the zeros they were made with take the
+    # first product as H rather than adding it into them; the zeros go
+    # before the products are formed, so one n x n array is live at the
+    # peak, not two.  An H the caller supplied is added to.
+    adopt = fresh and stats._zero_h
+    if adopt:
+        stats.H = None
+    try:
+        # an inf or NaN in xq reaches H's diagonal, one in x every entry of
+        # its cross column; only then is the batch scanned for the cell
+        with np.errstate(invalid="ignore", over="ignore"):
+            h_part = xq.T @ xq
+            if use_gw:
+                cross = xq.T @ (x @ w)
+            elif one_path:
+                cross = h_part
+            else:
+                cross = xq.T @ x
+        bad = not np.isfinite(h_part.diagonal()).all()
+        if cross is not h_part:
+            bad |= not (math.isfinite(cross.max(initial=0.0)) and math.isfinite(cross.min(initial=0.0)))
+        if bad:
+            _raise_non_finite(x, xq, one_path)
+    except BaseException:
+        if adopt:
+            stats.H = np.zeros((stats.dim, stats.dim))
+        raise
 
-    if fresh:
+    # an adopted product is what the sum into zeros was, bit for bit:
+    # adding 0.0 in place turns -0.0 into +0.0 and changes nothing else
+    if adopt:
+        h_part += 0.0
+        stats.H = h_part
+    else:
+        stats.H += h_part
+    if fresh and one_path:
+        stats.G = stats.H
+    elif fresh:
+        cross += 0.0
         if use_gw:
-            stats.GW, stats.W = np.zeros(w.shape), w
+            stats.GW, stats.W = cross, w
         else:
-            stats.G = stats.H if one_path else np.zeros_like(stats.H)
-    stats.H += h_part
-    if use_gw:
+            stats.G = cross
+    elif use_gw:
         stats.GW += cross
     elif stats.G is not stats.H:
         stats.G += cross

@@ -58,6 +58,11 @@ class UsageError(Exception):
     pass
 
 
+def _flags(args, *names) -> dict:
+    """The named flags' values, for a report's config echo."""
+    return {name: getattr(args, name) for name in names}
+
+
 def _write_report(path, payload):
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -66,14 +71,21 @@ def _write_report(path, payload):
 
 def _resolve_levels(args) -> int:
     if args.levels is not None:
-        if args.levels < 2:
-            raise UsageError(f"--levels must be at least 2, got {args.levels}")
+        _at_least(args, levels=2)
         return args.levels
     bits = 4.0 if args.bits is None else args.bits
     try:
         return _grid.levels_from_bits(bits)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _at_least(args, **floors):
+    """Reject an integer flag below its floor, naming the flag."""
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value < floor:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
 
 
 def _read_finite(path) -> np.ndarray:
@@ -83,10 +95,26 @@ def _read_finite(path) -> np.ndarray:
     return arr
 
 
+def _read_shaped(path, rows, cols) -> np.ndarray:
+    """Read a matrix file as float64, rejecting non-finite entries and any
+    shape but (rows, cols); ``rows`` None takes any row count."""
+    a = np.asarray(_read_finite(path), dtype=np.float64)
+    if a.shape[1] != cols or rows not in (None, a.shape[0]):
+        raise ShapeError(f"{path}: shape {a.shape} must be ({'m' if rows is None else rows}, {cols})")
+    return a
+
+
 def cmd_quantize(args) -> int:
     t_all = time.perf_counter()
     method = args.method.replace("-", "_")
     levels = _resolve_levels(args)
+    if not (args.beta > 0.0 and np.isfinite(args.beta)):
+        raise UsageError(f"--beta must be a positive finite number, got {args.beta}")
+    damping_token = args.damping or _MODE_TOKENS[_rounding.METHOD_SPECS[method].damping.mode]
+    try:
+        policy = DampingPolicy(_DAMPING_TOKENS[damping_token], alpha=args.alpha)
+    except ValueError as exc:
+        raise UsageError(f"--alpha: {exc}") from exc
 
     t0 = time.perf_counter()
     weights_raw = _read_finite(args.weights)
@@ -103,31 +131,19 @@ def cmd_quantize(args) -> int:
 
     t0 = time.perf_counter()
     if method != "rtn":
-        spec = _rounding.METHOD_SPECS[method]
-        needs_pair = spec.two_path
+        needs_pair = _rounding.METHOD_SPECS[method].two_path
         if raw_given:
             if args.calib_x is None:
                 raise UsageError(f"--method {args.method} needs --calib-x")
-            x = np.asarray(_read_finite(args.calib_x), dtype=np.float64)
-            if x.ndim != 2 or x.shape[1] != n_in:
-                raise ShapeError(
-                    f"{args.calib_x}: activations {x.shape} do not match weight rows {n_in}"
-                )
-            xq = x
+            x = _read_shaped(args.calib_x, None, n_in)
             if needs_pair:
                 if args.calib_xt is None:
                     raise UsageError(
                         f"--method {args.method} needs the quantized-path activations: "
                         "pass --calib-xt (or precomputed --stats-h/--stats-g)"
                     )
-                xq = np.asarray(_read_finite(args.calib_xt), dtype=np.float64)
-                if xq.shape != x.shape:
-                    raise ShapeError(
-                        f"{args.calib_xt}: shape {xq.shape} does not match --calib-x {x.shape}"
-                    )
-            stats = _calib.accumulate(
-                _calib.CalibStats(n_in), x, xq, weights=None if spec.reads_g else w
-            )
+                xq = _read_shaped(args.calib_xt, x.shape[0], n_in)
+            stats = _rounding.layer_stats(method, w, x, xq)
             if method != "optq_ref":
                 # only optq_ref reads the activations again; the moments
                 # hold everything the others need
@@ -137,9 +153,7 @@ def cmd_quantize(args) -> int:
                 raise UsageError("--method optq-ref re-solves against raw activations; pass --calib-x")
             if args.stats_h is None:
                 raise UsageError(f"--method {args.method} needs --stats-h")
-            h = np.asarray(_read_finite(args.stats_h), dtype=np.float64)
-            if h.shape != (n_in, n_in):
-                raise ShapeError(f"{args.stats_h}: H {h.shape} must be {(n_in, n_in)}")
+            h = _read_shaped(args.stats_h, n_in, n_in)
             g = h
             if needs_pair:
                 if args.stats_g is None:
@@ -147,9 +161,7 @@ def cmd_quantize(args) -> int:
                         f"--method {args.method} needs the cross moments: pass --stats-g "
                         "(or raw --calib-x/--calib-xt)"
                     )
-                g = np.asarray(_read_finite(args.stats_g), dtype=np.float64)
-                if g.shape != (n_in, n_in):
-                    raise ShapeError(f"{args.stats_g}: G {g.shape} must be {(n_in, n_in)}")
+                g = _read_shaped(args.stats_g, n_in, n_in)
             stats = _calib.CalibStats(n_in, H=h, G=g)
         else:
             raise UsageError(
@@ -162,9 +174,6 @@ def cmd_quantize(args) -> int:
         grids = [_grid.symmetric_scale_search(w[:, j], levels) for j in range(n_out)]
     else:
         grids = [_grid.grid_from_minmax(w[:, j], levels, args.beta) for j in range(n_out)]
-
-    damping_token = args.damping or _MODE_TOKENS[_rounding.METHOD_SPECS[method].damping.mode]
-    policy = DampingPolicy(_DAMPING_TOKENS[damping_token], alpha=args.alpha)
 
     t0 = time.perf_counter()
     req = _rounding.LayerQuantRequest(
@@ -208,18 +217,10 @@ def cmd_quantize(args) -> int:
             "schema": 1,
             "command": "quantize",
             "config": {
-                "weights": args.weights,
-                "calib_x": args.calib_x,
-                "calib_xt": args.calib_xt,
-                "stats_h": args.stats_h,
-                "stats_g": args.stats_g,
-                "method": args.method,
+                **_flags(args, "weights", "calib_x", "calib_xt", "stats_h", "stats_g", "method",
+                         "beta", "symmetric", "alpha", "order"),
                 "levels": levels,
-                "beta": args.beta,
-                "symmetric": bool(args.symmetric),
                 "damping": damping_token,
-                "alpha": args.alpha,
-                "order": args.order,
             },
             "result": result,
             "timing": {
@@ -236,6 +237,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = tuple(tok.strip().replace("-", "_") for tok in args.methods.split(",") if tok.strip())
+    _at_least(args, m=1, seeds=1, levels=2, reps=1)
     try:
         cfg = _bench.BenchConfig(
             k_min=args.k_min,
@@ -244,7 +246,6 @@ def cmd_bench(args) -> int:
             seeds=args.seeds,
             levels=args.levels,
             methods=methods,
-            dtype=args.dtype,
             inner_reps=args.reps,
         )
     except ValueError as exc:
@@ -282,13 +283,7 @@ def cmd_verify(args) -> int:
         payload = {
             "schema": 1,
             "command": "verify",
-            "config": {
-                "suite": args.suite,
-                "trials": args.trials,
-                "tol": args.tol,
-                "seed": args.seed,
-                "dtype": "f64",
-            },
+            "config": {**_flags(args, "suite", "trials", "tol", "seed"), "dtype": "f64"},
             "suites": [r.to_dict() for r in results],
             "timing": {"total_seconds": time.perf_counter() - t0},
         }
@@ -308,6 +303,9 @@ def cmd_simulate(args) -> int:
             alevels = int(args.alevels)
         except ValueError as exc:
             raise UsageError(f"--alevels takes an integer or 'off', got {args.alevels!r}") from exc
+        if alevels < 2:
+            raise UsageError(f"--alevels must be at least 2 or 'off', got {alevels}")
+    _at_least(args, layers=1, width=1, wlevels=2, seeds=1, samples=1)
     if args.hadamard and (args.width & (args.width - 1)):
         raise UsageError(f"--hadamard needs a power-of-two width, got {args.width}")
     if args.blocks < 1 or args.blocks > args.layers:
@@ -347,16 +345,9 @@ def cmd_simulate(args) -> int:
         "schema": 1,
         "command": "simulate",
         "config": {
-            "layers": args.layers,
-            "width": args.width,
-            "blocks": args.blocks,
-            "wlevels": args.wlevels,
+            **_flags(args, "layers", "width", "blocks", "wlevels", "seeds", "seed", "samples", "hadamard"),
             "alevels": alevels,
             "methods": methods,
-            "seeds": args.seeds,
-            "seed": args.seed,
-            "samples": args.samples,
-            "hadamard": bool(args.hadamard),
         },
         "results": results,
         "summary": summary,
@@ -406,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--levels", type=int, default=16)
     p.add_argument("--methods", default=",".join(m.replace("_", "-") for m in _bench.BENCH_METHODS))
-    p.add_argument("--dtype", choices=["f64", "f32"], default="f64")
     p.add_argument("--reps", type=int, default=3, help="inner repetitions per cell")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_bench)

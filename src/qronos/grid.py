@@ -66,6 +66,11 @@ def row_rounder(grids):
     return lambda values: step * (_codes(values, step, shift, anchor, top) - zero)
 
 
+def _check_levels(levels):
+    if levels < 2:
+        raise ValueError(f"need at least 2 levels, got {levels}")
+
+
 @dataclass(frozen=True)
 class QuantGrid:
     """One channel's quantization alphabet."""
@@ -78,8 +83,7 @@ class QuantGrid:
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError(f"need at least 2 levels, got {self.levels}")
+        _check_levels(self.levels)
         if not self.step_size > 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
 
@@ -110,6 +114,7 @@ def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
         raise ValueError("cannot build a grid from an empty vector")
+    _check_levels(levels)
     lo = float(w.min())
     hi = float(w.max())
     if hi == lo:
@@ -164,6 +169,7 @@ def quantize_per_token(x: np.ndarray, levels: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D activation matrix, got shape {x.shape}")
+    _check_levels(levels)
     lo = x.min(axis=1, keepdims=True)
     hi = x.max(axis=1, keepdims=True)
     flat = (hi == lo)

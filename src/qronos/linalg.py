@@ -227,6 +227,8 @@ class DampingPolicy:
     def __post_init__(self):
         if self.mode not in DAMPING_MODES:
             raise ValueError(f"unknown damping mode {self.mode!r} (expected one of {DAMPING_MODES})")
+        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
 
 
 def apply_damping(h: np.ndarray, policy: DampingPolicy, *, checked: bool = False) -> float:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import calib as _calib
 from . import grid as _grid
 from . import rounding as _rounding
 from .errors import ShapeError
@@ -214,16 +213,16 @@ def quantize_network(
 
     The deployed-path calibration activations include everything the
     layer will actually see: prior quantized layers, activation
-    quantization, rotations, and any configured block resets.  The optq
-    family calibrates on the reference path only; the gpfq/qronos side
-    sees both paths.  The reported errors are those of
+    quantization, rotations, and any configured block resets; each
+    layer's moments come from ``rounding.layer_stats``, so the optq
+    family sees the reference path only and the gpfq/qronos side both
+    paths.  The reported errors are those of
     ``forward_pair(..., apply_resets=False)`` on the quantized weights,
     computed in the same sweep.
     """
     if method not in _rounding.METHODS:
         raise ValueError(f"unknown method {method!r}")
-    method_spec = _rounding.METHOD_SPECS[method]
-    policy = damping if damping is not None else method_spec.damping
+    policy = damping if damping is not None else _rounding.METHOD_SPECS[method].damping
     x0 = np.asarray(calib_input, dtype=np.float64)
     x_cur = x0
     # deployed paths: the calibration one, then from the first block reset
@@ -240,13 +239,7 @@ def quantize_network(
             _grid.grid_from_minmax(w_ref[:, j], spec.weight_levels, spec.weight_beta)
             for j in range(w_ref.shape[1])
         ]
-        stats = None
-        if method != "rtn":
-            calib_xq = xq_in if method_spec.two_path else x_in
-            stats = _calib.accumulate(
-                _calib.CalibStats(w_ref.shape[0]), x_in, calib_xq,
-                weights=None if method_spec.reads_g else w_ref,
-            )
+        stats = None if method == "rtn" else _rounding.layer_stats(method, w_ref, x_in, xq_in)
         req = _rounding.LayerQuantRequest(
             weights=w_ref, grids=grids, method=method, stats=stats, damping=policy
         )

@@ -45,10 +45,10 @@ Only gpfq reads G's entries.  qronos and qronos_base read G through the
 product G W alone, and so does the moment objective, so the layer driver
 holds the cross term as one n x n_out array, (G W)[perm] + lambda W[perm],
 formed once: from the stats' GW when calibration folded Xq^T (X W)
-directly (``calib.accumulate`` picks that association from the shape),
-else as one product G @ W.  H is checked for finiteness and symmetry
-once, at the layer's entry, and the damping and factor calls skip their
-own scans.
+directly (``layer_stats`` passes the weights and ``calib.accumulate``
+picks that association from the shape), else as one product G @ W.  H
+is checked for finiteness and symmetry once, at the layer's entry, and
+the damping and factor calls skip their own scans.
 
 The layer driver runs all output channels of a weight matrix at once,
 step-synchronously, after applying the calib ordering.  The diffusion
@@ -89,11 +89,11 @@ class MethodSpec:
     """One method's defaults.
 
     ``damping`` is the ridge used when the caller names none;
-    ``two_path`` methods calibrate on the (reference, quantized-path)
-    pair, the others on the reference activations alone; ``benchmarkable``
-    methods run in the runtime ladder; ``reads_g`` methods read the
-    entries of the cross moment G, the others only G W, so only their
-    stats must hold G itself.
+    ``benchmarkable`` methods run in the runtime ladder.  ``layer_stats``
+    reads the other two: ``two_path`` methods calibrate on the
+    (reference, quantized-path) pair, the others on the reference
+    activations alone; ``reads_g`` methods read the entries of the cross
+    moment G, the others only G W, so only their stats must hold G.
     """
 
     damping: DampingPolicy
@@ -291,19 +291,38 @@ def quantize_qronos_column(
 # layer driver
 
 
+def layer_stats(
+    method: str, weights: np.ndarray, x: np.ndarray, xq: np.ndarray | None = None
+) -> _calib.CalibStats:
+    """The moments ``method`` reads, from one batch of a layer's activations.
+
+    The one route from activations to a layer's stats.  Two-path methods
+    calibrate on the pair (x, xq), the others on x alone (``xq`` is not
+    read).  The weights go to ``calib.accumulate`` unless the method
+    reads G's entries, so the stats hold G W whenever 2 n_out < n_in.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
+    spec = METHOD_SPECS[method]
+    if spec.two_path and xq is None:
+        raise ValueError(f"method {method!r} calibrates on both paths; pass xq")
+    stats = _calib.CalibStats(np.shape(weights)[0])
+    return _calib.accumulate(stats, x, xq if spec.two_path else x, None if spec.reads_g else weights)
+
+
 @dataclass
 class LayerQuantRequest:
     """Everything needed to quantize one weight matrix.
 
     ``weights`` is (n_in, n_out); ``grids`` one QuantGrid per output
-    column.  ``stats`` supplies the moment pair: for one-path methods
-    (optq family) its H must be built from the reference activations
-    alone, for two-path ones (``METHOD_SPECS``) from the pair.  Its
-    cross moment may be G, or G W for these same weights unless the
-    method reads G's entries (gpfq).  The
-    ordering permutation is derived from the undamped diagonal of H
-    ("diag") or skipped ("natural"); results are returned in the
-    caller's original row order either way.
+    column.  ``stats`` supplies the moment pair, as ``layer_stats``
+    builds it for the method from the layer's activations: H from the
+    reference activations alone for the optq family, from the
+    quantized path for two-path methods (``METHOD_SPECS``).  Its cross
+    moment may be G, or G W for these same weights unless the method
+    reads G's entries (gpfq).  The ordering permutation is derived from
+    the undamped diagonal of H ("diag") or skipped ("natural"); results
+    are returned in the caller's original row order either way.
     """
 
     weights: np.ndarray

@@ -16,7 +16,7 @@ Gaussian noise, and no damping is applied unless a suite says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,15 +53,7 @@ class SuiteResult:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "max_dev": self.max_dev,
-            "tol": self.tol,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _instance(rng, n, m, levels, noise=0.1, identical=False):

@@ -1,7 +1,8 @@
-"""The public surface: exported names resolve and no module keeps an
-import it never uses."""
+"""The public surface: exported names resolve and are used, and no
+module keeps an import it never uses."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,12 +10,20 @@ import pytest
 import qronos
 
 SRC = Path(qronos.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
     assert len(qronos.__all__) == len(set(qronos.__all__))
     for name in qronos.__all__:
         assert hasattr(qronos, name), name
+
+
+def test_every_exported_name_is_used_by_the_cli_tests_or_readme():
+    texts = [SRC / "cli.py", TESTS.parent / "README.md", *TESTS.rglob("*.py")]
+    corpus = "\n".join(p.read_text() for p in texts)
+    unused = [n for n in qronos.__all__ if not re.search(rf"\b{re.escape(n)}\b", corpus)]
+    assert unused == []
 
 
 def _unused_imports(path):

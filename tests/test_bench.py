@@ -1,5 +1,6 @@
 import pytest
 
+import qronos.rounding as rounding_mod
 from qronos.bench import BENCH_METHODS, BenchConfig, median_algo_times, run_bench
 
 
@@ -21,7 +22,6 @@ def test_ladder_stops_below_k_max():
         {"methods": ("rtn",)},
         {"methods": ("optq_ref",)},
         {"methods": ("nope",)},
-        {"dtype": "f16"},
     ],
 )
 def test_config_validation(kwargs):
@@ -48,3 +48,23 @@ def test_normalization_anchor_is_unity():
     rows = report["timing"]["normalized"]["algo"]["rows"]
     anchors = [r for r in rows if r["method"] == "optq" and r["k"] == 8]
     assert anchors[0]["value"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("method, form", [("qronos", "GW"), ("qronos_base", "GW"), ("optq", "shared"), ("gpfq", "G")])
+def test_cell_hands_the_layer_the_cli_stats(monkeypatch, method, form):
+    """The ladder's n_out = K/4 layers get G W stats, as the CLI's would."""
+    seen = []
+    original = rounding_mod.quantize_layer
+
+    def spy(req, x=None, xq=None):
+        seen.append(req.stats)
+        return original(req, x=x, xq=xq)
+
+    monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
+    run_bench(BenchConfig(k_min=16, k_max=16, m=32, seeds=1, inner_reps=2, methods=(method,)))
+    assert len(seen) == 2
+    for stats in seen:
+        got = "GW" if stats.GW is not None else "shared" if stats.G is stats.H else "G"
+        assert got == form
+        if form == "GW":
+            assert stats.GW.shape == (16, 4)

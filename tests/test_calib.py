@@ -229,3 +229,56 @@ def test_gw_batches_stream_and_keep_their_weights():
     with pytest.raises(ValueError, match="same weights"):
         accumulate(stats, x, xq, weights=w + 1.0)
     assert stats.n_samples == m
+
+
+def test_first_batch_becomes_h_bit_for_bit():
+    """Adopting the first product gives what adding it into zeros gave."""
+    rng = np.random.default_rng(16)
+    n, n_out = 9, 2
+    x = rng.standard_normal((30, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    # a dead column against negative ones: its products are zeros of either sign
+    xq[:, 0] = 0.0
+    x[:, 1] = -np.abs(x[:, 1])
+    w = rng.standard_normal((n, n_out))
+    for weights in (None, w):
+        stats = accumulate(CalibStats(n), x, xq, weights=weights)
+        cross = stats.G if weights is None else stats.GW
+        ref_cross = xq.T @ x if weights is None else xq.T @ (x @ w)
+        assert stats.H.tobytes() == (np.zeros((n, n)) + xq.T @ xq).tobytes()
+        assert cross.tobytes() == (np.zeros(ref_cross.shape) + ref_cross).tobytes()
+        for m in (stats.H, cross):
+            assert not np.signbit(m[m == 0.0]).any()
+    shared = accumulate(CalibStats(n), xq, xq)
+    assert shared.G is shared.H
+    assert shared.H.tobytes() == (np.zeros((n, n)) + xq.T @ xq).tobytes()
+
+
+def test_a_callers_own_h_is_added_to():
+    rng = np.random.default_rng(17)
+    n = 6
+    x = rng.standard_normal((20, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    for own in (np.eye(n), np.zeros((n, n))):
+        before = own.copy()
+        stats = accumulate(CalibStats(n, H=own), x, xq)
+        assert stats.H is own
+        assert own.tobytes() == (before + xq.T @ xq).tobytes()
+
+
+def test_two_path_batch_peak_holds_one_square_product():
+    """The zero H goes before the products: H, X W and the cross term at the peak."""
+    rng = np.random.default_rng(18)
+    m, n, n_out = 1024, 512, 128
+    x = rng.standard_normal((m, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    w = rng.standard_normal((n, n_out))
+    tracemalloc.start()
+    try:
+        stats = accumulate(CalibStats(n), x, xq, weights=w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.GW is not None
+    # adding into the zero H would hold a second n x n array: 5.5 MB here
+    assert peak <= 1.05 * 8 * (n * n + m * n_out + n * n_out)

@@ -198,6 +198,22 @@ def test_levels_below_two_is_usage_error(tmp_path):
     assert run(quantize_args(tmp_path, w, method="rtn", levels="1")) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("beta", "0"), ("beta", "-1"), ("beta", "nan"), ("beta", "inf"),
+     ("alpha", "nan"), ("alpha", "-1"), ("alpha", "inf")],
+)
+def test_quantize_bad_flag_value_is_usage_error(tmp_path, capsys, flag, value):
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((8, 2))
+    x = rng.standard_normal((32, 8))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    assert run(quantize_args(tmp_path, w, x=x, xq=xq, method="qronos", **{flag: value})) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--{flag}" in err
+    assert not (tmp_path / "q.qmx").exists()
+
+
 def test_stats_route_rejects_least_squares_refit(tmp_path):
     rng = np.random.default_rng(8)
     w = rng.standard_normal((8, 2))
@@ -344,6 +360,30 @@ def test_bench_tiny_ladder(tmp_path, capsys):
 
 def test_bench_bad_ladder_is_usage_error():
     assert run(["bench", "--k-min", "128", "--k-max", "64"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "--reps", "0"], "--reps"),
+        (["bench", "--levels", "1"], "--levels"),
+        (["bench", "--seeds", "0"], "--seeds"),
+        (["bench", "--m", "0"], "--m"),
+        (["simulate", "--wlevels", "1"], "--wlevels"),
+        (["simulate", "--width", "0"], "--width"),
+        (["simulate", "--alevels", "0"], "--alevels"),
+        (["simulate", "--alevels", "1"], "--alevels"),
+        (["simulate", "--samples", "0"], "--samples"),
+        (["simulate", "--seeds", "0"], "--seeds"),
+        (["simulate", "--layers", "0"], "--layers"),
+    ],
+)
+def test_bench_and_simulate_bad_flag_value_is_usage_error(capsys, argv, flag):
+    tiny = ["--k-min", "8", "--k-max", "8", "--m", "16"] if argv[0] == "bench" else ["--samples", "8"]
+    assert run(argv[:1] + tiny + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and flag in captured.err
 
 
 # simulate

@@ -37,6 +37,14 @@ def test_minmax_grid_degenerate_range():
     assert quantize_rtn(2.5, g) == 2.5
 
 
+@pytest.mark.parametrize("levels", [1, 0, -3])
+def test_fewer_than_two_levels_is_refused_before_dividing(levels):
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        grid_from_minmax(np.array([-1.0, 1.0]), levels)
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        quantize_per_token(np.array([[-1.0, 1.0]]), levels)
+
+
 def test_levels_from_bits():
     assert levels_from_bits(4) == 16
     assert levels_from_bits(2) == 4

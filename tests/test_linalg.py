@@ -257,6 +257,10 @@ def test_damping_none_is_exact_passthrough():
 def test_damping_policy_validation():
     with pytest.raises(ValueError):
         DampingPolicy("something_else")
+    for alpha in (np.nan, np.inf, -np.inf, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="alpha"):
+            DampingPolicy("top_singular_fraction", alpha=alpha)
+    assert DampingPolicy("top_singular_fraction", alpha=0.0).alpha == 0.0
 
 
 def test_inverse_step_identity_and_diag():

@@ -19,6 +19,7 @@ from qronos import (
     accumulate,
     chol_of_inverse,
     grid_from_minmax,
+    layer_stats,
     quantize_gpfq_column,
     quantize_layer,
     quantize_optq_column,
@@ -666,3 +667,73 @@ def test_layer_scans_h_for_symmetry_once(monkeypatch, method, mode):
     quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
                                      damping=DampingPolicy(mode)))
     assert calls == [(40, 40)]
+
+
+# the inputs calib.accumulate gets for each method, spelled out by hand:
+# (quantized path, weights passed)
+_HAND_ROUTE = {
+    "optq": ("x", True),
+    "optq_ref": ("x", True),
+    "gpfq": ("xq", False),
+    "qronos_base": ("xq", True),
+    "qronos": ("xq", True),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_HAND_ROUTE))
+@pytest.mark.parametrize("n_in, n_out", [(24, 5), (12, 12)])
+def test_layer_stats_form_and_q_match_hand_built_stats(method, n_in, n_out):
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((80, n_in))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    w = rng.standard_normal((n_in, n_out))
+    stats = layer_stats(method, w, x, xq)
+    if method in ("optq", "optq_ref"):
+        form = "shared"
+    elif method != "gpfq" and 2 * n_out < n_in:
+        form = "GW"
+    else:
+        form = "G"
+    got = "GW" if stats.GW is not None else "shared" if stats.G is stats.H else "G"
+    assert got == form
+    path, with_w = _HAND_ROUTE[method]
+    hand = accumulate(CalibStats(n_in), x, x if path == "x" else xq, weights=w if with_w else None)
+    grids = [grid_from_minmax(w[:, j], 8) for j in range(n_out)]
+    raw = x if method == "optq_ref" else None
+    qs = [
+        quantize_layer(
+            LayerQuantRequest(weights=w, grids=grids, method=method, stats=st,
+                              damping=DampingPolicy("mean_diag_percent")),
+            x=raw,
+        )[0]
+        for st in (stats, hand)
+    ]
+    assert qs[0].tobytes() == qs[1].tobytes()
+
+
+def test_layer_stats_rejects_unknown_method_and_missing_path():
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((10, 4))
+    w = rng.standard_normal((4, 1))
+    with pytest.raises(ValueError, match="unknown method"):
+        layer_stats("sorcery", w, x, x)
+    with pytest.raises(ValueError, match="pass xq"):
+        layer_stats("qronos", w, x)
+    # the optq family never reads xq
+    assert layer_stats("optq", w, x).G is not None
+
+
+@pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
+def test_no_damping_policy_makes_q_nan(mode):
+    """Every alpha a policy accepts gives grid values (the rest are refused
+    when the policy is made)."""
+    rng = np.random.default_rng(33)
+    w, _, _, stats, grids = layer_instance(rng, 16, 48, 3, 8)
+    for alpha in (0.0, 1e-6, 1.0, 1e6):
+        for method in ("optq", "gpfq", "qronos_base", "qronos"):
+            req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                                    damping=DampingPolicy(mode, alpha=alpha))
+            q, report = quantize_layer(req)
+            assert np.isfinite(q).all() and np.isfinite(report.damping_lambda)
+            for j, g in enumerate(grids):
+                assert np.isin(q[:, j], g.alphabet).all()
