@@ -6,10 +6,10 @@ simulate (toy-network error propagation).  Reports are JSON with a
 schema marker; wall-clock measurements live only under the "timing"
 key so everything else is reproducible byte for byte.
 
-Exit codes: 0 success, 2 usage, 3 file I/O, 4 shape mismatch,
-5 numerical failure (including a NaN or infinity in an input matrix, or
-an asymmetric --stats-h),
-6 verification suite failure.
+Exit codes: 0 success, 2 usage, 3 file I/O, 4 shape mismatch (weights
+with no output column included), 5 numerical failure (including a NaN or
+infinity in an input matrix, an asymmetric --stats-h, or a weights
+column whose range overflows float64), 6 verification suite failure.
 """
 
 from __future__ import annotations
@@ -170,10 +170,15 @@ def cmd_quantize(args) -> int:
             )
     t_stats = time.perf_counter() - t0
 
-    if args.symmetric:
-        grids = [_grid.symmetric_scale_search(w[:, j], levels) for j in range(n_out)]
-    else:
-        grids = [_grid.grid_from_minmax(w[:, j], levels, args.beta) for j in range(n_out)]
+    grids = []
+    for j in range(n_out):
+        try:
+            if args.symmetric:
+                grids.append(_grid.symmetric_scale_search(w[:, j], levels))
+            else:
+                grids.append(_grid.grid_from_minmax(w[:, j], levels, args.beta))
+        except NonFiniteInputError as exc:
+            raise NonFiniteInputError(f"{args.weights}: column {j}: {exc}") from None
 
     t0 = time.perf_counter()
     req = _rounding.LayerQuantRequest(

@@ -24,7 +24,10 @@ data: ``step = beta * (max - min) / (levels - 1)`` and
 ``zero_point = -beta * min / step``, so integer code 0 dequantizes to
 ``beta * min`` and code ``levels - 1`` to ``beta * max`` exactly.
 Symmetric grids center the integer range (``zero_point = (levels-1)/2``)
-and pick their step by linear search over candidate scales.
+and pick their step by linear search over 100 candidate scales.  Both
+builders raise NonFiniteInputError rather than return a grid whose step
+is not finite: data holding a NaN or an infinity, or a range too wide
+for float64.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NonFiniteInputError
 
 
 def _codes(values, step, shift, anchor, top):
@@ -117,9 +122,11 @@ def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid
     _check_levels(levels)
     lo = float(w.min())
     hi = float(w.max())
+    step = beta * (hi - lo) / (levels - 1)
+    if not np.isfinite(step):
+        raise NonFiniteInputError(f"grid step {step} from the range [{lo}, {hi}] is not finite")
     if hi == lo:
         return QuantGrid(levels, 1.0, -lo, beta=beta, degenerate=True)
-    step = beta * (hi - lo) / (levels - 1)
     zero = -beta * lo / step
     return QuantGrid(levels, step, zero, beta=beta)
 
@@ -134,15 +141,13 @@ def quantize_rtn(w, grid: QuantGrid):
     return out
 
 
-def symmetric_scale_search(w: np.ndarray, levels: int, candidates: int = 100) -> QuantGrid:
+def symmetric_scale_search(w: np.ndarray, levels: int) -> QuantGrid:
     """Symmetric grid whose step minimizes round-trip squared error.
 
-    Candidate steps are linearly spaced over ``[0.2, 1.0]`` times the
+    100 candidate steps are linearly spaced over ``[0.2, 1.0]`` times the
     max-abs step ``2 * max|w| / (levels - 1)``; the first candidate
     attaining the minimal error wins, so the search is deterministic.
     """
-    if candidates < 2:
-        raise ValueError(f"need at least 2 candidates, got {candidates}")
     w = np.asarray(w, dtype=np.float64).ravel()
     if w.size == 0:
         raise ValueError("cannot build a grid from an empty vector")
@@ -150,8 +155,11 @@ def symmetric_scale_search(w: np.ndarray, levels: int, candidates: int = 100) ->
     amax = float(np.abs(w).max())
     if amax == 0.0:
         return QuantGrid(levels, 1.0, zero, symmetric=True, degenerate=True)
-    steps = np.linspace(0.2, 1.0, candidates) * (2.0 * amax / (levels - 1))
-    errs = np.empty(candidates)
+    top = 2.0 * amax / (levels - 1)
+    if not np.isfinite(top):
+        raise NonFiniteInputError(f"grid step {top} from max|w| = {amax} is not finite")
+    steps = np.linspace(0.2, 1.0, 100) * top
+    errs = np.empty(steps.size)
     for i, s in enumerate(steps):
         g = QuantGrid(levels, float(s), zero, symmetric=True)
         r = w - quantize_rtn(w, g)

@@ -172,20 +172,19 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def top_singular_value(m: np.ndarray, max_iter: int | None = None, *, checked: bool = False) -> float:
+def top_singular_value(m: np.ndarray, *, checked: bool = False) -> float:
     """Largest singular value of a symmetric PSD matrix by Lanczos.
 
     One ARPACK solve for the largest algebraic eigenvalue, started from
     a fixed-seed Gaussian vector: deterministic, and unlike a structured
     start such as all-ones it is orthogonal to the top eigenspace only
     with probability zero.
-    ``max_iter`` caps the Arnoldi restarts (ARPACK's default when None);
-    running out raises ConvergenceError carrying the best estimate: a
-    converged Ritz value if ARPACK has one, else the largest diagonal
-    entry, which bounds the top eigenvalue from below.  A 1x1 matrix,
-    the one size ARPACK rejects, is read off directly.  ``checked``
-    skips the finiteness and symmetry scan, for a caller that has made
-    it.
+    Running out of ARPACK's default restarts raises ConvergenceError
+    carrying the best estimate: a converged Ritz value if ARPACK has
+    one, else the largest diagonal entry, which bounds the top
+    eigenvalue from below.  A 1x1 matrix, the one size ARPACK rejects,
+    is read off directly.  ``checked`` skips the finiteness and symmetry
+    scan, for a caller that has made it.
     """
     m = _as_square(m)
     n = m.shape[0]
@@ -203,7 +202,7 @@ def top_singular_value(m: np.ndarray, max_iter: int | None = None, *, checked: b
 
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     try:
-        vals = eigsh(m, k=1, which="LA", v0=v0, maxiter=max_iter, return_eigenvectors=False)
+        vals = eigsh(m, k=1, which="LA", v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         found = np.asarray(exc.eigenvalues, dtype=np.float64)
         last = float(found.max()) if found.size else float(np.diag(m).max())

@@ -28,7 +28,6 @@ import numpy as np
 from . import grid as _grid
 from . import rounding as _rounding
 from .errors import ShapeError
-from .linalg import DampingPolicy
 
 NONLINEARITIES = ("none", "relu")
 
@@ -93,7 +92,6 @@ class NetworkSpec:
     layers: list
     block_boundaries: tuple = ()
     weight_levels: int = 16
-    weight_beta: float = 1.0
     act_levels: int | None = None
     hadamard: tuple = ()
     seed: int = 0
@@ -207,7 +205,6 @@ def quantize_network(
     spec: NetworkSpec,
     calib_input: np.ndarray,
     method: str,
-    damping: DampingPolicy | None = None,
 ) -> tuple[list, PropagationReport]:
     """Quantize every layer in order and report propagation errors.
 
@@ -216,13 +213,13 @@ def quantize_network(
     quantization, rotations, and any configured block resets; each
     layer's moments come from ``rounding.layer_stats``, so the optq
     family sees the reference path only and the gpfq/qronos side both
-    paths.  The reported errors are those of
-    ``forward_pair(..., apply_resets=False)`` on the quantized weights,
-    computed in the same sweep.
+    paths.  Weight grids span each column's full min/max range (beta 1),
+    and each method damps by its ``METHOD_SPECS`` default.  The reported
+    errors are those of ``forward_pair(..., apply_resets=False)`` on the
+    quantized weights, computed in the same sweep.
     """
     if method not in _rounding.METHODS:
         raise ValueError(f"unknown method {method!r}")
-    policy = damping if damping is not None else _rounding.METHOD_SPECS[method].damping
     x0 = np.asarray(calib_input, dtype=np.float64)
     x_cur = x0
     # deployed paths: the calibration one, then from the first block reset
@@ -236,12 +233,13 @@ def quantize_network(
             deployed = [x_cur.copy(), deployed[-1]]
         w_ref, x_in, xq_in, *no_reset_in = _layer_inputs(spec, idx, x_cur, *deployed)
         grids = [
-            _grid.grid_from_minmax(w_ref[:, j], spec.weight_levels, spec.weight_beta)
+            _grid.grid_from_minmax(w_ref[:, j], spec.weight_levels)
             for j in range(w_ref.shape[1])
         ]
         stats = None if method == "rtn" else _rounding.layer_stats(method, w_ref, x_in, xq_in)
         req = _rounding.LayerQuantRequest(
-            weights=w_ref, grids=grids, method=method, stats=stats, damping=policy
+            weights=w_ref, grids=grids, method=method, stats=stats,
+            damping=_rounding.METHOD_SPECS[method].damping,
         )
         raw_x = x_in if method == "optq_ref" else None
         q_l, _ = _rounding.quantize_layer(req, x=raw_x)
@@ -262,23 +260,21 @@ def build_random_network(
     width: int,
     seed: int,
     weight_levels: int = 16,
-    weight_beta: float = 1.0,
     act_levels: int | None = None,
     n_blocks: int = 1,
     hadamard: bool = False,
-    relu: bool = True,
 ) -> NetworkSpec:
     """Seeded square MLP chain for experiments.
 
     Weights are variance-preserving Gaussian (scale 1/sqrt(width)); the
-    last layer is linear, interior layers get ReLU when requested.
+    last layer is linear, interior layers get ReLU.
     Blocks partition the layers evenly.
     """
     rng = np.random.default_rng(seed)
     layers = []
     for i in range(n_layers):
         w = rng.standard_normal((width, width)) / np.sqrt(width)
-        tag = "relu" if relu and i < n_layers - 1 else "none"
+        tag = "relu" if i < n_layers - 1 else "none"
         layers.append(LayerSpec(weight=w, nonlinearity=tag))
     if n_blocks < 1 or n_blocks > n_layers:
         raise ShapeError(f"n_blocks {n_blocks} outside 1..{n_layers}")
@@ -287,7 +283,6 @@ def build_random_network(
         layers=layers,
         block_boundaries=bounds,
         weight_levels=weight_levels,
-        weight_beta=weight_beta,
         act_levels=act_levels,
         hadamard=tuple(hadamard for _ in range(n_layers)),
         seed=seed,

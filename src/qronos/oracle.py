@@ -1,9 +1,9 @@
 """Independent oracles the rounding code is checked against.
 
 Nothing here shares a factorization path with the engine: least-squares
-solves go through numpy's SVD-based lstsq or LU solve, pseudoinverses
-through numpy pinv, and the discrete optima through literal enumeration
-of the alphabet.  Ties within 1e-12 of the optimum are broken toward the
+solves go through numpy's SVD-based lstsq, pseudoinverses through numpy
+pinv, and the discrete optima through literal enumeration of the
+alphabet.  Ties within 1e-12 of the optimum are broken toward the
 lexicographically smallest integer code so every oracle is
 deterministic.
 """
@@ -24,12 +24,12 @@ def brute_force_ils(
     x: np.ndarray,
     xq: np.ndarray,
     grid: QuantGrid,
-    max_cells: int = DEFAULT_CELL_CAP,
 ) -> tuple[np.ndarray, float]:
     """Global minimizer of 0.5 * ||X w - Xq q||^2 over the alphabet.
 
     Enumerates all levels**n code vectors in row-major (lexicographic)
     order and returns the winning dequantized vector with its objective.
+    More than DEFAULT_CELL_CAP vectors raise EnumerationCapError.
     """
     w = np.asarray(w, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -38,9 +38,9 @@ def brute_force_ils(
     if x.ndim != 2 or x.shape != xq.shape or x.shape[1] != n:
         raise ShapeError(f"activation pair {x.shape}/{xq.shape} does not match column length {n}")
     total = grid.levels**n
-    if total > max_cells:
+    if total > DEFAULT_CELL_CAP:
         raise EnumerationCapError(
-            f"enumeration needs {total} cells, cap is {max_cells}"
+            f"enumeration needs {total} cells, cap is {DEFAULT_CELL_CAP}"
         )
     alphabet = grid.alphabet
     target = x @ w
@@ -89,23 +89,19 @@ def step_objective(residual: np.ndarray, column: np.ndarray, p: float) -> float:
     return 0.5 * float(d @ d)
 
 
-def direct_lstsq(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+def direct_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solve on a factorization path foreign to the engine.
 
-    ridge 0 uses SVD-based lstsq and treats rank deficiency as an error;
-    ridge > 0 solves the damped normal equations by LU.
+    SVD-based lstsq; rank deficiency is an error.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"system {a.shape} does not match rhs length {b.shape[0]}")
-    if ridge > 0.0:
-        gram = a.T @ a + ridge * np.eye(a.shape[1])
-        return np.linalg.solve(gram, a.T @ b)
     sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < a.shape[1]:
         raise np.linalg.LinAlgError(
-            f"rank-deficient system (rank {rank} of {a.shape[1]}) with no ridge"
+            f"rank-deficient system (rank {rank} of {a.shape[1]})"
         )
     return sol
 

@@ -146,10 +146,7 @@ class RoundingTrace:
 
 def quantize_rtn_layer(w: np.ndarray, grids) -> np.ndarray:
     """Independent round-to-nearest of every entry, column grids."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"expected a 2-D weight matrix, got shape {w.shape}")
-    _check_grids(grids, w.shape[1])
+    w = _as_weights(w, grids)
     return _grid.row_rounder(grids)(w)
 
 
@@ -336,6 +333,16 @@ class LayerQuantRequest:
 
 @dataclass
 class LayerReport:
+    """What one ``quantize_layer`` call did.
+
+    ``objectives`` holds one value per output column.  For every
+    calibrated method (``objective_form`` "moment_quadratic") it is
+    0.5 q^T (H + lambda I) q - q^T G w on the caller's undamped pair;
+    with no ridge that is the residual 0.5 ||X w - Xq q||^2 less the
+    q-free 0.5 ||X w||^2.  rtn reads no moments and reports NaN
+    ("unavailable").
+    """
+
     method: str
     n_in: int
     n_out: int
@@ -349,33 +356,27 @@ class LayerReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def quantize_layer(
-    req: LayerQuantRequest,
-    x: np.ndarray | None = None,
-    xq: np.ndarray | None = None,
-) -> tuple[np.ndarray, LayerReport]:
+def quantize_layer(req: LayerQuantRequest, x: np.ndarray | None = None) -> tuple[np.ndarray, LayerReport]:
     """Quantize all output channels of one layer.
 
-    Raw activations are optional and only used (a) by optq_ref, which
-    has no moment-space form, and (b) to report residual objectives
-    instead of the moment-space surrogate.  Warnings and a
-    NotPositiveDefiniteError name the caller's feature, not the
-    processing step.
+    The raw reference activations ``x`` are read by optq_ref alone, which
+    has no moment-space form; passing them for any other method raises
+    ValueError.  Every calibrated method reports the moment objective
+    (``LayerReport``).  Warnings and a NotPositiveDefiniteError name the
+    caller's feature, not the processing step.
     """
-    w = np.asarray(req.weights, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
+    w = _as_weights(req.weights, req.grids)
     n_in, n_out = w.shape
-    _check_grids(req.grids, n_out)
     if req.method not in METHODS:
         raise ValueError(f"unknown method {req.method!r} (expected one of {METHODS})")
+    if (x is not None) != (req.method == "optq_ref"):
+        raise ValueError(f"x is read by optq_ref alone, which needs it (method {req.method!r})")
     if req.order not in ORDER_MODES:
         raise ValueError(f"unknown order mode {req.order!r} (expected one of {ORDER_MODES})")
 
     report_warnings: list[str] = []
     timings = dict.fromkeys(PHASES, 0.0)
     clock = time.perf_counter
-    gw = None
 
     if req.method == "rtn":
         t0 = clock()
@@ -384,14 +385,14 @@ def quantize_layer(
         lam = 0.0
         order = _calib.natural_order(n_in)
         traces = [RoundingTrace(q=q[:, j].copy()) for j in range(n_out)] if req.record_trace else None
+        objectives = np.full(n_out, np.nan)
+        objective_form = "unavailable"
     else:
         stats = req.stats
         if stats is None:
             raise ValueError(f"method {req.method!r} requires calibration stats")
         if stats.dim != n_in:
             raise ShapeError(f"stats dim {stats.dim} does not match weight rows {n_in}")
-        if req.method == "optq_ref" and x is None:
-            raise ValueError("optq_ref re-solves against raw activations; pass x")
         reads_g = METHOD_SPECS[req.method].reads_g
         if stats.GW is not None:
             if reads_g:
@@ -422,8 +423,7 @@ def quantize_layer(
         gp = gwp = None
         if reads_g:
             gp = stats.G[ix]
-        if req.method in ("qronos", "qronos_base") or x is None:
-            gw = stats.GW if stats.GW is not None else stats.G @ w
+        gw = stats.GW if stats.GW is not None else stats.G @ w
         if req.method in ("qronos", "qronos_base"):
             gwp = gw[order.perm]
         if lam:
@@ -468,23 +468,12 @@ def quantize_layer(
                 ) from None
         t0 = clock()
         q = _calib.unpermute_result(qp, order)
-        timings["unpermute"] = clock() - t0
-
-    t0 = clock()
-    if x is not None:
-        xq_eff = xq if xq is not None else x
-        resid = x @ w - xq_eff @ q
-        objectives = 0.5 * np.einsum("ij,ij->j", resid, resid)
-        objective_form = "residual"
-    elif req.method != "rtn":
+        t1 = clock()
         # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
         qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
         objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, gw)
         objective_form = "moment_quadratic"
-    else:
-        objectives = np.full(n_out, np.nan)
-        objective_form = "unavailable"
-    timings["objective"] = clock() - t0
+        timings.update(unpermute=t1 - t0, objective=clock() - t1)
 
     report = LayerReport(
         method=req.method,
@@ -631,6 +620,12 @@ def _as_column(w) -> np.ndarray:
     return w.copy()
 
 
-def _check_grids(grids, n_out):
-    if len(grids) != n_out:
-        raise ShapeError(f"got {len(grids)} grids for {n_out} output columns")
+def _as_weights(w, grids) -> np.ndarray:
+    """``w`` as a float64 weight matrix with at least one output column
+    and one grid per column."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] == 0:
+        raise ShapeError(f"expected a 2-D weight matrix with output columns, got shape {w.shape}")
+    if len(grids) != w.shape[1]:
+        raise ShapeError(f"got {len(grids)} grids for {w.shape[1]} output columns")
+    return w

@@ -1,9 +1,10 @@
 """What the benchmark under perfbench/ reads from the package.
 
 The traced benchmark run wraps every function ``perfbench/spans.py``
-lists, and the K = 64 check in ``perfbench/workloads.py`` reads the
-per-step states of the direct qronos solver.  These tests keep those
-names and shapes from going away unnoticed.
+lists, the K = 64 check in ``perfbench/workloads.py`` reads the
+per-step states of the direct qronos solver, and the ``certify``
+workload expects each suite's default trial count.  These tests keep
+those names, shapes and counts from going away unnoticed.
 """
 
 import importlib
@@ -12,20 +13,20 @@ from pathlib import Path
 
 import numpy as np
 
-from qronos import grid_from_minmax, rounding
+from qronos import grid_from_minmax, rounding, verify
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_function_resolves():
-    layers = _load_spans().LAYERS
+    layers = _load("spans").LAYERS
     assert layers
     for metric, (modname, funcs) in layers.items():
         module = importlib.import_module(modname)
@@ -46,3 +47,9 @@ def test_direct_solver_trace_has_the_states_the_benchmark_reads():
     assert tr.q.shape == (n,)
     for t in range(n):
         assert len(tr.w_states[t][1:]) == n - t - 1
+
+
+def test_certify_expects_every_suite_at_its_default_trial_count():
+    trials = _load("workloads").Certify.TRIALS
+    assert tuple(trials) == verify.SUITE_NAMES
+    assert trials == {name: verify._DEFAULTS[name][1] for name in verify.SUITE_NAMES}

@@ -466,9 +466,9 @@ def test_cli_cross_moment_form(tmp_path, monkeypatch, method, source, form):
     seen = []
     original = rounding_mod.quantize_layer
 
-    def spy(req, x=None, xq=None):
+    def spy(req, x=None):
         seen.append(req.stats)
-        return original(req, x=x, xq=xq)
+        return original(req, x=x)
 
     monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
     rng = np.random.default_rng(22)
@@ -504,9 +504,9 @@ def test_cli_releases_activations_before_the_layer(tmp_path, monkeypatch, method
     alive = []
     original = rounding_mod.quantize_layer
 
-    def spy(req, x=None, xq=None):
+    def spy(req, x=None):
         alive.extend(r() is not None for r in refs[1:])
-        return original(req, x=x, xq=xq)
+        return original(req, x=x)
 
     monkeypatch.setattr(cli_mod._qmx, "read_qmx", tracking_read)
     monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
@@ -540,3 +540,45 @@ def test_asymmetric_stats_h_exits_numerical(tmp_path, capsys, method):
     args = _stats_args(tmp_path, rng.standard_normal((6, 2)), h, h, method=method)
     assert run(args) == 5
     assert "H is not symmetric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["rtn", "optq", "optq-ref", "gpfq", "qronos-base", "qronos"])
+def test_weights_without_output_columns_is_shape_error(tmp_path, capsys, method):
+    x = np.random.default_rng(26).standard_normal((16, 4))
+    args = quantize_args(tmp_path, np.zeros((4, 0)), x=None if method == "rtn" else x,
+                         xq=x + 0.1, method=method)
+    assert run(args) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "output columns" in err
+
+
+@pytest.mark.parametrize("method, symmetric", [("qronos", False), ("optq", False), ("rtn", False),
+                                               ("qronos", True)])
+def test_weights_column_whose_range_overflows_is_numeric_error(tmp_path, capsys, method, symmetric):
+    rng = np.random.default_rng(27)
+    w = rng.standard_normal((6, 3))
+    w[1, 2], w[4, 2] = 1e308, -1e308
+    x = rng.standard_normal((24, 6))
+    flags = {"symmetric": True} if symmetric else {}
+    args = quantize_args(tmp_path, w, x=None if method == "rtn" else x, xq=x + 0.1,
+                         method=method, **flags)
+    assert run(args) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "column 2" in err and "not finite" in err
+    assert not (tmp_path / "q.qmx").exists()
+
+
+def test_optq_and_optq_ref_report_the_same_objectives(tmp_path):
+    rng = np.random.default_rng(28)
+    w = rng.standard_normal((8, 3))
+    x = rng.standard_normal((48, 8))
+    reports, qs = [], []
+    for method in ("optq", "optq-ref"):
+        d = tmp_path / method
+        d.mkdir()
+        assert run(quantize_args(d, w, x=x, method=method, report=d / "r.json")) == 0
+        reports.append(json.loads((d / "r.json").read_text())["result"])
+        qs.append(read_qmx(d / "q.qmx"))
+    assert np.array_equal(qs[0], qs[1])
+    assert reports[0]["objective_form"] == reports[1]["objective_form"] == "moment_quadratic"
+    assert reports[0]["objectives"] == reports[1]["objectives"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qronos import (
+    NonFiniteInputError,
     QuantGrid,
     grid_from_minmax,
     levels_from_bits,
@@ -43,6 +44,15 @@ def test_fewer_than_two_levels_is_refused_before_dividing(levels):
         grid_from_minmax(np.array([-1.0, 1.0]), levels)
     with pytest.raises(ValueError, match="at least 2 levels"):
         quantize_per_token(np.array([[-1.0, 1.0]]), levels)
+
+
+@pytest.mark.parametrize("w", [[1e308, -1e308], [np.nan, 1.0], [np.inf, np.inf]])
+def test_grid_builders_refuse_a_step_that_is_not_finite(w):
+    """A range that overflows float64, or a NaN or infinity, gives no grid."""
+    with pytest.raises(NonFiniteInputError, match="not finite"):
+        grid_from_minmax(np.array(w), 16)
+    with pytest.raises(NonFiniteInputError, match="not finite"):
+        symmetric_scale_search(np.array(w), 16)
 
 
 def test_levels_from_bits():

@@ -202,15 +202,16 @@ def test_single_layer_objective_matches_layer_driver():
     w = rng.standard_normal((8, 6))
     spec = NetworkSpec(layers=[LayerSpec(w)], weight_levels=16)
     calib = rng.standard_normal((40, 8))
-    _, report = quantize_network(spec, calib, "optq")
+    qweights, report = quantize_network(spec, calib, "optq")
     stats = accumulate(CalibStats(8), calib, calib)
     grids = [grid_from_minmax(w[:, j], 16) for j in range(6)]
-    _, layer_report = quantize_layer(
+    q, _ = quantize_layer(
         LayerQuantRequest(weights=w, grids=grids, method="optq", stats=stats,
                           damping=METHOD_SPECS["optq"].damping),
-        x=calib, xq=calib,
     )
-    assert report.objectives[0] == pytest.approx(float(np.sum(layer_report.objectives)), rel=1e-12)
+    assert np.array_equal(qweights[0], q)
+    resid = calib @ (w - q)
+    assert report.objectives[0] == pytest.approx(0.5 * float(np.sum(resid**2)), rel=1e-12)
 
 
 def test_quantize_network_is_deterministic():
@@ -267,7 +268,7 @@ def test_method_validation():
 
 
 def test_build_random_network_shapes():
-    spec = build_random_network(4, 16, seed=18, n_blocks=2, relu=True)
+    spec = build_random_network(4, 16, seed=18, n_blocks=2)
     assert spec.n_layers == 4
     assert spec.block_boundaries == (2,)
     assert spec.layers[-1].nonlinearity == "none"

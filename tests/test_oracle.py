@@ -16,6 +16,7 @@ from qronos import (
     step_objective,
     stepwise_argmin_oracle,
 )
+from qronos.oracle import DEFAULT_CELL_CAP
 from helpers import column_instance
 
 
@@ -40,11 +41,13 @@ def test_brute_force_single_coordinate_matches_stepwise():
 
 
 def test_brute_force_cap_names_required_size():
+    # 16 levels over n = 6 is 16**6 cells, over DEFAULT_CELL_CAP
     grid = grid_from_minmax(np.array([-1.0, 1.0]), 16)
     rng = np.random.default_rng(2)
     w, x = rng.standard_normal(6), rng.standard_normal((8, 6))
+    assert 16**6 > DEFAULT_CELL_CAP
     with pytest.raises(EnumerationCapError) as exc:
-        brute_force_ils(w, x, x, grid, max_cells=1000)
+        brute_force_ils(w, x, x, grid)
     assert str(16**6) in str(exc.value)
 
 
@@ -55,12 +58,13 @@ def test_brute_force_dominates_greedy_methods():
         _, best = brute_force_ils(w, x, xq, grid)
         stats = accumulate(CalibStats(4), x, xq)
         for method in ("optq", "gpfq", "qronos", "qronos_base"):
-            q, rep = quantize_layer(
+            q, _ = quantize_layer(
                 LayerQuantRequest(weights=w[:, None], grids=[grid], method=method,
                                   stats=stats, damping=DampingPolicy("none")),
-                x=x, xq=xq,
             )
-            assert best <= rep.objectives[0] + 1e-12 * max(1.0, rep.objectives[0])
+            resid = x @ w - xq @ q[:, 0]
+            obj = 0.5 * float(resid @ resid)
+            assert best <= obj + 1e-12 * max(1.0, obj)
 
 
 def test_greedy_attains_optimum_when_decoupled():
@@ -72,12 +76,12 @@ def test_greedy_attains_optimum_when_decoupled():
     grid = grid_from_minmax(np.array([-1.0, 1.0]), 4)
     _, best = brute_force_ils(w, x, x, grid)
     stats = accumulate(CalibStats(4), x, x)
-    q, rep = quantize_layer(
+    q, _ = quantize_layer(
         LayerQuantRequest(weights=w[:, None], grids=[grid], method="optq",
                           stats=stats, damping=DampingPolicy("none")),
-        x=x, xq=x,
     )
-    assert rep.objectives[0] == pytest.approx(best, rel=1e-10, abs=1e-12)
+    resid = x @ (w - q[:, 0])
+    assert 0.5 * float(resid @ resid) == pytest.approx(best, rel=1e-10, abs=1e-12)
 
 
 def test_stepwise_oracle_unclipped_matches_ratio():
@@ -121,12 +125,10 @@ def test_direct_lstsq_residual_orthogonality():
     assert np.allclose(a.T @ (b - a @ sol), 0.0, atol=1e-9)
 
 
-def test_direct_lstsq_singular_without_ridge():
+def test_direct_lstsq_rejects_rank_deficient_system():
     a = np.ones((6, 2))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match="rank 1 of 2"):
         direct_lstsq(a, np.ones(6))
-    sol = direct_lstsq(a, np.ones(6), ridge=1e-6)
-    assert np.isfinite(sol).all()
 
 
 def test_first_step_pinv_scalar_case():

@@ -364,7 +364,7 @@ def test_non_finite_g_raises_in_caller_order(method):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInputError, match="G: non-finite value nan at row 1, col 3"):
-            quantize_layer(req, x=np.eye(5))
+            quantize_layer(req, x=np.eye(5) if method == "optq_ref" else None)
 
 
 _THREADS_SCRIPT = """
@@ -423,10 +423,10 @@ def test_layer_collapse_to_optq_on_identical_paths():
 
 def test_layer_determinism():
     rng = np.random.default_rng(20)
-    w, x, xq, stats, grids = layer_instance(rng, 9, 72, 4, 4)
+    w, _, _, stats, grids = layer_instance(rng, 9, 72, 4, 4)
     req = LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats)
-    q1, r1 = quantize_layer(req, x=x, xq=xq)
-    q2, r2 = quantize_layer(req, x=x, xq=xq)
+    q1, r1 = quantize_layer(req)
+    q2, r2 = quantize_layer(req)
     assert q1.tobytes() == q2.tobytes()
     assert np.array_equal(r1.objectives, r2.objectives)
 
@@ -468,15 +468,30 @@ def test_layer_peak_memory_is_a_few_copies_of_h():
     assert peak <= 6 * stats.H.nbytes
 
 
-def test_layer_residual_objective_form():
+def test_layer_reads_raw_activations_for_optq_ref_only():
+    """Any other method given raw activations would report a residual
+    with x standing in for the quantized path, so it raises instead."""
     rng = np.random.default_rng(22)
-    w, x, xq, stats, grids = layer_instance(rng, 6, 48, 3, 4)
-    q, report = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats), x=x, xq=xq
-    )
-    assert report.objective_form == "residual"
-    resid = x @ w - xq @ q
-    assert np.allclose(report.objectives, 0.5 * np.sum(resid**2, axis=0))
+    w, x, _, stats, grids = layer_instance(rng, 8, 48, 3, 4)
+    for method in ("rtn", "optq", "gpfq", "qronos_base", "qronos"):
+        req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats)
+        with pytest.raises(ValueError, match="optq_ref"):
+            quantize_layer(req, x=x)
+
+
+def test_optq_ref_reports_the_optq_moment_objective():
+    rng = np.random.default_rng(22)
+    w, x, _, _, grids = layer_instance(rng, 8, 48, 3, 4)
+    reports = {}
+    for method in ("optq", "optq_ref"):
+        req = LayerQuantRequest(weights=w, grids=grids, method=method,
+                                stats=layer_stats(method, w, x),
+                                damping=DampingPolicy("mean_diag_percent"))
+        reports[method] = quantize_layer(req, x=x if method == "optq_ref" else None)
+    (q_a, rep_a), (q_b, rep_b) = reports.values()
+    assert np.array_equal(q_a, q_b)
+    assert rep_b.objective_form == rep_a.objective_form == "moment_quadratic"
+    assert np.array_equal(rep_b.objectives, rep_a.objectives)
 
 
 @pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
@@ -526,6 +541,12 @@ def test_layer_validation_errors():
     stats = _stats_of(x, x)
     with pytest.raises(ValueError):
         quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="optq_ref", stats=stats))
+    # weights with no output column
+    for method in ("rtn", "qronos"):
+        with pytest.raises(ShapeError, match="output columns"):
+            quantize_layer(LayerQuantRequest(weights=w[:, :0], grids=[], method=method, stats=stats))
+    with pytest.raises(ShapeError, match="output columns"):
+        quantize_rtn_layer(w[:, :0], [])
 
 
 def test_singular_trailing_block_raises_without_damping():
