@@ -26,7 +26,7 @@ import numpy as np
 from . import rounding as _rounding
 from .grid import grid_from_minmax
 
-BENCH_METHODS = tuple(m for m, spec in _rounding.METHOD_SPECS.items() if spec.benchmarkable)
+BENCH_METHODS = tuple(m for m in _rounding.METHODS if m != "rtn")
 
 
 @dataclass

@@ -27,7 +27,7 @@ the public API stays order-agnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,29 +38,27 @@ from .errors import NonFiniteInputError, ShapeError
 class CalibStats:
     """Accumulated moments for one layer's input dimension.
 
-    ``H`` is always held.  The cross moment is either ``G`` (n x n) or
-    ``GW`` = G W (n x n_out) for the weights ``W`` it was formed with
-    (``accumulate`` forms it; ``quantize_layer`` checks W against the
-    layer's weights); the other stays None, and both are None until a
-    batch or the caller supplies one.  ``G is H`` marks one-path
-    moments.
+    ``H`` is None until the first batch or the caller supplies it.  The
+    cross moment is either ``G`` (n x n) or ``GW`` = G W (n x n_out) for
+    the weights ``W`` it was formed with (``accumulate`` forms it;
+    ``quantize_layer`` checks W against the layer's weights); the other
+    stays None, and both are None until a batch or the caller supplies
+    one.  A held ``G is H`` marks one-path moments.
     """
 
     dim: int
-    H: np.ndarray = field(default=None)
+    H: np.ndarray | None = None
     G: np.ndarray | None = None
     n_samples: int = 0
     GW: np.ndarray | None = None
     W: np.ndarray | None = None
-    # H is the zeros made here, which the first batch may replace
-    _zero_h: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ShapeError(f"stats dimension must be positive, got {self.dim}")
         square = (self.dim, self.dim)
-        self._zero_h = self.H is None
-        self.H = np.zeros(square) if self.H is None else np.asarray(self.H, dtype=np.float64)
+        if self.H is not None:
+            self.H = np.asarray(self.H, dtype=np.float64)
         if self.G is not None:
             self.G = np.asarray(self.G, dtype=np.float64)
         for name, m in (("H", self.H), ("G", self.G)):
@@ -82,9 +80,9 @@ def accumulate(
     instead of G; passing ``xq_batch is x_batch`` makes G share H.
     Later batches follow the form the first one chose: a GW batch needs
     the same weights, and two distinct paths cannot enter one-path
-    stats.  The first batch into stats made without an H takes its
-    product as H instead of adding it into zeros.  A NaN or infinity in
-    either batch raises NonFiniteInputError naming the batch, its row and
+    stats.  The first batch into stats without an H takes its product as
+    H; an H the caller supplied is added to.  A NaN or infinity in either
+    batch raises NonFiniteInputError naming the batch, its row and
     feature, and leaves stats untouched.
     """
     one_path = xq_batch is x_batch
@@ -104,42 +102,30 @@ def accumulate(
     use_gw = stats.GW is not None or (
         fresh and not one_path and w is not None and 2 * w.shape[1] < w.shape[0]
     )
-    if stats.G is stats.H and not one_path:
+    if not fresh and stats.G is stats.H and not one_path:
         raise ValueError("these stats share G with H (one path); a batch of two paths would corrupt both")
     if stats.GW is not None and (w is None or not np.array_equal(w, stats.W)):
         raise ValueError("these stats hold G W; every batch must pass the same weights")
 
-    # fresh stats whose H is still the zeros they were made with take the
-    # first product as H rather than adding it into them; the zeros go
-    # before the products are formed, so one n x n array is live at the
-    # peak, not two.  An H the caller supplied is added to.
-    adopt = fresh and stats._zero_h
-    if adopt:
-        stats.H = None
-    try:
-        # an inf or NaN in xq reaches H's diagonal, one in x every entry of
-        # its cross column; only then is the batch scanned for the cell
-        with np.errstate(invalid="ignore", over="ignore"):
-            h_part = xq.T @ xq
-            if use_gw:
-                cross = xq.T @ (x @ w)
-            elif one_path:
-                cross = h_part
-            else:
-                cross = xq.T @ x
-        bad = not np.isfinite(h_part.diagonal()).all()
-        if cross is not h_part:
-            bad |= not (math.isfinite(cross.max(initial=0.0)) and math.isfinite(cross.min(initial=0.0)))
-        if bad:
-            _raise_non_finite(x, xq, one_path)
-    except BaseException:
-        if adopt:
-            stats.H = np.zeros((stats.dim, stats.dim))
-        raise
+    # an inf or NaN in xq reaches H's diagonal, one in x every entry of
+    # its cross column; only then is the batch scanned for the cell
+    with np.errstate(invalid="ignore", over="ignore"):
+        h_part = xq.T @ xq
+        if use_gw:
+            cross = xq.T @ (x @ w)
+        elif one_path:
+            cross = h_part
+        else:
+            cross = xq.T @ x
+    bad = not np.isfinite(h_part.diagonal()).all()
+    if cross is not h_part:
+        bad |= not (math.isfinite(cross.max(initial=0.0)) and math.isfinite(cross.min(initial=0.0)))
+    if bad:
+        _raise_non_finite(x, xq, one_path)
 
-    # an adopted product is what the sum into zeros was, bit for bit:
-    # adding 0.0 in place turns -0.0 into +0.0 and changes nothing else
-    if adopt:
+    # the first product becomes H as the sum into zeros would, bit for
+    # bit: adding 0.0 in place turns -0.0 into +0.0 and changes nothing else
+    if stats.H is None:
         h_part += 0.0
         stats.H = h_part
     else:

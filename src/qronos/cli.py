@@ -7,9 +7,10 @@ schema marker; wall-clock measurements live only under the "timing"
 key so everything else is reproducible byte for byte.
 
 Exit codes: 0 success, 2 usage, 3 file I/O, 4 shape mismatch (weights
-with no output column included), 5 numerical failure (including a NaN or
-infinity in an input matrix, an asymmetric --stats-h, or a weights
-column whose range overflows float64), 6 verification suite failure.
+with no output column or no row included), 5 numerical failure
+(including a NaN or infinity in an input matrix, an asymmetric
+--stats-h, or a weights column whose range overflows float64), 6
+verification suite failure.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ def cmd_quantize(args) -> int:
     if raw_given and stats_given:
         raise UsageError("give raw activations or precomputed stats, not both")
 
-    x = xq = None
     stats = None
     t_load = time.perf_counter() - t0
 
@@ -136,21 +136,16 @@ def cmd_quantize(args) -> int:
             if args.calib_x is None:
                 raise UsageError(f"--method {args.method} needs --calib-x")
             x = _read_shaped(args.calib_x, None, n_in)
-            if needs_pair:
-                if args.calib_xt is None:
-                    raise UsageError(
-                        f"--method {args.method} needs the quantized-path activations: "
-                        "pass --calib-xt (or precomputed --stats-h/--stats-g)"
-                    )
-                xq = _read_shaped(args.calib_xt, x.shape[0], n_in)
+            if needs_pair and args.calib_xt is None:
+                raise UsageError(
+                    f"--method {args.method} needs the quantized-path activations: "
+                    "pass --calib-xt (or precomputed --stats-h/--stats-g)"
+                )
+            xq = _read_shaped(args.calib_xt, x.shape[0], n_in) if needs_pair else None
             stats = _rounding.layer_stats(method, w, x, xq)
-            if method != "optq_ref":
-                # only optq_ref reads the activations again; the moments
-                # hold everything the others need
-                x = xq = None
+            # the moments hold everything the layer reads
+            x = xq = None
         elif stats_given:
-            if method == "optq_ref":
-                raise UsageError("--method optq-ref re-solves against raw activations; pass --calib-x")
             if args.stats_h is None:
                 raise UsageError(f"--method {args.method} needs --stats-h")
             h = _read_shaped(args.stats_h, n_in, n_in)
@@ -177,8 +172,8 @@ def cmd_quantize(args) -> int:
                 grids.append(_grid.symmetric_scale_search(w[:, j], levels))
             else:
                 grids.append(_grid.grid_from_minmax(w[:, j], levels, args.beta))
-        except NonFiniteInputError as exc:
-            raise NonFiniteInputError(f"{args.weights}: column {j}: {exc}") from None
+        except (NonFiniteInputError, ShapeError) as exc:
+            raise type(exc)(f"{args.weights}: column {j}: {exc}") from None
 
     t0 = time.perf_counter()
     req = _rounding.LayerQuantRequest(
@@ -190,7 +185,7 @@ def cmd_quantize(args) -> int:
         order=args.order,
         record_trace=args.trace,
     )
-    q, layer_report = _rounding.quantize_layer(req, x=x)
+    q, layer_report = _rounding.quantize_layer(req)
     t_algo = time.perf_counter() - t0
 
     out_dtype = "f32" if weights_raw.dtype == np.float32 else "f64"

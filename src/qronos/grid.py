@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInputError
+from .errors import NonFiniteInputError, ShapeError
 
 
 def _codes(values, step, shift, anchor, top):
@@ -112,20 +112,20 @@ def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid
     """Asymmetric grid from the data range of ``w``.
 
     ``beta`` shrinks the covered range toward zero before the step is
-    derived; values outside it get clipped by the operator.  A constant
-    input has no range, so the grid degenerates to step 1 anchored at
-    that value and is flagged.
+    derived; values outside it get clipped by the operator.  An input
+    whose step is zero (a constant one, or a range that underflows) gets
+    a degenerate grid: step 1 anchored at its minimum, flagged.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
-        raise ValueError("cannot build a grid from an empty vector")
+        raise ShapeError("cannot build a grid from an empty vector")
     _check_levels(levels)
     lo = float(w.min())
     hi = float(w.max())
     step = beta * (hi - lo) / (levels - 1)
     if not np.isfinite(step):
         raise NonFiniteInputError(f"grid step {step} from the range [{lo}, {hi}] is not finite")
-    if hi == lo:
+    if step == 0.0:
         return QuantGrid(levels, 1.0, -lo, beta=beta, degenerate=True)
     zero = -beta * lo / step
     return QuantGrid(levels, step, zero, beta=beta)
@@ -147,18 +147,20 @@ def symmetric_scale_search(w: np.ndarray, levels: int) -> QuantGrid:
     100 candidate steps are linearly spaced over ``[0.2, 1.0]`` times the
     max-abs step ``2 * max|w| / (levels - 1)``; the first candidate
     attaining the minimal error wins, so the search is deterministic.
+    When the smallest candidate is zero (all-zero input, or a max|w|
+    that underflows) the grid degenerates to step 1, flagged.
     """
     w = np.asarray(w, dtype=np.float64).ravel()
     if w.size == 0:
-        raise ValueError("cannot build a grid from an empty vector")
+        raise ShapeError("cannot build a grid from an empty vector")
     zero = (levels - 1) / 2.0
     amax = float(np.abs(w).max())
-    if amax == 0.0:
-        return QuantGrid(levels, 1.0, zero, symmetric=True, degenerate=True)
     top = 2.0 * amax / (levels - 1)
     if not np.isfinite(top):
         raise NonFiniteInputError(f"grid step {top} from max|w| = {amax} is not finite")
     steps = np.linspace(0.2, 1.0, 100) * top
+    if steps[0] == 0.0:
+        return QuantGrid(levels, 1.0, zero, symmetric=True, degenerate=True)
     errs = np.empty(steps.size)
     for i, s in enumerate(steps):
         g = QuantGrid(levels, float(s), zero, symmetric=True)

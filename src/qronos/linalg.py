@@ -83,19 +83,8 @@ def check_symmetric(m, name="matrix") -> float:
     return scale
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L L^T equal to the source matrix."""
-
-    L: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.L.shape[0]
-
-
-def cholesky_lower(m: np.ndarray, *, checked: bool = False) -> CholeskyFactor:
-    """Cholesky factorization of a symmetric positive definite matrix.
+def cholesky_lower(m: np.ndarray, *, checked: bool = False) -> np.ndarray:
+    """Lower Cholesky factor L (L L^T = m) of an SPD matrix, as an array.
 
     Raises NotPositiveDefiniteError carrying the 1-based failing pivot
     when the matrix is not positive definite.  ``checked`` skips the
@@ -105,17 +94,17 @@ def cholesky_lower(m: np.ndarray, *, checked: bool = False) -> CholeskyFactor:
     if not checked:
         check_symmetric(m)
     if m.shape[0] == 0:
-        return CholeskyFactor(np.zeros((0, 0)))
+        return np.zeros((0, 0))
     c, info = lapack.dpotrf(m, lower=1, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(int(info))
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return CholeskyFactor(c)
+    return c
 
 
-def chol_of_inverse(m: np.ndarray, *, checked: bool = False) -> CholeskyFactor:
-    """Lower Cholesky factor of the inverse of an SPD matrix.
+def chol_of_inverse(m: np.ndarray, *, checked: bool = False) -> np.ndarray:
+    """Lower Cholesky factor L (L L^T = m^-1) of an SPD m's inverse, as an array.
 
     With J the index reversal and J m J = C C^T (C lower), m = U U^T for
     the upper triangular U = J C J, so m^-1 = L L^T with L = U^-T =
@@ -132,7 +121,7 @@ def chol_of_inverse(m: np.ndarray, *, checked: bool = False) -> CholeskyFactor:
         check_symmetric(m)
     n = m.shape[0]
     if n == 0:
-        return CholeskyFactor(np.zeros((0, 0)))
+        return np.zeros((0, 0))
     rev = m[::-1, ::-1]
     c, info = lapack.dpotrf(rev, lower=1, clean=1, overwrite_a=0)
     if info < 0:
@@ -145,13 +134,13 @@ def chol_of_inverse(m: np.ndarray, *, checked: bool = False) -> CholeskyFactor:
     cinv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefiniteError(n + 1 - int(info))
-    return CholeskyFactor(np.ascontiguousarray(cinv.T[::-1, ::-1]))
+    return np.ascontiguousarray(cinv.T[::-1, ::-1])
 
 
 def solve_spd(m: np.ndarray, b: np.ndarray, *, checked: bool = False) -> np.ndarray:
     """Solve m x = b for symmetric positive definite m: the Cholesky
     factor L of m, then two triangular solves."""
-    low = cholesky_lower(m, checked=checked).L
+    low = cholesky_lower(m, checked=checked)
     y = solve_triangular(low, b, lower=True)
     return solve_triangular(low, y, lower=True, trans="T")
 
@@ -163,11 +152,10 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     averaging removes the last-ulp asymmetry of the matmul so callers
     can factor the result again without a symmetry guard.
     """
-    factor = cholesky_lower(m)
-    if factor.dim == 0:
+    low = cholesky_lower(m)
+    if low.shape[0] == 0:
         return np.zeros((0, 0))
-    eye = np.eye(factor.dim)
-    linv = solve_triangular(factor.L, eye, lower=True)
+    linv = solve_triangular(low, np.eye(low.shape[0]), lower=True)
     out = linv.T @ linv
     return (out + out.T) / 2.0
 

@@ -211,10 +211,10 @@ def quantize_network(
     The deployed-path calibration activations include everything the
     layer will actually see: prior quantized layers, activation
     quantization, rotations, and any configured block resets; each
-    layer's moments come from ``rounding.layer_stats``, so the optq
-    family sees the reference path only and the gpfq/qronos side both
-    paths.  Weight grids span each column's full min/max range (beta 1),
-    and each method damps by its ``METHOD_SPECS`` default.  The reported
+    layer's moments come from ``rounding.layer_stats``, so optq sees the
+    reference path only and the gpfq/qronos side both paths.  Weight
+    grids span each column's full min/max range (beta 1), and each
+    method damps by its ``METHOD_SPECS`` default.  The reported
     errors are those of ``forward_pair(..., apply_resets=False)`` on the
     quantized weights, computed in the same sweep.
     """
@@ -241,8 +241,7 @@ def quantize_network(
             weights=w_ref, grids=grids, method=method, stats=stats,
             damping=_rounding.METHOD_SPECS[method].damping,
         )
-        raw_x = x_in if method == "optq_ref" else None
-        q_l, _ = _rounding.quantize_layer(req, x=raw_x)
+        q_l, _ = _rounding.quantize_layer(req)
         qweights.append(q_l)
         y = x_in @ w_ref
         yq = xq_in @ q_l

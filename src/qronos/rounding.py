@@ -11,9 +11,6 @@ optq         q_t = Q(w_t on the current state); the trailing state moves
              lower Cholesky factor of the inverse of the (damped) second
              moment of the layer input.  Uses one set of activations
              only: its H is built from the reference input X.
-optq_ref     same trajectory, derived the expensive way: each step
-             re-solves the trailing least-squares problem against the
-             raw activations.  Kept as an executable cross-check.
 gpfq         path following: q_t chases the running residual
              u_{t-1} + w_t X_t projected on the quantized-path column,
              with no correction of future weights.
@@ -30,6 +27,10 @@ qronos       the same iterates at O(n^2) per column: the interpolation
              Cholesky factor L of H^-1, and every later step collapses
              onto the optq-style update
                  q_t = Q(s_t),  s_{>t} -= (s_t - q_t) L[t+1:, t] / L[t, t].
+
+Every method quantizes from its moments alone.  The verification
+suites' oracle ``quantize_optq_column_ref`` derives optq's trajectory by
+least-squares refits against raw activations; it is not a layer method.
 
 The two qronos forms are algebraically identical on the same (H, G)
 pair, damped or not, which the verification suites certify numerically.
@@ -74,7 +75,6 @@ from . import calib as _calib
 from . import grid as _grid
 from .errors import NotPositiveDefiniteError, ShapeError
 from .linalg import (
-    CholeskyFactor,
     DampingPolicy,
     apply_damping,
     check_finite,
@@ -88,17 +88,15 @@ from .linalg import (
 class MethodSpec:
     """One method's defaults.
 
-    ``damping`` is the ridge used when the caller names none;
-    ``benchmarkable`` methods run in the runtime ladder.  ``layer_stats``
-    reads the other two: ``two_path`` methods calibrate on the
-    (reference, quantized-path) pair, the others on the reference
+    ``damping`` is the ridge used when the caller names none.
+    ``layer_stats`` reads the other two: ``two_path`` methods calibrate
+    on the (reference, quantized-path) pair, the others on the reference
     activations alone; ``reads_g`` methods read the entries of the cross
     moment G, the others only G W, so only their stats must hold G.
     """
 
     damping: DampingPolicy
     two_path: bool
-    benchmarkable: bool
     reads_g: bool = False
 
 
@@ -106,12 +104,11 @@ class MethodSpec:
 # by a small fraction of the spectral norm
 _TOPSV = DampingPolicy("top_singular_fraction", alpha=1e-6)
 METHOD_SPECS = {
-    "rtn": MethodSpec(DampingPolicy("none"), two_path=False, benchmarkable=False),
-    "optq": MethodSpec(DampingPolicy("mean_diag_percent"), two_path=False, benchmarkable=True),
-    "optq_ref": MethodSpec(DampingPolicy("mean_diag_percent"), two_path=False, benchmarkable=False),
-    "gpfq": MethodSpec(DampingPolicy("none"), two_path=True, benchmarkable=True, reads_g=True),
-    "qronos_base": MethodSpec(_TOPSV, two_path=True, benchmarkable=True),
-    "qronos": MethodSpec(_TOPSV, two_path=True, benchmarkable=True),
+    "rtn": MethodSpec(DampingPolicy("none"), two_path=False),
+    "optq": MethodSpec(DampingPolicy("mean_diag_percent"), two_path=False),
+    "gpfq": MethodSpec(DampingPolicy("none"), two_path=True, reads_g=True),
+    "qronos_base": MethodSpec(_TOPSV, two_path=True),
+    "qronos": MethodSpec(_TOPSV, two_path=True),
 }
 METHODS = tuple(METHOD_SPECS)
 ORDER_MODES = ("diag", "natural")
@@ -152,14 +149,15 @@ def quantize_rtn_layer(w: np.ndarray, grids) -> np.ndarray:
 
 def quantize_optq_column(
     w: np.ndarray,
-    chol: CholeskyFactor,
+    chol: np.ndarray,
     grid: _grid.QuantGrid,
     record_trace: bool = False,
 ) -> RoundingTrace:
     """Cholesky-form greedy rounding with trailing error diffusion.
 
-    ``chol`` factors the inverse of the damped second moment of the
-    layer's own input (this method consumes one activation set only).
+    ``chol`` is the lower Cholesky factor of the inverse of the damped
+    second moment of the layer's own input (this method consumes one
+    activation set only).
     """
     return _round_column("optq", w, grid, record_trace, chol=chol)
 
@@ -168,15 +166,15 @@ def quantize_optq_column_ref(
     w: np.ndarray,
     x: np.ndarray,
     grid: _grid.QuantGrid,
-    ridge: float = 0.0,
     record_trace: bool = False,
 ) -> RoundingTrace:
     """Reference trajectory: argmin per step against raw activations.
 
     Step t picks the alphabet value minimizing the full residual with
     every later coordinate held at its current real value, then re-fits
-    those later coordinates by (optionally ridge-damped) normal
-    equations solved with an LU path independent of the Cholesky code.
+    those later coordinates by normal equations solved with an LU path
+    independent of the Cholesky code.  A ridge lambda is the same
+    trajectory on x with sqrt(lambda) I appended as extra rows.
     """
     w = _as_column(w)
     x = np.asarray(x, dtype=np.float64)
@@ -195,10 +193,7 @@ def quantize_optq_column_ref(
         q[t] = _grid.quantize_rtn(p, grid)
         if t + 1 < n:
             tail = x[:, t + 1 :]
-            gram = tail.T @ tail
-            if ridge > 0.0:
-                gram = gram + ridge * np.eye(gram.shape[0])
-            new_tail = np.linalg.solve(gram, tail.T @ (target - x[:, : t + 1] @ q[: t + 1]))
+            new_tail = np.linalg.solve(tail.T @ tail, tail.T @ (target - x[:, : t + 1] @ q[: t + 1]))
             if record_trace:
                 deltas.append(new_tail - state[t + 1 :])
                 w_states.append(new_tail.copy())
@@ -271,7 +266,7 @@ def quantize_qronos_column(
     w: np.ndarray,
     h: np.ndarray,
     g: np.ndarray,
-    chol: CholeskyFactor,
+    chol: np.ndarray,
     grid: _grid.QuantGrid,
     record_trace: bool = False,
 ) -> RoundingTrace:
@@ -314,7 +309,7 @@ class LayerQuantRequest:
     ``weights`` is (n_in, n_out); ``grids`` one QuantGrid per output
     column.  ``stats`` supplies the moment pair, as ``layer_stats``
     builds it for the method from the layer's activations: H from the
-    reference activations alone for the optq family, from the
+    reference activations alone for optq, from the
     quantized path for two-path methods (``METHOD_SPECS``).  Its cross
     moment may be G, or G W for these same weights unless the method
     reads G's entries (gpfq).  The ordering permutation is derived from
@@ -356,21 +351,17 @@ class LayerReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def quantize_layer(req: LayerQuantRequest, x: np.ndarray | None = None) -> tuple[np.ndarray, LayerReport]:
-    """Quantize all output channels of one layer.
+def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
+    """Quantize all output channels of one layer from its moments alone.
 
-    The raw reference activations ``x`` are read by optq_ref alone, which
-    has no moment-space form; passing them for any other method raises
-    ValueError.  Every calibrated method reports the moment objective
-    (``LayerReport``).  Warnings and a NotPositiveDefiniteError name the
-    caller's feature, not the processing step.
+    Every calibrated method reads ``req.stats`` and reports the moment
+    objective (``LayerReport``).  Warnings and a NotPositiveDefiniteError
+    name the caller's feature, not the processing step.
     """
     w = _as_weights(req.weights, req.grids)
     n_in, n_out = w.shape
     if req.method not in METHODS:
         raise ValueError(f"unknown method {req.method!r} (expected one of {METHODS})")
-    if (x is not None) != (req.method == "optq_ref"):
-        raise ValueError(f"x is read by optq_ref alone, which needs it (method {req.method!r})")
     if req.order not in ORDER_MODES:
         raise ValueError(f"unknown order mode {req.order!r} (expected one of {ORDER_MODES})")
 
@@ -401,6 +392,8 @@ def quantize_layer(req: LayerQuantRequest, x: np.ndarray | None = None) -> tuple
                 raise ValueError("these stats hold G W for other weights")
         elif stats.G is None:
             raise ValueError("these stats hold no cross moment")
+        if stats.H is None:
+            raise ValueError("these stats hold no second moment H")
 
         t0 = clock()
         # the one finiteness and symmetry scan of H: the sweeps would carry
@@ -436,36 +429,26 @@ def quantize_layer(req: LayerQuantRequest, x: np.ndarray | None = None) -> tuple
                 gwp += lam * wp
         t3 = clock()
         timings.update(check=t1 - t0, damping=t2 - t1, permute=t3 - t2)
-        if req.method == "optq_ref":
-            xp = x[:, order.perm]
-            traces = [
-                quantize_optq_column_ref(wp[:, j], xp, req.grids[j], lam, req.record_trace)
-                for j in range(n_out)
-            ]
-            qp = np.stack([tr.q for tr in traces], axis=1)
-            traces = traces if req.record_trace else None
-            timings["sweep"] = clock() - t3
-        else:
-            if req.method == "gpfq":
-                for t in np.flatnonzero(np.diag(hp) <= 0.0):
-                    feature = int(order.perm[t])
-                    warnings.warn(
-                        f"quantized-path column {feature} has zero norm; falling back to RTN for that step",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    report_warnings.append(f"gpfq: zero-norm quantized-path column {feature}, RTN fallback")
-            try:
-                low = chol_of_inverse(hp, checked=True).L if req.method in ("optq", "qronos") else None
-                timings["factor"] = clock() - t3
-                qp, traces = _round_columns(
-                    req.method, wp, req.grids, hp, gp, gwp, low, req.record_trace, timings
+        if req.method == "gpfq":
+            for t in np.flatnonzero(np.diag(hp) <= 0.0):
+                feature = int(order.perm[t])
+                warnings.warn(
+                    f"quantized-path column {feature} has zero norm; falling back to RTN for that step",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-            except NotPositiveDefiniteError as exc:
-                feature = int(order.perm[exc.index - 1]) + 1
-                raise NotPositiveDefiniteError(
-                    feature, f"H is not positive definite (failing pivot at feature {feature}, 1-based)"
-                ) from None
+                report_warnings.append(f"gpfq: zero-norm quantized-path column {feature}, RTN fallback")
+        try:
+            low = chol_of_inverse(hp, checked=True) if req.method in ("optq", "qronos") else None
+            timings["factor"] = clock() - t3
+            qp, traces = _round_columns(
+                req.method, wp, req.grids, hp, gp, gwp, low, req.record_trace, timings
+            )
+        except NotPositiveDefiniteError as exc:
+            feature = int(order.perm[exc.index - 1]) + 1
+            raise NotPositiveDefiniteError(
+                feature, f"H is not positive definite (failing pivot at feature {feature}, 1-based)"
+            ) from None
         t0 = clock()
         q = _calib.unpermute_result(qp, order)
         t1 = clock()
@@ -600,12 +583,11 @@ def _round_column(method, w, grid, record_trace, h=None, g=None, chol=None) -> R
             raise ShapeError(f"moment matrices must be {(n, n)}, got H {h.shape} and G {g.shape}")
         # the driver's trailing solves trust h, as they do the layer's checked copy
         check_symmetric(h, "H")
-    if chol is not None and chol.dim != n:
-        raise ShapeError(f"factor dim {chol.dim} does not match column length {n}")
-    low = None if chol is None else chol.L
+    if chol is not None and np.shape(chol) != (n, n):
+        raise ShapeError(f"factor shape {np.shape(chol)} must be {(n, n)}")
     wp = w[:, None]
     gwp = None if g is None else g @ wp
-    q, traces = _round_columns(method, wp, [grid], h, None, gwp, low, record_trace)
+    q, traces = _round_columns(method, wp, [grid], h, None, gwp, chol, record_trace)
     return traces[0] if record_trace else RoundingTrace(q=q[:, 0])
 
 

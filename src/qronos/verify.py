@@ -175,7 +175,7 @@ def _check_inverse_slicing(rng, i, tol, detail):
     a = rng.standard_normal((2 * n, n))
     h = a.T @ a
     cur = spd_inverse(h)
-    low = cholesky_lower(cur).L
+    low = cholesky_lower(cur)
     worst = 0.0
     for t in range(n - 1):
         cur = inverse_hessian_step(cur)

@@ -1,7 +1,9 @@
 """The public surface: exported names resolve and are used, and no
-module keeps an import it never uses."""
+module keeps an import it never uses, and the README's method table is
+the registry."""
 
 import ast
+import itertools
 import re
 from pathlib import Path
 
@@ -49,3 +51,11 @@ def _unused_imports(path):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_uses_every_name_it_imports(module):
     assert _unused_imports(SRC / module) == []
+
+
+def test_readme_method_table_rows_are_the_methods_in_registry_order():
+    text = (TESTS.parent / "README.md").read_text()
+    lines = text.split("## Methods\n", 1)[1].lstrip("\n").splitlines()
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), lines))
+    tokens = [re.match(r"\| `([^`]+)` \|", row).group(1) for row in table[2:]]
+    assert tokens == [m.replace("_", "-") for m in qronos.METHODS]

@@ -56,9 +56,9 @@ def test_cell_hands_the_layer_the_cli_stats(monkeypatch, method, form):
     seen = []
     original = rounding_mod.quantize_layer
 
-    def spy(req, x=None):
+    def spy(req):
         seen.append(req.stats)
-        return original(req, x=x)
+        return original(req)
 
     monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
     run_bench(BenchConfig(k_min=16, k_max=16, m=32, seeds=1, inner_reps=2, methods=(method,)))

@@ -191,7 +191,7 @@ def test_non_finite_batch_is_named_and_stats_untouched(one_path, where, name, ba
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInputError, match=f"^{name} batch: .* at row 2, feature 1$"):
             accumulate(stats, x, xq, weights=weights)
-    assert stats.n_samples == 0 and not stats.H.any()
+    assert stats.n_samples == 0 and stats.H is None
     assert stats.G is None and stats.GW is None
 
 
@@ -267,7 +267,7 @@ def test_a_callers_own_h_is_added_to():
 
 
 def test_two_path_batch_peak_holds_one_square_product():
-    """The zero H goes before the products: H, X W and the cross term at the peak."""
+    """Fresh stats hold no H: H, X W and the cross term at the peak."""
     rng = np.random.default_rng(18)
     m, n, n_out = 1024, 512, 128
     x = rng.standard_normal((m, n))
@@ -280,5 +280,5 @@ def test_two_path_batch_peak_holds_one_square_product():
     finally:
         tracemalloc.stop()
     assert stats.GW is not None
-    # adding into the zero H would hold a second n x n array: 5.5 MB here
+    # adding into a zero H would hold a second n x n array: 5.5 MB here
     assert peak <= 1.05 * 8 * (n * n + m * n_out + n * n_out)

@@ -214,13 +214,14 @@ def test_quantize_bad_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "q.qmx").exists()
 
 
-def test_stats_route_rejects_least_squares_refit(tmp_path):
+def test_removed_optq_ref_method_is_usage_error(tmp_path):
     rng = np.random.default_rng(8)
     w = rng.standard_normal((8, 2))
-    hp = tmp_path / "h.qmx"
-    write_qmx(hp, np.eye(8))
-    args = quantize_args(tmp_path, w, method="optq-ref", stats_h=hp)
-    assert run(args) == 2
+    args = quantize_args(tmp_path, w, x=rng.standard_normal((32, 8)), method="optq-ref")
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    assert run(["simulate", "--methods", "optq-ref"]) == 2
 
 
 # I/O errors: exit 3
@@ -466,9 +467,9 @@ def test_cli_cross_moment_form(tmp_path, monkeypatch, method, source, form):
     seen = []
     original = rounding_mod.quantize_layer
 
-    def spy(req, x=None):
+    def spy(req):
         seen.append(req.stats)
-        return original(req, x=x)
+        return original(req)
 
     monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
     rng = np.random.default_rng(22)
@@ -485,9 +486,9 @@ def test_cli_cross_moment_form(tmp_path, monkeypatch, method, source, form):
     assert got == form
 
 
-@pytest.mark.parametrize("method, kept", [("qronos", False), ("optq", False), ("optq-ref", True)])
+@pytest.mark.parametrize("method, kept", [("qronos", False), ("optq", False)])
 def test_cli_releases_activations_before_the_layer(tmp_path, monkeypatch, method, kept):
-    """Only optq_ref reads the raw activations after the moments exist."""
+    """No method reads the raw activations after the moments exist."""
     import weakref
 
     import qronos.cli as cli_mod
@@ -504,9 +505,9 @@ def test_cli_releases_activations_before_the_layer(tmp_path, monkeypatch, method
     alive = []
     original = rounding_mod.quantize_layer
 
-    def spy(req, x=None):
+    def spy(req):
         alive.extend(r() is not None for r in refs[1:])
-        return original(req, x=x)
+        return original(req)
 
     monkeypatch.setattr(cli_mod._qmx, "read_qmx", tracking_read)
     monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
@@ -542,7 +543,7 @@ def test_asymmetric_stats_h_exits_numerical(tmp_path, capsys, method):
     assert "H is not symmetric" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["rtn", "optq", "optq-ref", "gpfq", "qronos-base", "qronos"])
+@pytest.mark.parametrize("method", ["rtn", "optq", "gpfq", "qronos-base", "qronos"])
 def test_weights_without_output_columns_is_shape_error(tmp_path, capsys, method):
     x = np.random.default_rng(26).standard_normal((16, 4))
     args = quantize_args(tmp_path, np.zeros((4, 0)), x=None if method == "rtn" else x,
@@ -568,17 +569,25 @@ def test_weights_column_whose_range_overflows_is_numeric_error(tmp_path, capsys,
     assert not (tmp_path / "q.qmx").exists()
 
 
-def test_optq_and_optq_ref_report_the_same_objectives(tmp_path):
-    rng = np.random.default_rng(28)
-    w = rng.standard_normal((8, 3))
-    x = rng.standard_normal((48, 8))
-    reports, qs = [], []
-    for method in ("optq", "optq-ref"):
-        d = tmp_path / method
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_weights_without_rows_is_shape_error_naming_the_file(tmp_path, capsys, symmetric):
+    flags = {"symmetric": True} if symmetric else {}
+    assert run(quantize_args(tmp_path, np.zeros((0, 3)), method="rtn", **flags)) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "w.qmx" in err and "empty" in err
+    assert not (tmp_path / "q.qmx").exists()
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_weights_column_whose_step_underflows_gets_a_degenerate_grid(tmp_path, symmetric):
+    """A positive range whose step rounds to zero quantizes as the
+    all-zero column does."""
+    flags = {"symmetric": True} if symmetric else {}
+    qs = []
+    for tiny in (5e-324, 0.0):
+        d = tmp_path / str(tiny)
         d.mkdir()
-        assert run(quantize_args(d, w, x=x, method=method, report=d / "r.json")) == 0
-        reports.append(json.loads((d / "r.json").read_text())["result"])
+        w = np.array([[tiny, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0]])
+        assert run(quantize_args(d, w, method="rtn", levels=16, **flags)) == 0
         qs.append(read_qmx(d / "q.qmx"))
-    assert np.array_equal(qs[0], qs[1])
-    assert reports[0]["objective_form"] == reports[1]["objective_form"] == "moment_quadratic"
-    assert reports[0]["objectives"] == reports[1]["objectives"]
+    assert qs[0].tobytes() == qs[1].tobytes()

@@ -248,7 +248,7 @@ def _block_variants(n_layers, width, seed, hadamard, act_levels):
     yield spec
 
 
-@pytest.mark.parametrize("method", ["rtn", "optq", "optq_ref", "gpfq", "qronos_base", "qronos"])
+@pytest.mark.parametrize("method", ["rtn", "optq", "gpfq", "qronos_base", "qronos"])
 def test_reported_errors_are_those_of_the_no_reset_forward(method):
     calib = np.random.default_rng(20).standard_normal((40, 16))
     for hadamard in (False, True):

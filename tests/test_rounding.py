@@ -241,14 +241,13 @@ def test_layer_matches_column_ops(method):
     """The vectorized layer path and the traced per-column path agree."""
     rng = np.random.default_rng(17)
     w, x, xq, stats, grids = layer_instance(rng, 10, 80, 6, 4)
-    kw = {"x": x} if method == "optq_ref" else {}
     fast, _ = quantize_layer(
         LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
-                          damping=DampingPolicy("mean_diag_percent")), **kw
+                          damping=DampingPolicy("mean_diag_percent"))
     )
     traced, rep = quantize_layer(
         LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
-                          damping=DampingPolicy("mean_diag_percent"), record_trace=True), **kw
+                          damping=DampingPolicy("mean_diag_percent"), record_trace=True)
     )
     assert np.array_equal(fast, traced)
     assert len(rep.traces) == 6
@@ -286,7 +285,7 @@ def test_blocked_layer_matches_column_ops(method, n):
             t = int(differ[0])
             assert t > 0
             state = tr.w_states[t][0]
-            objs = [0.5 * (state - v) ** 2 / chol.L[t, t] ** 2 for v in (blocked[t, j], tr.q[t])]
+            objs = [0.5 * (state - v) ** 2 / chol[t, t] ** 2 for v in (blocked[t, j], tr.q[t])]
             assert abs(objs[0] - objs[1]) <= TIE_TOL * max(1.0, min(objs))
 
 
@@ -333,14 +332,13 @@ def test_traced_states_match_the_unblocked_recursion(method):
     n = 2 * SWEEP_BLOCK + 20
     w, x, xq, grid = column_instance(rng, n, 2 * n, 16)
     h, g = xq.T @ xq, xq.T @ x
-    chol = chol_of_inverse(h)
+    low = chol_of_inverse(h)
     if method == "optq":
-        tr = quantize_optq_column(w, chol, grid, record_trace=True)
+        tr = quantize_optq_column(w, low, grid, record_trace=True)
     elif method == "qronos":
-        tr = quantize_qronos_column(w, h, g, chol, grid, record_trace=True)
+        tr = quantize_qronos_column(w, h, g, low, grid, record_trace=True)
     else:
         tr = quantize_qronos_base_column(w, h, g, grid, record_trace=True)
-    low = chol.L
     for t in range(1, n - 1):
         # one unblocked step from the recorded state before it
         prev = tr.w_states[t]
@@ -352,7 +350,7 @@ def test_traced_states_match_the_unblocked_recursion(method):
         )
 
 
-@pytest.mark.parametrize("method", ["optq", "optq_ref", "gpfq", "qronos_base", "qronos"])
+@pytest.mark.parametrize("method", ["optq", "gpfq", "qronos_base", "qronos"])
 def test_non_finite_g_raises_in_caller_order(method):
     # descending-diagonal ordering reverses the features; the message
     # names the caller's cell
@@ -364,7 +362,7 @@ def test_non_finite_g_raises_in_caller_order(method):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInputError, match="G: non-finite value nan at row 1, col 3"):
-            quantize_layer(req, x=np.eye(5) if method == "optq_ref" else None)
+            quantize_layer(req)
 
 
 _THREADS_SCRIPT = """
@@ -468,32 +466,6 @@ def test_layer_peak_memory_is_a_few_copies_of_h():
     assert peak <= 6 * stats.H.nbytes
 
 
-def test_layer_reads_raw_activations_for_optq_ref_only():
-    """Any other method given raw activations would report a residual
-    with x standing in for the quantized path, so it raises instead."""
-    rng = np.random.default_rng(22)
-    w, x, _, stats, grids = layer_instance(rng, 8, 48, 3, 4)
-    for method in ("rtn", "optq", "gpfq", "qronos_base", "qronos"):
-        req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats)
-        with pytest.raises(ValueError, match="optq_ref"):
-            quantize_layer(req, x=x)
-
-
-def test_optq_ref_reports_the_optq_moment_objective():
-    rng = np.random.default_rng(22)
-    w, x, _, _, grids = layer_instance(rng, 8, 48, 3, 4)
-    reports = {}
-    for method in ("optq", "optq_ref"):
-        req = LayerQuantRequest(weights=w, grids=grids, method=method,
-                                stats=layer_stats(method, w, x),
-                                damping=DampingPolicy("mean_diag_percent"))
-        reports[method] = quantize_layer(req, x=x if method == "optq_ref" else None)
-    (q_a, rep_a), (q_b, rep_b) = reports.values()
-    assert np.array_equal(q_a, q_b)
-    assert rep_b.objective_form == rep_a.objective_form == "moment_quadratic"
-    assert np.array_equal(rep_b.objectives, rep_a.objectives)
-
-
 @pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
 def test_layer_moment_objective_is_shifted_residual(mode):
     """Moment-form objective is 0.5 q^T (H + lam I) q - q^T G w: the
@@ -510,6 +482,40 @@ def test_layer_moment_objective_is_shifted_residual(mode):
     for j in range(3):
         direct = 0.5 * float(q[:, j] @ h_damped @ q[:, j]) - float(q[:, j] @ stats.G @ w[:, j])
         assert rep_m.objectives[j] == pytest.approx(direct, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
+def test_damped_optq_layer_is_the_reference_on_augmented_activations(mode):
+    """A ridge lambda on H is sqrt(lambda) I appended to the activations as
+    rows: each column of an optq layer is the least-squares reference
+    trajectory on [X[:, perm]; sqrt(lambda) I].  An entry may only differ
+    on an exact tie under the oracle's step objective, which ends the
+    comparison of that column; the states before it agree to 1e-8."""
+    rng = np.random.default_rng(35)
+    for n, levels in ((4, 3), (9, 4), (16, 16), (32, 4)):
+        x = rng.standard_normal((3 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
+        w = rng.standard_normal((n, 3))
+        grids = [grid_from_minmax(w[:, j], levels) for j in range(3)]
+        _, rep = quantize_layer(
+            LayerQuantRequest(weights=w, grids=grids, method="optq", stats=layer_stats("optq", w, x),
+                              damping=DampingPolicy(mode, alpha=1e-2), record_trace=True)
+        )
+        assert (rep.damping_lambda > 0.0) == (mode != "none")
+        perm = np.asarray(rep.order)
+        aug = np.vstack([x[:, perm], np.sqrt(rep.damping_lambda) * np.eye(n)])
+        target_of = aug @ w[perm]
+        for j, tr in enumerate(rep.traces):
+            ref = quantize_optq_column_ref(w[perm, j], aug, grids[j], record_trace=True)
+            differ = np.flatnonzero(tr.q != ref.q)
+            stop = int(differ[0]) if differ.size else n
+            for t in range(min(stop + 1, n)):
+                a, b = tr.w_states[t], ref.w_states[t]
+                assert np.linalg.norm(a - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
+            if differ.size:
+                t = stop
+                resid = target_of[:, j] - aug[:, :t] @ ref.q[:t] - aug[:, t + 1 :] @ ref.w_states[t][1:]
+                objs = [step_objective(resid, aug[:, t], v) for v in (tr.q[t], ref.q[t])]
+                assert abs(objs[0] - objs[1]) <= TIE_TOL * max(1.0, min(objs))
 
 
 @pytest.mark.parametrize("method", ["optq", "gpfq", "qronos_base", "qronos"])
@@ -539,8 +545,6 @@ def test_layer_validation_errors():
         quantize_layer(LayerQuantRequest(weights=w, grids=grids[:1], method="rtn"))
     x = rng.standard_normal((10, 6))
     stats = _stats_of(x, x)
-    with pytest.raises(ValueError):
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="optq_ref", stats=stats))
     # weights with no output column
     for method in ("rtn", "qronos"):
         with pytest.raises(ShapeError, match="output columns"):
@@ -648,16 +652,16 @@ def test_gw_stats_are_refused_where_g_is_read_or_w_differs():
         quantize_layer(LayerQuantRequest(weights=w + 1.0, grids=grids, method="qronos", stats=stats))
     with pytest.raises(ValueError, match="no cross moment"):
         quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=CalibStats(n)))
+    with pytest.raises(ValueError, match="no second moment"):
+        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos",
+                                         stats=CalibStats(n, G=np.eye(n))))
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_layer_reports_every_phase(method):
     rng = np.random.default_rng(33)
     w, x, xq, stats, grids = layer_instance(rng, 140, 420, 4, 8)
-    _, report = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats),
-        x=x if method == "optq_ref" else None,
-    )
+    _, report = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats))
     assert tuple(report.timings) == PHASES
     assert all(v >= 0.0 for v in report.timings.values())
     if method == "qronos":
@@ -694,7 +698,6 @@ def test_layer_scans_h_for_symmetry_once(monkeypatch, method, mode):
 # (quantized path, weights passed)
 _HAND_ROUTE = {
     "optq": ("x", True),
-    "optq_ref": ("x", True),
     "gpfq": ("xq", False),
     "qronos_base": ("xq", True),
     "qronos": ("xq", True),
@@ -709,7 +712,7 @@ def test_layer_stats_form_and_q_match_hand_built_stats(method, n_in, n_out):
     xq = x + 0.1 * rng.standard_normal(x.shape)
     w = rng.standard_normal((n_in, n_out))
     stats = layer_stats(method, w, x, xq)
-    if method in ("optq", "optq_ref"):
+    if method == "optq":
         form = "shared"
     elif method != "gpfq" and 2 * n_out < n_in:
         form = "GW"
@@ -720,12 +723,10 @@ def test_layer_stats_form_and_q_match_hand_built_stats(method, n_in, n_out):
     path, with_w = _HAND_ROUTE[method]
     hand = accumulate(CalibStats(n_in), x, x if path == "x" else xq, weights=w if with_w else None)
     grids = [grid_from_minmax(w[:, j], 8) for j in range(n_out)]
-    raw = x if method == "optq_ref" else None
     qs = [
         quantize_layer(
             LayerQuantRequest(weights=w, grids=grids, method=method, stats=st,
-                              damping=DampingPolicy("mean_diag_percent")),
-            x=raw,
+                              damping=DampingPolicy("mean_diag_percent"))
         )[0]
         for st in (stats, hand)
     ]
