@@ -9,7 +9,7 @@ key so everything else is reproducible byte for byte.
 Exit codes: 0 success, 2 usage, 3 file I/O, 4 shape mismatch (weights
 with no output column or no row included), 5 numerical failure
 (including a NaN or infinity in an input matrix, an asymmetric
---stats-h, or a weights column whose range overflows float64), 6
+--stats-h, or a weights column whose grid step overflows float64), 6
 verification suite failure.
 """
 

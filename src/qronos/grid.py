@@ -26,12 +26,13 @@ data: ``step = beta * (max - min) / (levels - 1)`` and
 Symmetric grids center the integer range (``zero_point = (levels-1)/2``)
 and pick their step by linear search over 100 candidate scales.  Both
 builders raise NonFiniteInputError rather than return a grid whose step
-is not finite: data holding a NaN or an infinity, or a range too wide
+is not finite: data holding a NaN or an infinity, or a step too wide
 for float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,8 @@ def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid
     ``beta`` shrinks the covered range toward zero before the step is
     derived; values outside it get clipped by the operator.  An input
     whose step is zero (a constant one, or a range that underflows) gets
-    a degenerate grid: step 1 anchored at its minimum, flagged.
+    a degenerate grid: step 1 anchored at its minimum, flagged.  A range
+    that overflows float64 is divided by ``levels - 1`` end by end.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
@@ -123,6 +125,9 @@ def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid
     lo = float(w.min())
     hi = float(w.max())
     step = beta * (hi - lo) / (levels - 1)
+    if np.isinf(step):
+        # the range may overflow where its share per level does not
+        step = beta * (hi / (levels - 1) - lo / (levels - 1))
     if not np.isfinite(step):
         raise NonFiniteInputError(f"grid step {step} from the range [{lo}, {hi}] is not finite")
     if step == 0.0:
@@ -148,23 +153,31 @@ def symmetric_scale_search(w: np.ndarray, levels: int) -> QuantGrid:
     max-abs step ``2 * max|w| / (levels - 1)``; the first candidate
     attaining the minimal error wins, so the search is deterministic.
     When the smallest candidate is zero (all-zero input, or a max|w|
-    that underflows) the grid degenerates to step 1, flagged.
+    that underflows) the grid degenerates to step 1 with 0 on it,
+    flagged, so the input comes back as zeros.
     """
     w = np.asarray(w, dtype=np.float64).ravel()
     if w.size == 0:
         raise ShapeError("cannot build a grid from an empty vector")
     zero = (levels - 1) / 2.0
     amax = float(np.abs(w).max())
-    top = 2.0 * amax / (levels - 1)
+    # halving levels - 1 is exact: this is 2 max|w| / (levels - 1) bit for
+    # bit wherever 2 max|w| does not overflow
+    top = amax / ((levels - 1) / 2.0)
     if not np.isfinite(top):
         raise NonFiniteInputError(f"grid step {top} from max|w| = {amax} is not finite")
     steps = np.linspace(0.2, 1.0, 100) * top
     if steps[0] == 0.0:
-        return QuantGrid(levels, 1.0, zero, symmetric=True, degenerate=True)
+        # an integer zero point keeps 0 on the grid for even levels too
+        return QuantGrid(levels, 1.0, float((levels - 1) // 2), symmetric=True, degenerate=True)
+    # the errors are compared on w scaled by a power of two below max|w|,
+    # which is exact and keeps the squares of a wide column finite
+    shift = max(math.frexp(amax)[1], 0)
+    ws = np.ldexp(w, -shift)
     errs = np.empty(steps.size)
-    for i, s in enumerate(steps):
+    for i, s in enumerate(np.ldexp(steps, -shift)):
         g = QuantGrid(levels, float(s), zero, symmetric=True)
-        r = w - quantize_rtn(w, g)
+        r = ws - quantize_rtn(ws, g)
         errs[i] = float(r @ r)
     best = int(np.argmin(errs))
     return QuantGrid(levels, float(steps[best]), zero, symmetric=True)

@@ -6,17 +6,17 @@ solves are LAPACK-backed; the routines the rounding algorithms actually
 reason about (inverse slicing, damping, spectral norm estimation) are
 implemented explicitly on top of them.
 
-The rounding engine never forms H^-1: it takes the lower Cholesky factor
-of the inverse from a single Cholesky factorization of the index-reversed
-matrix (``chol_of_inverse``).  The explicit inverse below is the
-verification suites' independent route to the same objects.  Downstream
-code leans on the identity that for H^-1 = L L^T (L lower triangular),
-the trailing principal block of L factors the inverse of the
-corresponding trailing block of H:
-(H[t:, t:])^-1 = L[t:, t:] L[t:, t:]^T.
+The layer driver never forms H^-1, nor a factor of it: one in-place
+Cholesky of the index-reversed matrix, J H J = C C^T
+(``reversed_cholesky``), gives H = U U^T with U = J C J upper
+triangular, whose trailing blocks factor H's: H[t:, t:] = U[t:, t:]
+U[t:, t:]^T.  ``chol_of_inverse`` turns it into the factor L = U^-T of
+H^-1 that the per-column entry points take.  The explicit inverse below
+is the verification suites' independent route to the same objects.
 
 The spectral norm used for damping is one Lanczos (ARPACK) solve from a
-fixed-seed start vector, exact to working precision.
+fixed-seed start vector, stopped at a relative Ritz residual of 1e-8;
+the eigenvalue's own error is of the order of that residual squared.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .errors import (
 _SYM_RTOL = 1e-9
 # side of the square tiles the symmetry check compares
 _SYM_TILE = 128
+# relative accuracy asked of the Lanczos solve for the spectral norm
+_LANCZOS_TOL = 1e-8
 
 DAMPING_MODES = ("mean_diag_percent", "top_singular_fraction", "none")
 
@@ -103,18 +105,40 @@ def cholesky_lower(m: np.ndarray, *, checked: bool = False) -> np.ndarray:
     return c
 
 
+def reversed_cholesky(rev: np.ndarray, *, clean: bool = False) -> np.ndarray:
+    """Factor the index reversal ``rev`` = J m J of an SPD m in place.
+
+    Returns the lower C with rev = C C^T, so m = U U^T for the upper
+    triangular U = J C J, as a Fortran-ordered view of rev's memory:
+    LAPACK factors rev^T, the same matrix, with no copy when ``rev`` is
+    C-contiguous.  Only C's triangle is written unless ``clean`` zeroes
+    the other, as a caller reading C as a full matrix needs.  A pivot
+    with c_ii^2 <= n eps rev_ii (the default tolerance of LAPACK's
+    pivoted Cholesky) also fails, so an exactly singular matrix raises
+    rather than passing on rounding noise.  The NotPositiveDefiniteError
+    pivot is 1-based in m's order.  rev is not scanned for NaN or
+    asymmetry.
+    """
+    n = rev.shape[0]
+    diag = rev.diagonal().copy()
+    c, info = lapack.dpotrf(rev.T, lower=1, clean=int(clean), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if info == 0:
+        weak = np.flatnonzero(c.diagonal() ** 2 <= n * np.finfo(np.float64).eps * diag)
+        info = int(weak[0]) + 1 if weak.size else 0
+    if info > 0:
+        raise NotPositiveDefiniteError(n + 1 - int(info))
+    return c
+
+
 def chol_of_inverse(m: np.ndarray, *, checked: bool = False) -> np.ndarray:
     """Lower Cholesky factor L (L L^T = m^-1) of an SPD m's inverse, as an array.
 
-    With J the index reversal and J m J = C C^T (C lower), m = U U^T for
-    the upper triangular U = J C J, so m^-1 = L L^T with L = U^-T =
-    J C^-T J lower triangular: one Cholesky and one triangular inverse,
-    never m^-1 itself.  A pivot with c_ii^2 <= n eps m_ii (the default
-    tolerance of LAPACK's pivoted Cholesky) also counts as a failure, so
-    an exactly singular matrix raises rather than passing on rounding
-    noise.  The NotPositiveDefiniteError pivot is 1-based in m's order.
-    ``checked`` skips the finiteness and symmetry scan, for a caller
-    that has made it.
+    With m = U U^T from ``reversed_cholesky``, m^-1 = L L^T for L = U^-T =
+    J C^-T J: one Cholesky and one triangular inverse, never m^-1 itself.
+    Failures raise as in ``reversed_cholesky``.  ``checked`` skips the
+    finiteness and symmetry scan, for a caller that has made it.
     """
     m = _as_square(m)
     if not checked:
@@ -122,15 +146,7 @@ def chol_of_inverse(m: np.ndarray, *, checked: bool = False) -> np.ndarray:
     n = m.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    rev = m[::-1, ::-1]
-    c, info = lapack.dpotrf(rev, lower=1, clean=1, overwrite_a=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    if info == 0:
-        weak = np.flatnonzero(np.diag(c) ** 2 <= n * np.finfo(np.float64).eps * np.diag(rev))
-        info = int(weak[0]) + 1 if weak.size else 0
-    if info > 0:
-        raise NotPositiveDefiniteError(n + 1 - int(info))
+    c = reversed_cholesky(m[::-1, ::-1].copy(), clean=True)
     cinv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefiniteError(n + 1 - int(info))
@@ -190,7 +206,7 @@ def top_singular_value(m: np.ndarray, *, checked: bool = False) -> float:
 
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     try:
-        vals = eigsh(m, k=1, which="LA", v0=v0, return_eigenvectors=False)
+        vals = eigsh(m, k=1, which="LA", v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         found = np.asarray(exc.eigenvalues, dtype=np.float64)
         last = float(found.max()) if found.size else float(np.diag(m).max())

@@ -6,11 +6,11 @@ order and emitting one alphabet value q_t per step.  They differ in what
 the remaining coordinates do about the error just committed.
 
 rtn          no interaction; every entry rounds independently.
-optq         q_t = Q(w_t on the current state); the trailing state moves
-             by -(state_t - q_t) * L[t+1:, t] / L[t, t], where L is the
-             lower Cholesky factor of the inverse of the (damped) second
-             moment of the layer input.  Uses one set of activations
-             only: its H is built from the reference input X.
+optq         feedback of the errors so far through the factor of the
+             (damped) second moment H = U U^T, U upper triangular:
+                 q_t = Q(w_t - sum_{j<t} (U[j, t] / U[t, t]) (q_j - w_j)).
+             Uses one set of activations only: its H is built from the
+             reference input X.
 gpfq         path following: q_t chases the running residual
              u_{t-1} + w_t X_t projected on the quantized-path column,
              with no correction of future weights.
@@ -22,11 +22,9 @@ qronos_base  explicit error correction on the moment pair (H, G) with
                             - H[t+1:, :t+1] q_{<=t})
              where s is the surviving-weight state, re-solved from
              scratch at every step (one fresh factorization per step).
-qronos       the same iterates at O(n^2) per column: the interpolation
-             step t = 1 is evaluated once via the trailing block of the
-             Cholesky factor L of H^-1, and every later step collapses
-             onto the optq-style update
-                 q_t = Q(s_t),  s_{>t} -= (s_t - q_t) L[t+1:, t] / L[t, t].
+qronos       the same iterates at O(n^2) per column: step t = 1 solves
+             for s_{>1} with U[1:, 1:], which factors H[1:, 1:], and
+             every later step is the optq rule on s and U[1:, 1:].
 
 Every method quantizes from its moments alone.  The verification
 suites' oracle ``quantize_optq_column_ref`` derives optq's trajectory by
@@ -48,19 +46,22 @@ holds the cross term as one n x n_out array, (G W)[perm] + lambda W[perm],
 formed once: from the stats' GW when calibration folded Xq^T (X W)
 directly (``layer_stats`` passes the weights and ``calib.accumulate``
 picks that association from the shape), else as one product G @ W.  H
-is checked for finiteness and symmetry once, at the layer's entry, and
-the damping and factor calls skip their own scans.
+is checked for finiteness and symmetry once, at the layer's entry.
 
-The layer driver runs all output channels of a weight matrix at once,
-step-synchronously, after applying the calib ordering.  The diffusion
-sweep shared by optq and steps t >= 2 of qronos is blocked (the lazy
-batch update of GPTQ): rank-1 updates touch only the rows of the
-current block of SWEEP_BLOCK steps, the block's scaled errors are kept,
-and the rows below the block receive them in one matrix product when
-the block ends.  The per-column entry points are that same driver on
-one channel (n_out = 1).  Either can record full per-step traces for
-verification; a recorded state brings the rows below the block up to
-date on the side, so recording never changes q.
+The layer driver runs all output channels at once, step-synchronously,
+after applying the calib ordering.  For optq and qronos one in-place
+Cholesky of the index-reversed H (``linalg.reversed_cholesky``) gives U,
+which serves the first step, the sweep and the objective, whose
+q^T (H + lambda I) q is ||U^T q||^2 (up to SMALL_LAYER features the
+factor, the first step's solves and the objective, through H, run in
+NumPy).  The sweep is blocked (GPTQ's lazy
+batch, read left-looking): a block of SWEEP_BLOCK steps takes the errors
+of the blocks before it in one matrix product, then its own errors step
+by step.  The per-column entry points run the same loops on one channel
+(n_out = 1), with U derived from the factor L = U^-T of H^-1 that
+``chol_of_inverse`` returns.  Either can record per-step traces for
+verification; a recorded state is the least-squares refit of the rows
+ahead, updated on the side, so recording never changes q.
 """
 
 from __future__ import annotations
@@ -70,18 +71,23 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from . import calib as _calib
 from . import grid as _grid
+from . import linalg as _linalg
 from .errors import NotPositiveDefiniteError, ShapeError
 from .linalg import (
     DampingPolicy,
     apply_damping,
     check_finite,
     check_symmetric,
-    chol_of_inverse,
+    reversed_cholesky,
     solve_spd,
 )
+
+# the factor of H^-1 that the per-column entry points take, exported here
+chol_of_inverse = _linalg.chol_of_inverse
 
 
 @dataclass(frozen=True)
@@ -112,9 +118,16 @@ METHOD_SPECS = {
 }
 METHODS = tuple(METHOD_SPECS)
 ORDER_MODES = ("diag", "natural")
-# diffusion steps per block of the layer sweep; rows below a block are
-# updated once per block by a matrix product
+# steps per block of the layer sweep; a block takes the errors of the
+# blocks before it in one matrix product
 SWEEP_BLOCK = 128
+# up to this many features the factored methods factor, take their first
+# step and form their objective through NumPy (its Cholesky and solves,
+# and H): NumPy and SciPy each bundle an OpenBLAS with its own threads,
+# the calibration products have just woken NumPy's, and waking SciPy's
+# idle ones for a small layer's LAPACK calls sometimes took 2-5 ms with
+# 2 BLAS threads, far longer than the calls
+SMALL_LAYER = 256
 # LayerReport.timings keys, in the order the layer runs them; "permute"
 # also forms the cross term, G @ W included when the stats hold G
 PHASES = ("check", "damping", "permute", "factor", "first_step", "sweep", "unpermute", "objective")
@@ -153,11 +166,11 @@ def quantize_optq_column(
     grid: _grid.QuantGrid,
     record_trace: bool = False,
 ) -> RoundingTrace:
-    """Cholesky-form greedy rounding with trailing error diffusion.
+    """Cholesky-form greedy rounding with error feedback.
 
-    ``chol`` is the lower Cholesky factor of the inverse of the damped
-    second moment of the layer's own input (this method consumes one
-    activation set only).
+    ``chol`` is the lower Cholesky factor L = U^-T of the inverse of the
+    damped second moment H = U U^T of the layer's own input (this method
+    consumes one activation set only).
     """
     return _round_column("optq", w, grid, record_trace, chol=chol)
 
@@ -272,9 +285,9 @@ def quantize_qronos_column(
 ) -> RoundingTrace:
     """Efficient form of the error-corrected iterates.
 
-    Step 1 interpolates the unquantized column through the trailing
-    block of ``chol`` (the factor of the inverse of h); afterwards the
-    trajectory is the optq-style diffusion on the corrected state.
+    ``chol`` is the factor L = U^-T of h^-1, h = U U^T.  Step 1 solves
+    for the rest of the column through U[1:, 1:]; afterwards the
+    trajectory is the optq rule on the corrected column.
     """
     return _round_column("qronos", w, grid, record_trace, h, g, chol)
 
@@ -397,8 +410,8 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
 
         t0 = clock()
         # the one finiteness and symmetry scan of H: the sweeps would carry
-        # a NaN or inf into q without raising, and the damping and factor
-        # calls below skip their own scans
+        # a NaN or inf into q without raising, and the damping call below
+        # skips its own scan
         check_symmetric(stats.H, "H")
         if stats.GW is not None:
             check_finite(stats.GW, "GW")
@@ -410,19 +423,18 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         # the ridge shifts every diagonal entry equally, so ordering from the
         # undamped diagonal is the same permutation
         order = _calib.order_by_diag(stats.H) if req.order == "diag" else _calib.natural_order(n_in)
-        ix = np.ix_(order.perm, order.perm)
-        hp = stats.H[ix]
+        factored = req.method in ("optq", "qronos")
+        # optq and qronos hold H index-reversed, as reversed_cholesky factors it
+        perm = order.perm[::-1] if factored else order.perm
+        hx = stats.H[np.ix_(perm, perm)]
         wp = _calib.permute_weights(w, order)
-        gp = gwp = None
-        if reads_g:
-            gp = stats.G[ix]
+        gp = stats.G[np.ix_(perm, perm)] if reads_g else None
         gw = stats.GW if stats.GW is not None else stats.G @ w
-        if req.method in ("qronos", "qronos_base"):
-            gwp = gw[order.perm]
+        gwp = gw[order.perm] if req.method in ("qronos", "qronos_base") else None
         if lam:
             # the one place the ridge is added; a permutation keeps the
             # diagonal on the diagonal
-            hp.flat[:: n_in + 1] += lam
+            hx.flat[:: n_in + 1] += lam
             if gp is not None:
                 gp.flat[:: n_in + 1] += lam
             if gwp is not None:
@@ -430,7 +442,7 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         t3 = clock()
         timings.update(check=t1 - t0, damping=t2 - t1, permute=t3 - t2)
         if req.method == "gpfq":
-            for t in np.flatnonzero(np.diag(hp) <= 0.0):
+            for t in np.flatnonzero(np.diag(hx) <= 0.0):
                 feature = int(order.perm[t])
                 warnings.warn(
                     f"quantized-path column {feature} has zero norm; falling back to RTN for that step",
@@ -439,11 +451,13 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
                 )
                 report_warnings.append(f"gpfq: zero-norm quantized-path column {feature}, RTN fallback")
         try:
-            low = chol_of_inverse(hp, checked=True) if req.method in ("optq", "qronos") else None
-            timings["factor"] = clock() - t3
-            qp, traces = _round_columns(
-                req.method, wp, req.grids, hp, gp, gwp, low, req.record_trace, timings
-            )
+            if factored:
+                h0 = hx[-1, ::-1].copy() if req.method == "qronos" else None
+                c = reversed_cholesky(hx) if n_in > SMALL_LAYER else _numpy_cholesky(hx)
+                timings["factor"] = clock() - t3
+                qp, traces = _sweep(wp, req.grids, c, h0, gwp, req.record_trace, timings)
+            else:
+                qp, traces = _round_moments(req.method, wp, req.grids, hx, gp, gwp, req.record_trace, timings)
         except NotPositiveDefiniteError as exc:
             feature = int(order.perm[exc.index - 1]) + 1
             raise NotPositiveDefiniteError(
@@ -453,7 +467,12 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         q = _calib.unpermute_result(qp, order)
         t1 = clock()
         # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
-        qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
+        if factored and n_in > SMALL_LAYER:
+            # q^T (H + lam I) q = ||c^T q_r||^2, q_r being q reversed in processing order
+            cq = blas.dtrmm(1.0, c, qp[::-1].T, side=1, lower=1)
+            qhq = np.einsum("ij,ij->i", cq, cq)
+        else:
+            qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
         objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, gw)
         objective_form = "moment_quadratic"
         timings.update(unpermute=t1 - t0, objective=clock() - t1)
@@ -473,30 +492,21 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
     return q, report
 
 
-def _round_columns(method, wp, grids, hp=None, gp=None, gwp=None, low=None, record=False, timings=None):
-    """Round every column of ``wp`` (n, n_out), step-synchronously.
+def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
+    """gpfq or qronos_base on every column of ``wp`` (n, n_out), as ``_sweep``.
 
-    One loop per method family: gpfq reads each step off the moment pair
-    (hp, gp) and rounds w_t itself where hp[t, t] is zero, qronos_base
-    re-solves the trailing normal equations at every step, and optq and
-    the steps t >= 2 of qronos share the diffusion sweep on ``low``,
-    blocked by SWEEP_BLOCK steps.  ``gwp`` is the cross term gp @ wp
-    that qronos and qronos_base read.  Returns q and, with ``record``,
-    one RoundingTrace per column (else None); ``timings`` receives the
-    seconds of qronos's first step and of the sweep.  A recorded state
-    brings the rows below the current block up to date on the side, so
-    recording never changes q.  A NotPositiveDefiniteError names its
-    1-based pivot in processing order.
+    gpfq reads each step off the moment pair (hp, gp) and rounds w_t
+    itself where hp[t, t] is zero; qronos_base re-solves the trailing
+    normal equations, right-hand side from gwp = gp @ wp, at every step.
+    A NotPositiveDefiniteError names its 1-based pivot in processing order.
     """
     n, n_out = wp.shape
-    timings = {} if timings is None else timings
     t0 = time.perf_counter()
     rtn = _grid.row_rounder(grids)
     q = np.empty_like(wp)
     # states[k] holds rows k: after step k - 1; moves[k - 1] the step's move
     states = [wp] if record else None
     moves = [] if record and method != "gpfq" else None
-
     if method == "gpfq":
         for t in range(n):
             if hp[t, t] > 0.0:
@@ -506,7 +516,7 @@ def _round_columns(method, wp, grids, hp=None, gp=None, gwp=None, low=None, reco
                 q[t] = rtn(wp[t])
             if record and t + 1 < n:
                 states.append(wp[t + 1 :])
-    elif method == "qronos_base":
+    else:
         state = wp.copy()
         for t in range(n):
             num = gwp[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ state[t + 1 :]
@@ -522,58 +532,115 @@ def _round_columns(method, wp, grids, hp=None, gp=None, gwp=None, low=None, reco
                     states.append(tail)
                     moves.append(tail - state[t + 1 :])
                 state[t + 1 :] = tail
-    else:
-        state = wp.copy()
-        start = 0
-        if method == "qronos":
-            # step 1 interpolates through the trailing block of the factor
-            num = gwp[0] - hp[0, 1:] @ wp[1:]
-            q[0] = rtn(num / hp[0, 0])
-            if n > 1:
-                tail = low[1:, 1:] @ (low[1:, 1:].T @ (gwp[1:] - hp[1:, :1] * q[0]))
-                if record:
-                    states.append(tail)
-                    moves.append(tail - state[1:])
-                state[1:] = tail
-            start = 1
-            t1 = time.perf_counter()
-            timings["first_step"] = t1 - t0
-            t0 = t1
-        for b0 in range(start, n, SWEEP_BLOCK):
-            b1 = min(b0 + SWEEP_BLOCK, n)
-            # the block's scaled errors, negated: each has its move's sign
-            errs = np.empty((b1 - b0, n_out))
-            for t in range(b0, b1):
-                q[t] = rtn(state[t])
-                errs[t - b0] = (q[t] - state[t]) / low[t, t]
-                if not record:
-                    state[t + 1 : b1] += low[t + 1 : b1, t, None] * errs[t - b0]
-                elif t + 1 < n:
-                    move = low[t + 1 :, t, None] * errs[t - b0]
-                    state[t + 1 : b1] += move[: b1 - t - 1]
-                    tail = state[t + 1 :].copy()
-                    if b1 < n:
-                        tail[b1 - t - 1 :] += low[b1:, b0 : t + 1] @ errs[: t + 1 - b0]
-                    states.append(tail)
-                    moves.append(move)
-            if b1 < n:
-                state[b1:] += low[b1:, b0:b1] @ errs
     timings["sweep"] = time.perf_counter() - t0
+    return q, _traces(q, states, moves)
 
-    if not record:
-        return q, None
-    return q, [
+
+def _sweep(wp, grids, c, h0, gwp, record, timings):
+    """optq, or given hp's row 0 ``h0`` and the cross term ``gwp`` qronos,
+    on every column of ``wp`` (n, n_out), step-synchronously.
+
+    ``c`` factors the damped H index-reversed (``reversed_cholesky``:
+    hp = U U^T, U = J c J).  Step t rounds s_t = w_t - sum_{j<t}
+    (U[j, t] / U[t, t]) (q_j - w_j), in reversed coordinates, where
+    U[:t, t] is a column of c below its diagonal: a block of SWEEP_BLOCK
+    steps takes the errors of the blocks before it in one product with a
+    slab of c, then its own step by step.  qronos first rounds q_1 and
+    refits the rest, w = hp[1:, 1:]^-1 (gwp[1:] - hp[1:, 0] q_1), by two
+    triangular solves (NumPy solves up to SMALL_LAYER features), then
+    sweeps on U[1:, 1:].  Returns q and, with ``record``, one
+    RoundingTrace per column (else None), its states the least-squares
+    refits of the rows ahead; ``timings`` gets the seconds of the first
+    step and of the sweep.
+    """
+    n, n_out = wp.shape
+    t0 = time.perf_counter()
+    rtn = _grid.row_rounder(grids)
+    qr = np.empty((n, n_out))  # q in reversed order
+    wr = wp[::-1]
+    top = n  # the sweep's steps are the reversed rows [0, top)
+    states = [wp] if record else None
+    moves = [] if record else None
+    # c^-1 (lower) for traced states
+    cinv = lapack.dtrtri(c, lower=1)[0] if record else None
+    if h0 is not None:
+        qr[-1] = rtn((gwp[0] - h0[1:] @ wp[1:]) / h0[0])
+        top = n - 1
+        # hp[1:, 1:] reversed is the leading block of c c^T
+        rhs = (gwp[1:] - h0[1:, None] * qr[-1])[::-1]
+        if n <= SMALL_LAYER:
+            lead = c[:top, :top]
+            wr = np.linalg.solve(lead.T, np.linalg.solve(lead, rhs))
+        else:
+            # two solves with all of c (a slice is copied), a zero last
+            # right-hand-side row keeping its last row out
+            rhs = np.vstack([rhs, np.zeros((1, n_out))])
+            z = blas.dtrsm(1.0, c, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+            z[:, top] = 0.0
+            wr = blas.dtrsm(1.0, c, z, side=1, lower=1, overwrite_b=1).T
+        if record and top:
+            states.append(wr[top - 1 :: -1])
+            moves.append(states[-1] - wp[1:])
+        t1 = time.perf_counter()
+        timings["first_step"] = t1 - t0
+        t0 = t1
+    ct = c.T  # C-ordered: ct[k, j] = c[j, k]
+    diag = c.diagonal()[:, None]
+    d = np.empty((top, n_out))  # q - w, reversed
+    if record:
+        # the refits of the rows ahead move along column t of L = U^-T,
+        # the factor of hp^-1, scaled by L[t, t]: row k of c^-1, reversed
+        lrows, refit = cinv / cinv.diagonal()[:, None], wr[:top]
+    for b1 in range(top, 0, -SWEEP_BLOCK):
+        b0 = max(b1 - SWEEP_BLOCK, 0)
+        # the block's U[j, t] / U[t, t], and its states after the blocks before it
+        scaled = ct[b0:b1, b0:b1] / diag[b0:b1]
+        s = wr[b0:b1] - (ct[b0:b1, b1:top] @ d[b1:top]) / diag[b0:b1]
+        for k in range(b1 - 1, b0 - 1, -1):
+            i = k - b0
+            qr[k] = rtn(s[i])
+            d[k] = qr[k] - wr[k]
+            s[:i] -= scaled[:i, i, None] * d[k]
+            if record and k:
+                move = lrows[k, :k, None] * (qr[k] - s[i])
+                refit = refit[:k] + move
+                states.append(refit[::-1])
+                moves.append(move[::-1])
+    timings["sweep"] = time.perf_counter() - t0
+    q = qr[::-1]
+    return q, _traces(q, states, moves)
+
+
+def _numpy_cholesky(hx):
+    """``reversed_cholesky`` of a small layer's hx through NumPy's LAPACK,
+    into a new array, with the same failures (hx is left as it was)."""
+    try:
+        c = np.linalg.cholesky(hx)
+    except np.linalg.LinAlgError:
+        return reversed_cholesky(hx)  # raises, naming the pivot
+    n = hx.shape[0]
+    weak = np.flatnonzero(c.diagonal() ** 2 <= n * np.finfo(np.float64).eps * hx.diagonal())
+    if weak.size:
+        raise NotPositiveDefiniteError(n - int(weak[0]))
+    return c
+
+
+def _traces(q, states, moves):
+    """One RoundingTrace per column of q from per-step row blocks, or None."""
+    if states is None:
+        return None
+    return [
         RoundingTrace(
             q=q[:, j],
             w_states=[s[:, j] for s in states],
             deltas=None if moves is None else [m[:, j] for m in moves],
         )
-        for j in range(n_out)
+        for j in range(q.shape[1])
     ]
 
 
 def _round_column(method, w, grid, record_trace, h=None, g=None, chol=None) -> RoundingTrace:
-    """One column through the layer driver (n_out = 1), after shape checks."""
+    """One column through the layer's loops (n_out = 1), after shape checks."""
     w = _as_column(w)
     n = w.size
     if h is not None:
@@ -587,7 +654,15 @@ def _round_column(method, w, grid, record_trace, h=None, g=None, chol=None) -> R
         raise ShapeError(f"factor shape {np.shape(chol)} must be {(n, n)}")
     wp = w[:, None]
     gwp = None if g is None else g @ wp
-    q, traces = _round_columns(method, wp, [grid], h, None, gwp, chol, record_trace)
+    if chol is None:
+        q, traces = _round_moments(method, wp, [grid], h, None, gwp, record_trace, {})
+    else:
+        # chol = L = U^-T, so the sweep's factor is c = J U J = J L^-T J
+        linv, info = lapack.dtrtri(np.asarray(chol, dtype=np.float64), lower=1)
+        if info != 0:
+            raise NotPositiveDefiniteError(int(info))
+        c = np.asfortranarray(linv.T[::-1, ::-1])
+        q, traces = _sweep(wp, [grid], c, None if h is None else h[0], gwp, record_trace, {})
     return traces[0] if record_trace else RoundingTrace(q=q[:, 0])
 
 

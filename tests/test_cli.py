@@ -556,17 +556,43 @@ def test_weights_without_output_columns_is_shape_error(tmp_path, capsys, method)
 @pytest.mark.parametrize("method, symmetric", [("qronos", False), ("optq", False), ("rtn", False),
                                                ("qronos", True)])
 def test_weights_column_whose_range_overflows_is_numeric_error(tmp_path, capsys, method, symmetric):
+    """At 2 levels the step is the whole range (or 2 max|w|), so it overflows."""
     rng = np.random.default_rng(27)
     w = rng.standard_normal((6, 3))
     w[1, 2], w[4, 2] = 1e308, -1e308
     x = rng.standard_normal((24, 6))
     flags = {"symmetric": True} if symmetric else {}
     args = quantize_args(tmp_path, w, x=None if method == "rtn" else x, xq=x + 0.1,
-                         method=method, **flags)
+                         method=method, levels=2, **flags)
     assert run(args) == 5
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "column 2" in err and "not finite" in err
     assert not (tmp_path / "q.qmx").exists()
+
+
+@pytest.mark.parametrize("top, bottom, symmetric", [(1e308, 0.0, True), (1e308, -1e308, False),
+                                                    (1e308, -1e308, True)])
+def test_weights_column_whose_range_overflows_gets_a_finite_grid(tmp_path, top, bottom, symmetric):
+    """A range (or 2 max|w|) past float64's top still has a finite step
+    at 16 levels: the column quantizes, its extremes near themselves."""
+    rng = np.random.default_rng(28)
+    w = rng.standard_normal((6, 3))
+    w[1, 2], w[4, 2] = top, bottom
+    flags = {"symmetric": True} if symmetric else {}
+    assert run(quantize_args(tmp_path, w, method="rtn", levels=16, **flags)) == 0
+    q = read_qmx(tmp_path / "q.qmx")
+    assert np.isfinite(q).all()
+    # within one step, 2e308 / 15 at most, of themselves
+    assert np.abs(q[[1, 4], 2] - [top, bottom]).max() <= 2e308 / 15
+
+
+def test_symmetric_grid_at_even_levels_keeps_a_zero_column(tmp_path):
+    """A zero column (or one whose max|w| underflows) comes back as zeros,
+    although 0 is not on a centered grid with an even level count."""
+    w = np.array([[0.0, 5e-324, 1.0], [0.0, 0.0, -2.0], [0.0, 0.0, 3.0]])
+    assert run(quantize_args(tmp_path, w, method="rtn", levels=16, symmetric=True)) == 0
+    q = read_qmx(tmp_path / "q.qmx")
+    assert q[:, :2].tobytes() == np.zeros((3, 2)).tobytes()
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -48,11 +50,67 @@ def test_fewer_than_two_levels_is_refused_before_dividing(levels):
 
 @pytest.mark.parametrize("w", [[1e308, -1e308], [np.nan, 1.0], [np.inf, np.inf]])
 def test_grid_builders_refuse_a_step_that_is_not_finite(w):
-    """A range that overflows float64, or a NaN or infinity, gives no grid."""
+    """A step that overflows float64 (at 2 levels the step is the whole
+    range, or 2 max|w|), or a NaN or infinity, gives no grid."""
     with pytest.raises(NonFiniteInputError, match="not finite"):
-        grid_from_minmax(np.array(w), 16)
+        grid_from_minmax(np.array(w), 2)
     with pytest.raises(NonFiniteInputError, match="not finite"):
-        symmetric_scale_search(np.array(w), 16)
+        symmetric_scale_search(np.array(w), 2)
+
+
+def _grid_before_overflow_guard(w, levels, beta, symmetric):
+    """Both builders as they read when the range was formed before
+    dividing; None where that step, or a squared search error, overflowed."""
+    if symmetric:
+        zero = (levels - 1) / 2.0
+        top = 2.0 * float(np.abs(w).max()) / (levels - 1)
+        if not np.isfinite(top):
+            return None
+        steps = np.linspace(0.2, 1.0, 100) * top
+        with np.errstate(over="ignore"):
+            errs = [float(r @ r) for r in (w - quantize_rtn(w, QuantGrid(levels, s, zero)) for s in steps)]
+        if not np.isfinite(errs).all():
+            return None
+        return QuantGrid(levels, float(steps[int(np.argmin(errs))]), zero, symmetric=True)
+    lo, hi = float(w.min()), float(w.max())
+    with np.errstate(over="ignore"):
+        step = beta * (hi - lo) / (levels - 1)
+    if not np.isfinite(step):
+        return None
+    return QuantGrid(levels, step, -beta * lo / step, beta=beta)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_grids_are_unchanged_where_the_range_did_not_overflow(symmetric):
+    """Dividing before forming the range moves no grid whose step and
+    search errors were finite, and gives a wider range a finite grid that
+    spans it, unless its step itself overflows (2 levels, range over
+    float64's top)."""
+    rng = np.random.default_rng(8)
+    overflowed = 0
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300, 1e308):
+        for levels, beta in itertools.product((2, 3, 16), (1.0, 0.7)):
+            for _ in range(8):
+                w = rng.uniform(-1.0, 1.0, 24) * scale
+                old = _grid_before_overflow_guard(w, levels, beta, symmetric)
+                build = (lambda: symmetric_scale_search(w, levels)) if symmetric else (
+                    lambda: grid_from_minmax(w, levels, beta))
+                if old is not None:
+                    assert build() == old
+                    continue
+                overflowed += 1
+                lo, hi = (-np.abs(w).max(), np.abs(w).max()) if symmetric else (w.min(), w.max())
+                if levels == 2 and hi / 2 - lo / 2 > np.finfo(np.float64).max / 2:
+                    with pytest.raises(NonFiniteInputError, match="not finite"):
+                        build()
+                    continue
+                g = build()
+                assert np.isfinite(g.step_size) and not g.degenerate
+                q = quantize_rtn(w, g)
+                assert np.isfinite(q).all()
+                if not symmetric:
+                    assert g.alphabet[[0, -1]] == pytest.approx([beta * lo, beta * hi], rel=1e-12)
+    assert overflowed > 0
 
 
 def test_levels_from_bits():

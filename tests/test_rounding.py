@@ -13,6 +13,7 @@ from qronos import (
     CalibStats,
     DampingPolicy,
     LayerQuantRequest,
+    METHOD_SPECS,
     METHODS,
     NonFiniteInputError,
     ShapeError,
@@ -464,6 +465,81 @@ def test_layer_peak_memory_is_a_few_copies_of_h():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * stats.H.nbytes
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos"])
+def test_layer_factors_its_one_copy_of_h_in_place(method):
+    """optq and qronos hold one n x n buffer, the reversed copy of H that
+    the Cholesky overwrites: a second copy of H or of its factor would
+    break the bound."""
+    rng = np.random.default_rng(31)
+    n, n_out = 512, 8
+    x = rng.standard_normal((2 * n, n))
+    w = rng.standard_normal((n, n_out))
+    grids = [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    stats = layer_stats(method, w, x, x + 0.1 * rng.standard_normal(x.shape))
+    req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                            damping=DampingPolicy("top_singular_fraction"))
+    quantize_layer(req)  # first call imports the Lanczos solver
+    tracemalloc.start()
+    try:
+        quantize_layer(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stats.H.nbytes + 8 * w.nbytes
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos"])
+def test_duplicated_feature_is_named_in_caller_order(method):
+    """An exactly singular H, feature 4 a copy of feature 1, raises
+    naming the caller's feature 2 (1-based): the copy the reversed
+    factorization meets second."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((40, 6)) * np.array([1.0, 3.0, 0.5, 2.0, 1.5, 0.7])
+    x[:, 4] = x[:, 1]
+    w = rng.standard_normal((6, 2))
+    grids = [grid_from_minmax(w[:, j], 4) for j in range(2)]
+    from qronos import NotPositiveDefiniteError
+
+    req = LayerQuantRequest(weights=w, grids=grids, method=method,
+                            stats=layer_stats(method, w, x, x.copy()), damping=DampingPolicy("none"))
+    with pytest.raises(NotPositiveDefiniteError, match="feature 2,") as exc:
+        quantize_layer(req)
+    assert exc.value.index == 2
+
+
+# sha256 of q.tobytes() per (seed, method) from the layer driver with each
+# method's default damping, recorded from the inverse-factor driver
+_GOLDEN_Q = {
+    (0, "rtn"): "a9ef0bf59ec7a3e128ebe0090d2b735ba5b8873e6fe7a59ada566298eea3c936",
+    (0, "optq"): "a18ee8f515e564dab8935e8002fa5f543db6b221abc6c68aaa36e644395f4fd6",
+    (0, "gpfq"): "bb0e77788b054536e0f0b98cb1df1e0552567328afde0bde52f70f4db3a60834",
+    (0, "qronos_base"): "fced84e733cf3a2ad34f1581231f27d6b4a7801252e5e76da87acaf9b45bce62",
+    (0, "qronos"): "fced84e733cf3a2ad34f1581231f27d6b4a7801252e5e76da87acaf9b45bce62",
+    (1, "rtn"): "a847af89de64c4af7983dbb5694b11a5687ea572c89f90a5a39a83806a7950a1",
+    (1, "optq"): "376f218affe0c5faa67b93f5b328c4a8df121fba093966c13926eb971ac20887",
+    (1, "gpfq"): "cd9475e04a9f4fd3029098599a471a723090be9ccdd08e8b9f50e00dba25307c",
+    (1, "qronos_base"): "268a8feac5addcfadd9cfc3dc04e9e0a744e3df773ad21226069844675693830",
+    (1, "qronos"): "268a8feac5addcfadd9cfc3dc04e9e0a744e3df773ad21226069844675693830",
+}
+
+
+@pytest.mark.parametrize("seed, n, n_out", [(0, 24, 5), (1, 300, 4)])
+def test_layer_q_matches_golden_hashes(seed, n, n_out):
+    """q is bit for bit what it was; n = 300 spans three sweep blocks."""
+    import hashlib
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    w = rng.standard_normal((n, n_out))
+    grids = [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    for method in METHODS:
+        stats = None if method == "rtn" else layer_stats(method, w, x, xq)
+        q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                                                damping=METHOD_SPECS[method].damping))
+        assert hashlib.sha256(q.tobytes()).hexdigest() == _GOLDEN_Q[seed, method], method
 
 
 @pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
