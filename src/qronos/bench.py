@@ -37,7 +37,7 @@ class BenchConfig:
     seeds: int = 3
     levels: int = 16
     methods: tuple = BENCH_METHODS
-    inner_reps: int = 3
+    inner_reps: int = 5
 
     def __post_init__(self):
         if self.k_min < 4 or self.k_max < self.k_min:
@@ -57,24 +57,37 @@ class BenchConfig:
 
 
 def _time_cell(method, x, xq, w, grids, cfg):
-    """Return (stats_time, algo_time) lists over the inner repetitions."""
+    """Return (stats_time, algo_time) lists over the inner repetitions.
+
+    Even repetitions run the stats phase, then the layer on those stats;
+    odd ones run the layer on the previous stats first, so it starts
+    right after the previous layer run rather than after the stats'
+    threaded products.  Either start can catch idle BLAS threads waking
+    (milliseconds on a small layer), and which one does depends on the
+    layer, so the minimum sees both.  The layer never writes its stats.
+    """
     stats_times = []
     algo_times = []
-    for _ in range(cfg.inner_reps):
+    req = None
+    for rep in range(cfg.inner_reps):
+        if rep % 2 == 0:
+            t0 = time.perf_counter()
+            stats = _rounding.layer_stats(method, w, x, xq)
+            stats_times.append(time.perf_counter() - t0)
+            req = _rounding.LayerQuantRequest(
+                weights=w,
+                grids=grids,
+                method=method,
+                stats=stats,
+                damping=_rounding.METHOD_SPECS[method].damping,
+            )
         t0 = time.perf_counter()
-        stats = _rounding.layer_stats(method, w, x, xq)
-        t1 = time.perf_counter()
-        req = _rounding.LayerQuantRequest(
-            weights=w,
-            grids=grids,
-            method=method,
-            stats=stats,
-            damping=_rounding.METHOD_SPECS[method].damping,
-        )
         _rounding.quantize_layer(req)
-        t2 = time.perf_counter()
-        stats_times.append(t1 - t0)
-        algo_times.append(t2 - t1)
+        algo_times.append(time.perf_counter() - t0)
+        if rep % 2 == 1:
+            t0 = time.perf_counter()
+            _rounding.layer_stats(method, w, x, xq)
+            stats_times.append(time.perf_counter() - t0)
     return stats_times, algo_times
 
 

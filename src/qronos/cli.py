@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--levels", type=int, default=16)
     p.add_argument("--methods", default=",".join(m.replace("_", "-") for m in _bench.BENCH_METHODS))
-    p.add_argument("--reps", type=int, default=3, help="inner repetitions per cell")
+    p.add_argument("--reps", type=int, default=5, help="inner repetitions per cell")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_bench)
 

@@ -52,9 +52,7 @@ The layer driver runs all output channels at once, step-synchronously,
 after applying the calib ordering.  For optq and qronos one in-place
 Cholesky of the index-reversed H (``linalg.reversed_cholesky``) gives U,
 which serves the first step, the sweep and the objective, whose
-q^T (H + lambda I) q is ||U^T q||^2 (up to SMALL_LAYER features the
-factor, the first step's solves and the objective, through H, run in
-NumPy).  The sweep is blocked (GPTQ's lazy
+q^T (H + lambda I) q is ||U^T q||^2.  The sweep is blocked (GPTQ's lazy
 batch, read left-looking): a block of SWEEP_BLOCK steps takes the errors
 of the blocks before it in one matrix product, then its own errors step
 by step.  The per-column entry points run the same loops on one channel
@@ -121,13 +119,6 @@ ORDER_MODES = ("diag", "natural")
 # steps per block of the layer sweep; a block takes the errors of the
 # blocks before it in one matrix product
 SWEEP_BLOCK = 128
-# up to this many features the factored methods factor, take their first
-# step and form their objective through NumPy (its Cholesky and solves,
-# and H): NumPy and SciPy each bundle an OpenBLAS with its own threads,
-# the calibration products have just woken NumPy's, and waking SciPy's
-# idle ones for a small layer's LAPACK calls sometimes took 2-5 ms with
-# 2 BLAS threads, far longer than the calls
-SMALL_LAYER = 256
 # LayerReport.timings keys, in the order the layer runs them; "permute"
 # also forms the cross term, G @ W included when the stats hold G
 PHASES = ("check", "damping", "permute", "factor", "first_step", "sweep", "unpermute", "objective")
@@ -453,7 +444,7 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         try:
             if factored:
                 h0 = hx[-1, ::-1].copy() if req.method == "qronos" else None
-                c = reversed_cholesky(hx) if n_in > SMALL_LAYER else _numpy_cholesky(hx)
+                c = reversed_cholesky(hx)
                 timings["factor"] = clock() - t3
                 qp, traces = _sweep(wp, req.grids, c, h0, gwp, req.record_trace, timings)
             else:
@@ -467,7 +458,7 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         q = _calib.unpermute_result(qp, order)
         t1 = clock()
         # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
-        if factored and n_in > SMALL_LAYER:
+        if factored:
             # q^T (H + lam I) q = ||c^T q_r||^2, q_r being q reversed in processing order
             cq = blas.dtrmm(1.0, c, qp[::-1].T, side=1, lower=1)
             qhq = np.einsum("ij,ij->i", cq, cq)
@@ -536,7 +527,7 @@ def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
     return q, _traces(q, states, moves)
 
 
-def _sweep(wp, grids, c, h0, gwp, record, timings):
+def _sweep(wp, grids, c, h0, gwp, record, timings, cinv=None):
     """optq, or given hp's row 0 ``h0`` and the cross term ``gwp`` qronos,
     on every column of ``wp`` (n, n_out), step-synchronously.
 
@@ -547,11 +538,11 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     steps takes the errors of the blocks before it in one product with a
     slab of c, then its own step by step.  qronos first rounds q_1 and
     refits the rest, w = hp[1:, 1:]^-1 (gwp[1:] - hp[1:, 0] q_1), by two
-    triangular solves (NumPy solves up to SMALL_LAYER features), then
-    sweeps on U[1:, 1:].  Returns q and, with ``record``, one
-    RoundingTrace per column (else None), its states the least-squares
-    refits of the rows ahead; ``timings`` gets the seconds of the first
-    step and of the sweep.
+    triangular solves, then sweeps on U[1:, 1:].  Returns q and, with
+    ``record``, one RoundingTrace per column (else None), its states the
+    least-squares refits of the rows ahead, read off ``cinv`` = c^-1
+    (formed here when not given); ``timings`` gets the seconds of the
+    first step and of the sweep.
     """
     n, n_out = wp.shape
     t0 = time.perf_counter()
@@ -561,30 +552,27 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     top = n  # the sweep's steps are the reversed rows [0, top)
     states = [wp] if record else None
     moves = [] if record else None
-    # c^-1 (lower) for traced states
-    cinv = lapack.dtrtri(c, lower=1)[0] if record else None
+    if record and cinv is None:
+        cinv = lapack.dtrtri(c, lower=1)[0]
     if h0 is not None:
         qr[-1] = rtn((gwp[0] - h0[1:] @ wp[1:]) / h0[0])
         top = n - 1
-        # hp[1:, 1:] reversed is the leading block of c c^T
-        rhs = (gwp[1:] - h0[1:, None] * qr[-1])[::-1]
-        if n <= SMALL_LAYER:
-            lead = c[:top, :top]
-            wr = np.linalg.solve(lead.T, np.linalg.solve(lead, rhs))
-        else:
-            # two solves with all of c (a slice is copied), a zero last
-            # right-hand-side row keeping its last row out
-            rhs = np.vstack([rhs, np.zeros((1, n_out))])
-            z = blas.dtrsm(1.0, c, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-            z[:, top] = 0.0
-            wr = blas.dtrsm(1.0, c, z, side=1, lower=1, overwrite_b=1).T
+        # hp[1:, 1:] reversed is the leading block of c c^T: two solves with
+        # all of c (a slice is copied), a zero last right-hand-side row
+        # keeping its last row out
+        rhs = np.vstack([(gwp[1:] - h0[1:, None] * qr[-1])[::-1], np.zeros((1, n_out))])
+        z = blas.dtrsm(1.0, c, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        z[:, top] = 0.0
+        wr = blas.dtrsm(1.0, c, z, side=1, lower=1, overwrite_b=1).T
         if record and top:
             states.append(wr[top - 1 :: -1])
             moves.append(states[-1] - wp[1:])
         t1 = time.perf_counter()
         timings["first_step"] = t1 - t0
         t0 = t1
-    ct = c.T  # C-ordered: ct[k, j] = c[j, k]
+    # c is Fortran-ordered (reversed_cholesky's view, or _round_column's
+    # copy), so ct is C-ordered and every slab below a positive-stride slice
+    ct = c.T
     diag = c.diagonal()[:, None]
     d = np.empty((top, n_out))  # q - w, reversed
     if record:
@@ -609,20 +597,6 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     timings["sweep"] = time.perf_counter() - t0
     q = qr[::-1]
     return q, _traces(q, states, moves)
-
-
-def _numpy_cholesky(hx):
-    """``reversed_cholesky`` of a small layer's hx through NumPy's LAPACK,
-    into a new array, with the same failures (hx is left as it was)."""
-    try:
-        c = np.linalg.cholesky(hx)
-    except np.linalg.LinAlgError:
-        return reversed_cholesky(hx)  # raises, naming the pivot
-    n = hx.shape[0]
-    weak = np.flatnonzero(c.diagonal() ** 2 <= n * np.finfo(np.float64).eps * hx.diagonal())
-    if weak.size:
-        raise NotPositiveDefiniteError(n - int(weak[0]))
-    return c
 
 
 def _traces(q, states, moves):
@@ -658,11 +632,14 @@ def _round_column(method, w, grid, record_trace, h=None, g=None, chol=None) -> R
         q, traces = _round_moments(method, wp, [grid], h, None, gwp, record_trace, {})
     else:
         # chol = L = U^-T, so the sweep's factor is c = J U J = J L^-T J
-        linv, info = lapack.dtrtri(np.asarray(chol, dtype=np.float64), lower=1)
+        # and c^-1 = J L^T J
+        chol = np.asarray(chol, dtype=np.float64)
+        linv, info = lapack.dtrtri(chol, lower=1)
         if info != 0:
             raise NotPositiveDefiniteError(int(info))
         c = np.asfortranarray(linv.T[::-1, ::-1])
-        q, traces = _sweep(wp, [grid], c, None if h is None else h[0], gwp, record_trace, {})
+        h0 = None if h is None else h[0]
+        q, traces = _sweep(wp, [grid], c, h0, gwp, record_trace, {}, chol.T[::-1, ::-1])
     return traces[0] if record_trace else RoundingTrace(q=q[:, 0])
 
 
