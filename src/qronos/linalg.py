@@ -11,8 +11,8 @@ Cholesky of the index-reversed matrix, J H J = C C^T
 (``reversed_cholesky``), gives H = U U^T with U = J C J upper
 triangular, whose trailing blocks factor H's: H[t:, t:] = U[t:, t:]
 U[t:, t:]^T.  ``chol_of_inverse`` turns it into the factor L = U^-T of
-H^-1 that the per-column entry points take.  The explicit inverse below
-is the verification suites' independent route to the same objects.
+H^-1, and the explicit inverse below is the verification suites'
+independent route to the same objects.
 
 The spectral norm used for damping is one Lanczos (ARPACK) solve from a
 fixed-seed start vector, stopped at a relative Ritz residual of 1e-8;
@@ -132,17 +132,16 @@ def reversed_cholesky(rev: np.ndarray, *, clean: bool = False) -> np.ndarray:
     return c
 
 
-def chol_of_inverse(m: np.ndarray, *, checked: bool = False) -> np.ndarray:
+def chol_of_inverse(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L (L L^T = m^-1) of an SPD m's inverse, as an array.
 
     With m = U U^T from ``reversed_cholesky``, m^-1 = L L^T for L = U^-T =
     J C^-T J: one Cholesky and one triangular inverse, never m^-1 itself.
-    Failures raise as in ``reversed_cholesky``.  ``checked`` skips the
-    finiteness and symmetry scan, for a caller that has made it.
+    m is scanned for NaN, inf and asymmetry first; failures raise as in
+    ``reversed_cholesky``.
     """
     m = _as_square(m)
-    if not checked:
-        check_symmetric(m)
+    check_symmetric(m)
     n = m.shape[0]
     if n == 0:
         return np.zeros((0, 0))

@@ -55,11 +55,12 @@ which serves the first step, the sweep and the objective, whose
 q^T (H + lambda I) q is ||U^T q||^2.  The sweep is blocked (GPTQ's lazy
 batch, read left-looking): a block of SWEEP_BLOCK steps takes the errors
 of the blocks before it in one matrix product, then its own errors step
-by step.  The per-column entry points run the same loops on one channel
-(n_out = 1), with U derived from the factor L = U^-T of H^-1 that
-``chol_of_inverse`` returns.  Either can record per-step traces for
-verification; a recorded state is the least-squares refit of the rows
-ahead, updated on the side, so recording never changes q.
+by step.  The per-column entry points take the moments with any ridge
+already added and run the layer driver on one channel (n_out = 1), in
+the caller's order and with no damping of its own.  Either can record
+per-step traces for verification; a recorded state is the least-squares
+refit of the rows ahead, updated on the side, so recording never
+changes q.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ from .linalg import (
     solve_spd,
 )
 
-# the factor of H^-1 that the per-column entry points take, exported here
+# the factor L = U^-T of H^-1, exported here: the independent reference
+# for the sweep's U
 chol_of_inverse = _linalg.chol_of_inverse
 
 
@@ -153,17 +155,17 @@ def quantize_rtn_layer(w: np.ndarray, grids) -> np.ndarray:
 
 def quantize_optq_column(
     w: np.ndarray,
-    chol: np.ndarray,
+    h: np.ndarray,
     grid: _grid.QuantGrid,
     record_trace: bool = False,
 ) -> RoundingTrace:
     """Cholesky-form greedy rounding with error feedback.
 
-    ``chol`` is the lower Cholesky factor L = U^-T of the inverse of the
-    damped second moment H = U U^T of the layer's own input (this method
-    consumes one activation set only).
+    ``h`` is the damped second moment H = U U^T of the layer's own input
+    (this method consumes one activation set only); the feedback runs
+    through its Cholesky factor U.
     """
-    return _round_column("optq", w, grid, record_trace, chol=chol)
+    return _round_column("optq", w, h, h, grid, record_trace)
 
 
 def quantize_optq_column_ref(
@@ -263,24 +265,23 @@ def quantize_qronos_base_column(
     non-positive-definite trailing block raises, naming its 1-based
     pivot in the column's order.
     """
-    return _round_column("qronos_base", w, grid, record_trace, h, g)
+    return _round_column("qronos_base", w, h, g, grid, record_trace)
 
 
 def quantize_qronos_column(
     w: np.ndarray,
     h: np.ndarray,
     g: np.ndarray,
-    chol: np.ndarray,
     grid: _grid.QuantGrid,
     record_trace: bool = False,
 ) -> RoundingTrace:
-    """Efficient form of the error-corrected iterates.
+    """Efficient form of the error-corrected iterates on a moment pair.
 
-    ``chol`` is the factor L = U^-T of h^-1, h = U U^T.  Step 1 solves
-    for the rest of the column through U[1:, 1:]; afterwards the
-    trajectory is the optq rule on the corrected column.
+    With h = U U^T, step 1 solves for the rest of the column through
+    U[1:, 1:]; afterwards the trajectory is the optq rule on the
+    corrected column.
     """
-    return _round_column("qronos", w, grid, record_trace, h, g, chol)
+    return _round_column("qronos", w, h, g, grid, record_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +528,7 @@ def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
     return q, _traces(q, states, moves)
 
 
-def _sweep(wp, grids, c, h0, gwp, record, timings, cinv=None):
+def _sweep(wp, grids, c, h0, gwp, record, timings):
     """optq, or given hp's row 0 ``h0`` and the cross term ``gwp`` qronos,
     on every column of ``wp`` (n, n_out), step-synchronously.
 
@@ -540,9 +541,8 @@ def _sweep(wp, grids, c, h0, gwp, record, timings, cinv=None):
     refits the rest, w = hp[1:, 1:]^-1 (gwp[1:] - hp[1:, 0] q_1), by two
     triangular solves, then sweeps on U[1:, 1:].  Returns q and, with
     ``record``, one RoundingTrace per column (else None), its states the
-    least-squares refits of the rows ahead, read off ``cinv`` = c^-1
-    (formed here when not given); ``timings`` gets the seconds of the
-    first step and of the sweep.
+    least-squares refits of the rows ahead, read off c^-1; ``timings``
+    gets the seconds of the first step and of the sweep.
     """
     n, n_out = wp.shape
     t0 = time.perf_counter()
@@ -552,7 +552,7 @@ def _sweep(wp, grids, c, h0, gwp, record, timings, cinv=None):
     top = n  # the sweep's steps are the reversed rows [0, top)
     states = [wp] if record else None
     moves = [] if record else None
-    if record and cinv is None:
+    if record:
         cinv = lapack.dtrtri(c, lower=1)[0]
     if h0 is not None:
         qr[-1] = rtn((gwp[0] - h0[1:] @ wp[1:]) / h0[0])
@@ -570,8 +570,8 @@ def _sweep(wp, grids, c, h0, gwp, record, timings, cinv=None):
         t1 = time.perf_counter()
         timings["first_step"] = t1 - t0
         t0 = t1
-    # c is Fortran-ordered (reversed_cholesky's view, or _round_column's
-    # copy), so ct is C-ordered and every slab below a positive-stride slice
+    # c is reversed_cholesky's Fortran-ordered view, so ct is C-ordered and
+    # every slab below a positive-stride slice
     ct = c.T
     diag = c.diagonal()[:, None]
     d = np.empty((top, n_out))  # q - w, reversed
@@ -613,34 +613,20 @@ def _traces(q, states, moves):
     ]
 
 
-def _round_column(method, w, grid, record_trace, h=None, g=None, chol=None) -> RoundingTrace:
-    """One column through the layer's loops (n_out = 1), after shape checks."""
+def _round_column(method, w, h, g, grid, record_trace) -> RoundingTrace:
+    """One column through ``quantize_layer`` (n_out = 1), in the caller's
+    order and with no ridge beyond the one already in (h, g)."""
     w = _as_column(w)
-    n = w.size
-    if h is not None:
-        h = np.asarray(h, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if h.shape != (n, n) or g.shape != (n, n):
-            raise ShapeError(f"moment matrices must be {(n, n)}, got H {h.shape} and G {g.shape}")
-        # the driver's trailing solves trust h, as they do the layer's checked copy
-        check_symmetric(h, "H")
-    if chol is not None and np.shape(chol) != (n, n):
-        raise ShapeError(f"factor shape {np.shape(chol)} must be {(n, n)}")
-    wp = w[:, None]
-    gwp = None if g is None else g @ wp
-    if chol is None:
-        q, traces = _round_moments(method, wp, [grid], h, None, gwp, record_trace, {})
-    else:
-        # chol = L = U^-T, so the sweep's factor is c = J U J = J L^-T J
-        # and c^-1 = J L^T J
-        chol = np.asarray(chol, dtype=np.float64)
-        linv, info = lapack.dtrtri(chol, lower=1)
-        if info != 0:
-            raise NotPositiveDefiniteError(int(info))
-        c = np.asfortranarray(linv.T[::-1, ::-1])
-        h0 = None if h is None else h[0]
-        q, traces = _sweep(wp, [grid], c, h0, gwp, record_trace, {}, chol.T[::-1, ::-1])
-    return traces[0] if record_trace else RoundingTrace(q=q[:, 0])
+    req = LayerQuantRequest(
+        weights=w[:, None],
+        grids=[grid],
+        method=method,
+        stats=_calib.CalibStats(w.size, H=h, G=g),
+        order="natural",
+        record_trace=record_trace,
+    )
+    q, report = quantize_layer(req)
+    return report.traces[0] if record_trace else RoundingTrace(q=q[:, 0])
 
 
 # ---------------------------------------------------------------------------

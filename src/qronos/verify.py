@@ -33,7 +33,6 @@ from .linalg import DampingPolicy, spd_inverse, cholesky_lower, inverse_hessian_
 from .rounding import (
     LayerQuantRequest,
     RoundingTrace,
-    chol_of_inverse,
     quantize_layer,
     quantize_optq_column,
     quantize_optq_column_ref,
@@ -114,7 +113,7 @@ def _check_theorem1(rng, i, tol, detail):
     """Direct and efficient error-corrected forms produce one trajectory."""
     x, xq, w, grid, h, g = _pair_instance(rng, i)
     base = quantize_qronos_base_column(w, h, g, grid, record_trace=True)
-    eff = quantize_qronos_column(w, h, g, chol_of_inverse(h), grid, record_trace=True)
+    eff = quantize_qronos_column(w, h, g, grid, record_trace=True)
     dev = _states_dev(base.w_states, eff.w_states)
     return np.array_equal(base.q, eff.q) and dev <= tol, dev
 
@@ -143,7 +142,7 @@ def _check_cholesky_sweep(reference, rng, i, tol, detail):
     least-squares form of the same trajectory, state by state."""
     n, levels = _cycle(i)
     x, _, w, grid = _instance(rng, n, 8 * n, levels, identical=True)
-    fast = quantize_optq_column(w, chol_of_inverse(x.T @ x), grid, record_trace=True)
+    fast = quantize_optq_column(w, x.T @ x, grid, record_trace=True)
     ref = reference(w, x, grid)
     dev = _states_dev(fast.w_states, ref.w_states)
     return np.array_equal(fast.q, ref.q) and dev <= tol, dev
@@ -153,7 +152,7 @@ def _check_first_step(rng, i, tol, detail):
     """Moment-space first step equals the pseudoinverse first step."""
     x, xq, w, grid, h, g = _pair_instance(rng, i)
     q1_pinv, tail_pinv = _oracle.first_step_pinv(w, x, xq, grid)
-    eff = quantize_qronos_column(w, h, g, chol_of_inverse(h), grid, record_trace=True)
+    eff = quantize_qronos_column(w, h, g, grid, record_trace=True)
     base = quantize_qronos_base_column(w, h, g, grid, record_trace=True)
     worst = 0.0
     for tr in (eff, base):
@@ -234,11 +233,11 @@ def _check_oracle(rng, i, tol, detail):
     _, best_obj = _oracle.brute_force_ils(w, x, xq, grid)
     target = x @ w
     runs = {
-        "optq": quantize_optq_column(w, chol_of_inverse(x.T @ x), grid, record_trace=True),
+        "optq": quantize_optq_column(w, x.T @ x, grid, record_trace=True),
         "optq_ref": quantize_optq_column_ref(w, x, grid, record_trace=True),
         "gpfq": quantize_gpfq_column(w, x, xq, grid, record_trace=True),
         "qronos_base": quantize_qronos_base_column(w, h, g, grid, record_trace=True),
-        "qronos": quantize_qronos_column(w, h, g, chol_of_inverse(h), grid, record_trace=True),
+        "qronos": quantize_qronos_column(w, h, g, grid, record_trace=True),
     }
     ok = True
     worst = 0.0

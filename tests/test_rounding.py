@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -74,8 +75,7 @@ def test_optq_on_grid_passthrough():
     w = on_grid_weights(rng, 8, 1)[:, 0]
     grid = grid_from_minmax(w, 4)
     x = rng.standard_normal((40, 8))
-    chol = chol_of_inverse(x.T @ x)
-    tr = quantize_optq_column(w, chol, grid, record_trace=True)
+    tr = quantize_optq_column(w, x.T @ x, grid, record_trace=True)
     assert np.array_equal(tr.q, w)
     assert all(np.allclose(d, 0.0) for d in tr.deltas)
 
@@ -83,16 +83,14 @@ def test_optq_on_grid_passthrough():
 def test_optq_single_coordinate():
     grid = grid_from_minmax(np.array([-1.0, 1.0]), 4)
     x = np.random.default_rng(3).standard_normal((10, 1))
-    chol = chol_of_inverse(x.T @ x)
-    tr = quantize_optq_column(np.array([0.4]), chol, grid)
+    tr = quantize_optq_column(np.array([0.4]), x.T @ x, grid)
     assert tr.q[0] == quantize_rtn(0.4, grid)
 
 
 def test_optq_matches_lstsq_reference():
     rng = np.random.default_rng(4)
     w, x, _, grid = column_instance(rng, 8, 64, 4, identical=True)
-    chol = chol_of_inverse(x.T @ x)
-    fast = quantize_optq_column(w, chol, grid, record_trace=True)
+    fast = quantize_optq_column(w, x.T @ x, grid, record_trace=True)
     ref = quantize_optq_column_ref(w, x, grid, record_trace=True)
     assert np.array_equal(fast.q, ref.q)
     for a, b in zip(fast.w_states, ref.w_states):
@@ -191,7 +189,7 @@ def test_qronos_efficient_equals_base():
     h = xq.T @ xq
     g = xq.T @ x
     base = quantize_qronos_base_column(w, h, g, grid, record_trace=True)
-    eff = quantize_qronos_column(w, h, g, chol_of_inverse(h), grid, record_trace=True)
+    eff = quantize_qronos_column(w, h, g, grid, record_trace=True)
     assert np.array_equal(base.q, eff.q)
     for a, b in zip(base.w_states, eff.w_states):
         assert np.linalg.norm(a - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
@@ -203,7 +201,7 @@ def test_qronos_identical_paths_on_grid_passthrough():
     grid = grid_from_minmax(w, 4)
     x = rng.standard_normal((48, 6))
     h = x.T @ x
-    tr = quantize_qronos_column(w, h, h.copy(), chol_of_inverse(h), grid)
+    tr = quantize_qronos_column(w, h, h.copy(), grid)
     assert np.array_equal(tr.q, w)
 
 
@@ -212,9 +210,9 @@ def test_trace_first_state_is_input_column():
     w, x, xq, grid = column_instance(rng, 8, 64, 4)
     h, g = xq.T @ xq, xq.T @ x
     for tr in (
-        quantize_optq_column(w, chol_of_inverse(h), grid, record_trace=True),
+        quantize_optq_column(w, h, grid, record_trace=True),
         quantize_qronos_base_column(w, h, g, grid, record_trace=True),
-        quantize_qronos_column(w, h, g, chol_of_inverse(h), grid, record_trace=True),
+        quantize_qronos_column(w, h, g, grid, record_trace=True),
         quantize_gpfq_column(w, x, xq, grid, record_trace=True),
         quantize_optq_column_ref(w, x, grid, record_trace=True),
     ):
@@ -278,9 +276,9 @@ def test_blocked_layer_matches_column_ops(method, n):
     chol = chol_of_inverse(h)
     for j in range(w.shape[1]):
         if method == "optq":
-            tr = quantize_optq_column(w[:, j], chol, grids[j], record_trace=True)
+            tr = quantize_optq_column(w[:, j], h, grids[j], record_trace=True)
         else:
-            tr = quantize_qronos_column(w[:, j], h, g, chol, grids[j], record_trace=True)
+            tr = quantize_qronos_column(w[:, j], h, g, grids[j], record_trace=True)
         differ = np.flatnonzero(blocked[:, j] != tr.q)
         if differ.size:
             t = int(differ[0])
@@ -335,9 +333,9 @@ def test_traced_states_match_the_unblocked_recursion(method):
     h, g = xq.T @ xq, xq.T @ x
     low = chol_of_inverse(h)
     if method == "optq":
-        tr = quantize_optq_column(w, low, grid, record_trace=True)
+        tr = quantize_optq_column(w, h, grid, record_trace=True)
     elif method == "qronos":
-        tr = quantize_qronos_column(w, h, g, low, grid, record_trace=True)
+        tr = quantize_qronos_column(w, h, g, grid, record_trace=True)
     else:
         tr = quantize_qronos_base_column(w, h, g, grid, record_trace=True)
     for t in range(1, n - 1):
@@ -364,6 +362,22 @@ def test_non_finite_g_raises_in_caller_order(method):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInputError, match="G: non-finite value nan at row 1, col 3"):
             quantize_layer(req)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "route", [quantize_qronos_base_column, quantize_qronos_column], ids=["qronos_base", "qronos"]
+)
+def test_non_finite_g_raises_in_the_column_routes(route, bad):
+    """The per-column routes scan G as the layer does, rather than
+    rounding a NaN or failing inside SciPy."""
+    h = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    g = np.eye(5)
+    g[1, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError, match=f"G: non-finite value {bad} at row 1, col 3"):
+            route(np.ones(5), h, g, grid_from_minmax(np.arange(5.0), 4))
 
 
 _THREADS_SCRIPT = """
@@ -525,21 +539,52 @@ _GOLDEN_Q = {
 }
 
 
-@pytest.mark.parametrize("seed, n, n_out", [(0, 24, 5), (1, 300, 4)])
-def test_layer_q_matches_golden_hashes(seed, n, n_out):
-    """q is bit for bit what it was; n = 300 spans three sweep blocks."""
-    import hashlib
+# sha256 of the per-column q, columns side by side, per (seed, method) on
+# the same instances with undamped moments, recorded from the entry points
+# that took the factor of H^-1
+_GOLDEN_COLUMN_Q = {
+    (0, "optq"): "cb1595740e1a01209cb50c64a93f41b047e9e42727cbfc407e27306f174bdd2f",
+    (0, "qronos_base"): "747d4751d3c41267cc85de6fe0715e777df4a46420cd7e8bd158932d32d7261d",
+    (0, "qronos"): "747d4751d3c41267cc85de6fe0715e777df4a46420cd7e8bd158932d32d7261d",
+    (1, "optq"): "825b3f809a767d464844dc04c2f36bd442d7e438335d625b2ec5b4d3dda33405",
+    (1, "qronos_base"): "e79d25ab6f8187e9828679247c041c7f92bb5f129dd968aa079476ee2237e7a7",
+    (1, "qronos"): "e79d25ab6f8187e9828679247c041c7f92bb5f129dd968aa079476ee2237e7a7",
+}
 
+
+def _golden_instance(seed, n, n_out):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
     xq = x + 0.1 * rng.standard_normal(x.shape)
     w = rng.standard_normal((n, n_out))
-    grids = [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    return x, xq, w, [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+
+
+@pytest.mark.parametrize("seed, n, n_out", [(0, 24, 5), (1, 300, 4)])
+def test_layer_q_matches_golden_hashes(seed, n, n_out):
+    """q is bit for bit what it was; n = 300 spans three sweep blocks."""
+    x, xq, w, grids = _golden_instance(seed, n, n_out)
     for method in METHODS:
         stats = None if method == "rtn" else layer_stats(method, w, x, xq)
         q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
                                                 damping=METHOD_SPECS[method].damping))
         assert hashlib.sha256(q.tobytes()).hexdigest() == _GOLDEN_Q[seed, method], method
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("seed, n, n_out", [(0, 24, 5), (1, 300, 4)])
+def test_column_q_matches_golden_hashes(seed, n, n_out, record):
+    """Per-column q is bit for bit what it was, traced or not."""
+    x, xq, w, grids = _golden_instance(seed, n, n_out)
+    hx, h, g = x.T @ x, xq.T @ xq, xq.T @ x
+    routes = {
+        "optq": lambda col, grid: quantize_optq_column(col, hx, grid, record),
+        "qronos_base": lambda col, grid: quantize_qronos_base_column(col, h, g, grid, record),
+        "qronos": lambda col, grid: quantize_qronos_column(col, h, g, grid, record),
+    }
+    for method, route in routes.items():
+        q = np.column_stack([route(w[:, j], grids[j]).q for j in range(n_out)])
+        assert hashlib.sha256(q.tobytes()).hexdigest() == _GOLDEN_COLUMN_Q[seed, method], method
 
 
 @pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
