@@ -9,10 +9,6 @@ moments to quantized weights; both are timed separately inside one
 execution, and end to end is their sum.  Each (method, K, seed) cell
 runs a fixed number of inner repetitions and reports the minimum and
 the mean.
-
-Normalized views divide by the optq algorithm (or end-to-end) time at
-the smallest K, averaged over seeds, so curves from different machines
-are comparable.
 """
 
 from __future__ import annotations
@@ -121,7 +117,7 @@ def run_bench(cfg: BenchConfig) -> dict:
                         "e2e": {"min": min(e2e), "mean": sum(e2e) / len(e2e)},
                     }
                 )
-    report = {
+    return {
         "config": {
             "k_ladder": cfg.ladder,
             "m": cfg.m,
@@ -135,30 +131,8 @@ def run_bench(cfg: BenchConfig) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "timing": {"cells": rows, "normalized": _normalize(rows, cfg)},
+        "timing": {"cells": rows},
     }
-    return report
-
-
-def _normalize(rows, cfg):
-    """Divide by the optq time at the smallest K (mean of seed minima)."""
-    out = {}
-    for phase in ("algo", "e2e"):
-        base_vals = [
-            r[phase]["min"]
-            for r in rows
-            if r.get("method") == "optq" and r.get("k") == cfg.ladder[0] and "skipped" not in r
-        ]
-        if not base_vals:
-            continue
-        base = sum(base_vals) / len(base_vals)
-        norm_rows = [
-            {"method": r["method"], "k": r["k"], "seed": r["seed"], "value": r[phase]["min"] / base}
-            for r in rows
-            if "skipped" not in r
-        ]
-        out[phase] = {"baseline_seconds": base, "rows": norm_rows}
-    return out
 
 
 def median_algo_times(report: dict) -> dict:

@@ -109,6 +109,8 @@ def cmd_quantize(args) -> int:
     t_all = time.perf_counter()
     method = args.method.replace("-", "_")
     levels = _resolve_levels(args)
+    if args.trace and not args.report:
+        raise UsageError("--trace records per-step states for the report; pass --report with it")
     if not (args.beta > 0.0 and np.isfinite(args.beta)):
         raise UsageError(f"--beta must be a positive finite number, got {args.beta}")
     damping_token = args.damping or _MODE_TOKENS[_rounding.METHOD_SPECS[method].damping.mode]
@@ -202,16 +204,14 @@ def cmd_quantize(args) -> int:
             "warnings": layer_report.warnings,
             "out": args.out,
         }
-        if args.trace and layer_report.traces is not None:
+        if args.trace:
+            # a step's move is the difference of two consecutive states
+            states = layer_report.states or []
+            norms = np.array([np.linalg.norm(b - a[1:], axis=0) for a, b in zip(states, states[1:])])
+            norms = norms.reshape(-1, n_out)
             result["trace"] = [
-                {
-                    "column": j,
-                    "q": [float(v) for v in q[:, j]],
-                    "delta_norms": [float(np.linalg.norm(d)) for d in tr.deltas]
-                    if tr.deltas is not None
-                    else [],
-                }
-                for j, tr in enumerate(layer_report.traces)
+                {"column": j, "q": q[:, j].tolist(), "delta_norms": norms[:, j].tolist()}
+                for j in range(n_out)
             ]
         payload = {
             "schema": 1,
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=["diag", "natural"], default="diag")
     p.add_argument("--out", required=True, help="output quantized weights, .qmx")
     p.add_argument("--report", help="write a JSON report here")
-    p.add_argument("--trace", action="store_true", help="include per-column step traces in the report")
+    p.add_argument("--trace", action="store_true", help="add per-column step traces to the --report")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("bench", help="runtime scaling ladder")

@@ -84,8 +84,6 @@ class QuantGrid:
     levels: int
     step_size: float
     zero_point: float
-    beta: float = 1.0
-    symmetric: bool = False
     degenerate: bool = False
 
     def __post_init__(self):
@@ -131,9 +129,9 @@ def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid
     if not np.isfinite(step):
         raise NonFiniteInputError(f"grid step {step} from the range [{lo}, {hi}] is not finite")
     if step == 0.0:
-        return QuantGrid(levels, 1.0, -lo, beta=beta, degenerate=True)
+        return QuantGrid(levels, 1.0, -lo, degenerate=True)
     zero = -beta * lo / step
-    return QuantGrid(levels, step, zero, beta=beta)
+    return QuantGrid(levels, step, zero)
 
 
 def quantize_rtn(w, grid: QuantGrid):
@@ -169,18 +167,18 @@ def symmetric_scale_search(w: np.ndarray, levels: int) -> QuantGrid:
     steps = np.linspace(0.2, 1.0, 100) * top
     if steps[0] == 0.0:
         # an integer zero point keeps 0 on the grid for even levels too
-        return QuantGrid(levels, 1.0, float((levels - 1) // 2), symmetric=True, degenerate=True)
+        return QuantGrid(levels, 1.0, float((levels - 1) // 2), degenerate=True)
     # the errors are compared on w scaled by a power of two below max|w|,
     # which is exact and keeps the squares of a wide column finite
     shift = max(math.frexp(amax)[1], 0)
     ws = np.ldexp(w, -shift)
     errs = np.empty(steps.size)
     for i, s in enumerate(np.ldexp(steps, -shift)):
-        g = QuantGrid(levels, float(s), zero, symmetric=True)
+        g = QuantGrid(levels, float(s), zero)
         r = ws - quantize_rtn(ws, g)
         errs[i] = float(r @ r)
     best = int(np.argmin(errs))
-    return QuantGrid(levels, float(steps[best]), zero, symmetric=True)
+    return QuantGrid(levels, float(steps[best]), zero)
 
 
 def quantize_per_token(x: np.ndarray, levels: int) -> np.ndarray:

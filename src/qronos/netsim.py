@@ -94,7 +94,6 @@ class NetworkSpec:
     weight_levels: int = 16
     act_levels: int | None = None
     hadamard: tuple = ()
-    seed: int = 0
 
     def __post_init__(self):
         if not self.layers:
@@ -185,8 +184,6 @@ def forward_pair(
 class PropagationReport:
     """Per-layer outcome of quantizing one network."""
 
-    method: str
-    seed: int
     rel_errors: list[float] = field(default_factory=list)
     objectives: list[float] = field(default_factory=list)
 
@@ -226,7 +223,7 @@ def quantize_network(
     # on the no-reset one the report measures; the last is always measured
     deployed = [x0.copy()]
     qweights: list = []
-    report = PropagationReport(method=method, seed=spec.seed)
+    report = PropagationReport()
     for idx, layer in enumerate(spec.layers):
         # a reset before layer 0 changes nothing: both paths start at x0
         if idx in spec.block_boundaries and idx > 0:
@@ -284,5 +281,4 @@ def build_random_network(
         weight_levels=weight_levels,
         act_levels=act_levels,
         hadamard=tuple(hadamard for _ in range(n_layers)),
-        seed=seed,
     )

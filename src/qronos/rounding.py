@@ -57,10 +57,12 @@ batch, read left-looking): a block of SWEEP_BLOCK steps takes the errors
 of the blocks before it in one matrix product, then its own errors step
 by step.  The per-column entry points take the moments with any ridge
 already added and run the layer driver on one channel (n_out = 1), in
-the caller's order and with no damping of its own.  Either can record
-per-step traces for verification; a recorded state is the least-squares
-refit of the rows ahead, updated on the side, so recording never
-changes q.
+the caller's order and with no damping of its own.  With
+``record_trace`` the layer records its per-step states, the rows not yet
+quantized after each step, for verification; a recorded state is the
+least-squares refit of the rows ahead, updated on the side, so recording
+never changes q.  A step's move is the difference of two consecutive
+states.
 """
 
 from __future__ import annotations
@@ -128,19 +130,15 @@ PHASES = ("check", "damping", "permute", "factor", "first_step", "sweep", "unper
 
 @dataclass
 class RoundingTrace:
-    """Per-column record of one rounding run.
+    """One per-column rounding run.
 
     ``q`` is the quantized column.  When recorded, ``w_states[t]`` holds
-    the surviving weights after step t (``w_states[0]`` is the input
-    column itself, bit for bit) and ``deltas[t-1]`` the move applied to
-    them at step t.  ``objective`` is 0.5 * ||X w - Xq q||^2 whenever raw
-    activations were available to evaluate it.
+    the weights not yet quantized after step t (``w_states[0]`` is the
+    input column itself, bit for bit).
     """
 
     q: np.ndarray
     w_states: list[np.ndarray] | None = None
-    deltas: list[np.ndarray] | None = None
-    objective: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +189,6 @@ def quantize_optq_column_ref(
     state = w.copy()
     q = np.empty(n)
     w_states = [state.copy()] if record_trace else None
-    deltas = [] if record_trace else None
     for t in range(n):
         resid = target - x[:, :t] @ q[:t] - x[:, t + 1 :] @ state[t + 1 :]
         denom = float(x[:, t] @ x[:, t])
@@ -201,11 +198,9 @@ def quantize_optq_column_ref(
             tail = x[:, t + 1 :]
             new_tail = np.linalg.solve(tail.T @ tail, tail.T @ (target - x[:, : t + 1] @ q[: t + 1]))
             if record_trace:
-                deltas.append(new_tail - state[t + 1 :])
                 w_states.append(new_tail.copy())
             state[t + 1 :] = new_tail
-    resid = target - x @ q
-    return RoundingTrace(q=q, w_states=w_states, deltas=deltas, objective=0.5 * float(resid @ resid))
+    return RoundingTrace(q=q, w_states=w_states)
 
 
 def quantize_gpfq_column(
@@ -249,7 +244,7 @@ def quantize_gpfq_column(
         u = ahead - q[t] * col
         if record_trace and t + 1 < n:
             w_states.append(w[t + 1 :].copy())
-    return RoundingTrace(q=q, w_states=w_states, deltas=None, objective=0.5 * float(u @ u))
+    return RoundingTrace(q=q, w_states=w_states)
 
 
 def quantize_qronos_base_column(
@@ -340,18 +335,18 @@ class LayerReport:
     0.5 q^T (H + lambda I) q - q^T G w on the caller's undamped pair;
     with no ridge that is the residual 0.5 ||X w - Xq q||^2 less the
     q-free 0.5 ||X w||^2.  rtn reads no moments and reports NaN
-    ("unavailable").
+    ("unavailable").  With ``record_trace``, ``states[t]`` holds the
+    (n_in - t, n_out) block of weights not yet quantized after step t, in
+    processing order (``states[0]`` the permuted weights); rtn and gpfq
+    move no weights and record none.
     """
 
-    method: str
-    n_in: int
-    n_out: int
     damping_lambda: float
     order: list[int]
     objective_form: str
     objectives: np.ndarray
     warnings: list[str] = field(default_factory=list)
-    traces: list[RoundingTrace] | None = None
+    states: list[np.ndarray] | None = None
     # wall-clock seconds per phase, keyed by PHASES
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -380,7 +375,7 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         timings["sweep"] = clock() - t0
         lam = 0.0
         order = _calib.natural_order(n_in)
-        traces = [RoundingTrace(q=q[:, j].copy()) for j in range(n_out)] if req.record_trace else None
+        states = None
         objectives = np.full(n_out, np.nan)
         objective_form = "unavailable"
     else:
@@ -447,9 +442,9 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
                 h0 = hx[-1, ::-1].copy() if req.method == "qronos" else None
                 c = reversed_cholesky(hx)
                 timings["factor"] = clock() - t3
-                qp, traces = _sweep(wp, req.grids, c, h0, gwp, req.record_trace, timings)
+                qp, states = _sweep(wp, req.grids, c, h0, gwp, req.record_trace, timings)
             else:
-                qp, traces = _round_moments(req.method, wp, req.grids, hx, gp, gwp, req.record_trace, timings)
+                qp, states = _round_moments(req.method, wp, req.grids, hx, gp, gwp, req.record_trace, timings)
         except NotPositiveDefiniteError as exc:
             feature = int(order.perm[exc.index - 1]) + 1
             raise NotPositiveDefiniteError(
@@ -470,15 +465,12 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         timings.update(unpermute=t1 - t0, objective=clock() - t1)
 
     report = LayerReport(
-        method=req.method,
-        n_in=n_in,
-        n_out=n_out,
         damping_lambda=lam,
         order=[int(i) for i in order.perm],
         objective_form=objective_form,
         objectives=objectives,
         warnings=report_warnings,
-        traces=traces,
+        states=states,
         timings=timings,
     )
     return q, report
@@ -491,14 +483,14 @@ def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
     itself where hp[t, t] is zero; qronos_base re-solves the trailing
     normal equations, right-hand side from gwp = gp @ wp, at every step.
     A NotPositiveDefiniteError names its 1-based pivot in processing order.
+    With ``record``, qronos_base returns its states (``LayerReport.states``);
+    gpfq moves no weights and returns None.
     """
-    n, n_out = wp.shape
+    n = wp.shape[0]
     t0 = time.perf_counter()
     rtn = _grid.row_rounder(grids)
     q = np.empty_like(wp)
-    # states[k] holds rows k: after step k - 1; moves[k - 1] the step's move
-    states = [wp] if record else None
-    moves = [] if record and method != "gpfq" else None
+    states = [wp] if record and method != "gpfq" else None
     if method == "gpfq":
         for t in range(n):
             if hp[t, t] > 0.0:
@@ -506,8 +498,6 @@ def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
                 q[t] = rtn(num / hp[t, t])
             else:
                 q[t] = rtn(wp[t])
-            if record and t + 1 < n:
-                states.append(wp[t + 1 :])
     else:
         state = wp.copy()
         for t in range(n):
@@ -522,10 +512,9 @@ def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
                     raise NotPositiveDefiniteError(t + 1 + exc.index) from None
                 if record:
                     states.append(tail)
-                    moves.append(tail - state[t + 1 :])
                 state[t + 1 :] = tail
     timings["sweep"] = time.perf_counter() - t0
-    return q, _traces(q, states, moves)
+    return q, states
 
 
 def _sweep(wp, grids, c, h0, gwp, record, timings):
@@ -540,7 +529,7 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     slab of c, then its own step by step.  qronos first rounds q_1 and
     refits the rest, w = hp[1:, 1:]^-1 (gwp[1:] - hp[1:, 0] q_1), by two
     triangular solves, then sweeps on U[1:, 1:].  Returns q and, with
-    ``record``, one RoundingTrace per column (else None), its states the
+    ``record``, its states (``LayerReport.states``, else None), the
     least-squares refits of the rows ahead, read off c^-1; ``timings``
     gets the seconds of the first step and of the sweep.
     """
@@ -551,7 +540,6 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     wr = wp[::-1]
     top = n  # the sweep's steps are the reversed rows [0, top)
     states = [wp] if record else None
-    moves = [] if record else None
     if record:
         cinv = lapack.dtrtri(c, lower=1)[0]
     if h0 is not None:
@@ -566,7 +554,6 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
         wr = blas.dtrsm(1.0, c, z, side=1, lower=1, overwrite_b=1).T
         if record and top:
             states.append(wr[top - 1 :: -1])
-            moves.append(states[-1] - wp[1:])
         t1 = time.perf_counter()
         timings["first_step"] = t1 - t0
         t0 = t1
@@ -590,27 +577,10 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
             d[k] = qr[k] - wr[k]
             s[:i] -= scaled[:i, i, None] * d[k]
             if record and k:
-                move = lrows[k, :k, None] * (qr[k] - s[i])
-                refit = refit[:k] + move
+                refit = refit[:k] + lrows[k, :k, None] * (qr[k] - s[i])
                 states.append(refit[::-1])
-                moves.append(move[::-1])
     timings["sweep"] = time.perf_counter() - t0
-    q = qr[::-1]
-    return q, _traces(q, states, moves)
-
-
-def _traces(q, states, moves):
-    """One RoundingTrace per column of q from per-step row blocks, or None."""
-    if states is None:
-        return None
-    return [
-        RoundingTrace(
-            q=q[:, j],
-            w_states=[s[:, j] for s in states],
-            deltas=None if moves is None else [m[:, j] for m in moves],
-        )
-        for j in range(q.shape[1])
-    ]
+    return qr[::-1], states
 
 
 def _round_column(method, w, h, g, grid, record_trace) -> RoundingTrace:
@@ -626,7 +596,7 @@ def _round_column(method, w, h, g, grid, record_trace) -> RoundingTrace:
         record_trace=record_trace,
     )
     q, report = quantize_layer(req)
-    return report.traces[0] if record_trace else RoundingTrace(q=q[:, 0])
+    return RoundingTrace(q=q[:, 0], w_states=[s[:, 0] for s in report.states] if record_trace else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 import qronos.rounding as rounding_mod
-from qronos.bench import BENCH_METHODS, BenchConfig, median_algo_times, run_bench
+from qronos.bench import BenchConfig, median_algo_times, run_bench
 
 
 def test_ladder_doubles_from_k_min():
@@ -40,14 +40,6 @@ def test_tiny_run_report_shape():
     med = median_algo_times(report)
     assert set(med) == {(m, k) for m in ("optq", "qronos") for k in (8, 16)}
     assert all(v > 0 for v in med.values())
-
-
-def test_normalization_anchor_is_unity():
-    cfg = BenchConfig(k_min=8, k_max=8, m=32, seeds=1, inner_reps=1, methods=BENCH_METHODS)
-    report = run_bench(cfg)
-    rows = report["timing"]["normalized"]["algo"]["rows"]
-    anchors = [r for r in rows if r["method"] == "optq" and r["k"] == 8]
-    assert anchors[0]["value"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("method, form", [("qronos", "GW"), ("qronos_base", "GW"), ("optq", "shared"), ("gpfq", "G")])

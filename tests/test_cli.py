@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from qronos import read_qmx, write_qmx
+from qronos import (
+    grid_from_minmax,
+    quantize_optq_column,
+    quantize_qronos_base_column,
+    quantize_qronos_column,
+    read_qmx,
+    write_qmx,
+)
 from qronos.cli import main
 
 from helpers import on_grid_weights
@@ -156,9 +163,19 @@ def test_traced_report_equals_untraced_outside_trace(tmp_path, method):
         assert "column 7," in warned[0]
 
 
-@pytest.mark.parametrize("method", ["optq", "qronos"])
+_COLUMN_ROUTES = {
+    "optq": lambda w, h, g, grid: quantize_optq_column(w, h, grid, record_trace=True),
+    "qronos": lambda w, h, g, grid: quantize_qronos_column(w, h, g, grid, record_trace=True),
+    "qronos-base": lambda w, h, g, grid: quantize_qronos_base_column(w, h, g, grid, record_trace=True),
+}
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos", "qronos-base", "rtn", "gpfq"])
 def test_trace_q_is_in_caller_row_order(tmp_path, method):
-    """Each trace[j].q is column j of --out, whatever the processing order."""
+    """Each trace[j].q is column j of --out, whatever the processing order,
+    and its delta_norms are the norms of the moves between consecutive
+    states of the per-column entry point on the permuted, damped moments;
+    rtn and gpfq move no weights and list none."""
     rng = np.random.default_rng(12)
     w = rng.standard_normal((9, 3))
     x = rng.standard_normal((64, 9)) * np.exp(rng.uniform(-1.0, 1.0, 9))
@@ -167,12 +184,25 @@ def test_trace_q_is_in_caller_row_order(tmp_path, method):
                          report=tmp_path / "r.json", trace=True)
     assert run(args) == 0
     res = json.loads((tmp_path / "r.json").read_text())["result"]
-    assert res["order_perm"] != list(range(9))
+    perm = res["order_perm"]
+    assert (perm == list(range(9))) == (method == "rtn")
     q = read_qmx(tmp_path / "q.qmx")
+    h = (x if method == "optq" else xq).T @ (x if method == "optq" else xq)
+    g = h if method == "optq" else xq.T @ x
+    ridge = res["lambda"] * np.eye(9)
     for j, tr in enumerate(res["trace"]):
         assert tr["column"] == j
         assert tr["q"] == q[:, j].tolist()
-        assert len(tr["delta_norms"]) == 8
+        if method not in _COLUMN_ROUTES:
+            assert tr["delta_norms"] == []
+            continue
+        col = _COLUMN_ROUTES[method](w[perm, j], h[np.ix_(perm, perm)] + ridge,
+                                     g[np.ix_(perm, perm)] + ridge, grid_from_minmax(w[:, j], 16))
+        assert col.q.tolist() == q[perm, j].tolist()
+        states = col.w_states
+        expect = [np.linalg.norm(b - a[1:]) for a, b in zip(states, states[1:])]
+        assert len(tr["delta_norms"]) == len(expect) == 8
+        assert np.allclose(tr["delta_norms"], expect, rtol=1e-9, atol=0.0)
 
 # usage errors: exit 2
 
@@ -211,6 +241,16 @@ def test_quantize_bad_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     assert run(quantize_args(tmp_path, w, x=x, xq=xq, method="qronos", **{flag: value})) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"--{flag}" in err
+    assert not (tmp_path / "q.qmx").exists()
+
+
+def test_trace_without_report_is_usage_error(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((8, 2))
+    x = rng.standard_normal((32, 8))
+    assert run(quantize_args(tmp_path, w, x=x, method="optq", trace=True)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--trace" in err and "--report" in err
     assert not (tmp_path / "q.qmx").exists()
 
 
@@ -353,9 +393,6 @@ def test_bench_tiny_ladder(tmp_path, capsys):
     assert {(c["method"], c["k"]) for c in cells} == {
         ("optq", 32), ("optq", 64), ("qronos", 32), ("qronos", 64),
     }
-    norm = rep["timing"]["normalized"]["algo"]["rows"]
-    anchor = [r for r in norm if r["method"] == "optq" and r["k"] == 32]
-    assert anchor and anchor[0]["value"] == pytest.approx(1.0)
     assert "K=32" in capsys.readouterr().out
 
 

@@ -71,13 +71,13 @@ def _grid_before_overflow_guard(w, levels, beta, symmetric):
             errs = [float(r @ r) for r in (w - quantize_rtn(w, QuantGrid(levels, s, zero)) for s in steps)]
         if not np.isfinite(errs).all():
             return None
-        return QuantGrid(levels, float(steps[int(np.argmin(errs))]), zero, symmetric=True)
+        return QuantGrid(levels, float(steps[int(np.argmin(errs))]), zero)
     lo, hi = float(w.min()), float(w.max())
     with np.errstate(over="ignore"):
         step = beta * (hi - lo) / (levels - 1)
     if not np.isfinite(step):
         return None
-    return QuantGrid(levels, step, -beta * lo / step, beta=beta)
+    return QuantGrid(levels, step, -beta * lo / step)
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
@@ -208,7 +208,7 @@ def test_symmetric_search_beats_maxabs_baseline():
         searched = symmetric_scale_search(w, levels)
         base_step = 2.0 * np.max(np.abs(w)) / (levels - 1)
         baseline = QuantGrid(
-            levels=levels, step_size=base_step, zero_point=(levels - 1) / 2.0, symmetric=True
+            levels=levels, step_size=base_step, zero_point=(levels - 1) / 2.0
         )
         err_s = np.sum((w - quantize_rtn(w, searched)) ** 2)
         err_b = np.sum((w - quantize_rtn(w, baseline)) ** 2)
