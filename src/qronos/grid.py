@@ -39,14 +39,20 @@ import numpy as np
 
 from .errors import NonFiniteInputError, ShapeError
 
+CHUNK = 1 << 15  # values per chunk of a whole-array pass: 256 KB of float64
+
 
 def _codes(values, step, shift, anchor, top):
     # np.round ties to even; the alphabet convention here is half away from
     # zero.  trunc(y + copysign(0.5, y)) is sign(y) * floor(|y| + 0.5) bit
     # for bit up to the sign of a zero, which adding the anchor makes +0.0,
-    # so maximum/minimum clip exactly as np.clip does, at less cost per call
-    y = values / step + shift
-    return np.minimum(np.maximum(np.trunc(y + np.copysign(0.5, y)) + anchor, 0.0), top)
+    # so maximum/minimum clip exactly as np.clip does, at less cost per call.
+    # Every pass after the division runs in place
+    y = np.asarray(values / step)
+    y += shift
+    y += np.copysign(0.5, y)
+    np.add(np.trunc(y, out=y), anchor, out=y)
+    return np.minimum(np.maximum(y, 0.0, out=y), top, out=y)
 
 
 def integer_codes(values, step, zero, levels):
@@ -172,11 +178,13 @@ def symmetric_scale_search(w: np.ndarray, levels: int) -> QuantGrid:
     # which is exact and keeps the squares of a wide column finite
     shift = max(math.frexp(amax)[1], 0)
     ws = np.ldexp(w, -shift)
-    errs = np.empty(steps.size)
-    for i, s in enumerate(np.ldexp(steps, -shift)):
-        g = QuantGrid(levels, float(s), zero)
-        r = ws - quantize_rtn(ws, g)
-        errs[i] = float(r @ r)
+    errs = []
+    # a block of candidates at a time, each rounded as quantize_rtn rounds
+    # and scored by the same dot product
+    block = max(1, CHUNK // w.size)
+    for s in np.split(np.ldexp(steps, -shift)[:, None], range(block, steps.size, block)):
+        r = ws - s * (integer_codes(ws, s, zero, levels) - zero)
+        errs += [row @ row for row in r]
     best = int(np.argmin(errs))
     return QuantGrid(levels, float(steps[best]), zero)
 
@@ -193,10 +201,15 @@ def quantize_per_token(x: np.ndarray, levels: int) -> np.ndarray:
     _check_levels(levels)
     lo = x.min(axis=1, keepdims=True)
     hi = x.max(axis=1, keepdims=True)
-    flat = (hi == lo)
-    span = np.where(flat, 1.0, hi - lo)
+    flat = (hi == lo)[:, 0]
+    span = np.where(flat[:, None], 1.0, hi - lo)
     step = span / (levels - 1)
     zero = -lo / step
-    code = integer_codes(x, step, zero, levels)
-    out = step * (code - zero)
-    return np.where(flat, x, out)
+    out = np.empty_like(x)
+    rows = max(1, CHUNK // max(x.shape[1], 1))
+    for r0 in range(0, len(x), rows):
+        # a chunk of rows at a time, every pass over it in cache
+        rs = slice(r0, r0 + rows)
+        out[rs] = step[rs] * (integer_codes(x[rs], step[rs], zero[rs], levels) - zero[rs])
+    out[flat] = x[flat]
+    return out

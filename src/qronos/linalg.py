@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import (
     ConvergenceError,
@@ -152,12 +152,24 @@ def chol_of_inverse(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cinv.T[::-1, ::-1])
 
 
+def _trsolve(low: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """low x = b (low^T x = b for ``trans`` 1) by one ``dtrtrs``: the call
+    ``scipy.linalg.solve_triangular`` makes, without its input checks."""
+    if np.shape(b)[:1] != low.shape[:1]:
+        raise ShapeError(f"right-hand side {np.shape(b)} does not match the factor {low.shape}")
+    if not np.size(b):
+        return np.zeros(np.shape(b))
+    x, info = lapack.dtrtrs(low, b, lower=1, trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
+    return x
+
+
 def solve_spd(m: np.ndarray, b: np.ndarray, *, checked: bool = False) -> np.ndarray:
     """Solve m x = b for symmetric positive definite m: the Cholesky
     factor L of m, then two triangular solves."""
     low = cholesky_lower(m, checked=checked)
-    y = solve_triangular(low, b, lower=True)
-    return solve_triangular(low, y, lower=True, trans="T")
+    return _trsolve(low, _trsolve(low, b), trans=1)
 
 
 def spd_inverse(m: np.ndarray) -> np.ndarray:
@@ -170,7 +182,7 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     low = cholesky_lower(m)
     if low.shape[0] == 0:
         return np.zeros((0, 0))
-    linv = solve_triangular(low, np.eye(low.shape[0]), lower=True)
+    linv = _trsolve(low, np.eye(low.shape[0]))
     out = linv.T @ linv
     return (out + out.T) / 2.0
 

@@ -17,6 +17,9 @@ resets (resets are a calibration device, not a measurement one), computed
 in the same sweep: the reference path never resets, and from the first
 block boundary on the no-reset deployed path is carried alongside the
 calibration one.
+
+The forward's whole-matrix passes run on cache-sized pieces (rotation
+tiles, per-token row chunks) or in place on the fresh arrays they apply to.
 """
 
 from __future__ import annotations
@@ -30,45 +33,50 @@ from . import rounding as _rounding
 from .errors import ShapeError
 
 NONLINEARITIES = ("none", "relu")
+FWHT_TILE = 1 << 16  # values per rotation tile: 256 x 256 float64, 512 KB
 
 
 def fwht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along one axis.
 
     The result is laid out as a C-contiguous array with the transform
-    axis last, moved back into place.
+    axis last, moved back into place.  It is formed a tile of about
+    FWHT_TILE values at a time, copied transform axis first into one
+    reused buffer where every butterfly stage runs on contiguous slabs.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[axis]
     if n & (n - 1) or n == 0:
         raise ShapeError(f"transform length must be a power of two, got {n}")
-    # transform axis first: every butterfly stage works on contiguous
-    # slabs of h * rest values
-    moved = np.moveaxis(x, axis, 0)
-    rest = x.size // n
-    work = np.array(moved.reshape(n, rest), order="C")
-    scratch = np.empty(n // 2 * rest)
-    h = 1
-    while h < n:
-        # every butterfly of the stage at once: pairs (a, b) sit h apart
-        pairs = work.reshape(n // (2 * h), 2, h * rest)
-        a, b = pairs[:, 0], pairs[:, 1]
-        old_a = scratch.reshape(n // (2 * h), h * rest)
-        np.copyto(old_a, a)
-        a += b
-        np.subtract(old_a, b, out=b)
-        h *= 2
-    out = np.empty(moved.shape[1:] + (n,))
-    out.reshape(rest, n)[...] = work.T
+    moved = np.moveaxis(x, axis, -1)
+    out = np.empty(moved.shape)
+    src, dst = moved.reshape(-1, n), out.reshape(-1, n)
+    rows = max(1, FWHT_TILE // n)
+    buf = np.empty(n * min(rows, len(src)))
+    scratch = np.empty(buf.size // 2)
+    for r0 in range(0, len(src), rows):
+        r = min(rows, len(src) - r0)
+        work = buf[: n * r].reshape(n, r)
+        np.copyto(work, src[r0 : r0 + r].T)
+        h = 1
+        while h < n:
+            # every butterfly of the stage at once: pairs (a, b) sit h apart
+            pairs = work.reshape(n // (2 * h), 2, h * r)
+            a, b = pairs[:, 0], pairs[:, 1]
+            old_a = scratch[: n // 2 * r].reshape(n // (2 * h), h * r)
+            np.copyto(old_a, a)
+            a += b
+            np.subtract(old_a, b, out=b)
+            h *= 2
+        np.copyto(dst[r0 : r0 + r], work.T)
     return np.moveaxis(out, -1, axis)
 
 
-def _rotate_weight(w: np.ndarray) -> np.ndarray:
-    return fwht(w, axis=0) / np.sqrt(w.shape[0])
-
-
-def _rotate_acts(x: np.ndarray) -> np.ndarray:
-    return fwht(x, axis=1) / np.sqrt(x.shape[1])
+def _rotate(x: np.ndarray, axis: int) -> np.ndarray:
+    """Normalized rotation: weights along axis 0, activations along axis 1."""
+    out = fwht(x, axis=axis)
+    out /= np.sqrt(x.shape[axis])
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,9 +108,7 @@ class NetworkSpec:
             raise ShapeError("network needs at least one layer")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.weight.shape[1] != b.weight.shape[0]:
-                raise ShapeError(
-                    f"layer widths do not compose: {a.weight.shape} then {b.weight.shape}"
-                )
+                raise ShapeError(f"layer widths do not compose: {a.weight.shape} then {b.weight.shape}")
         n = len(self.layers)
         if not self.hadamard:
             self.hadamard = tuple(False for _ in range(n))
@@ -123,8 +129,9 @@ class NetworkSpec:
 
 
 def _nonlin(tag: str, z: np.ndarray) -> np.ndarray:
+    """Apply the nonlinearity in place to ``z``, a fresh layer output."""
     if tag == "relu":
-        return np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)
     return z
 
 
@@ -137,9 +144,9 @@ def _layer_inputs(spec: NetworkSpec, idx: int, x_cur: np.ndarray, *xq_curs: np.n
     """
     w = spec.layers[idx].weight
     if spec.hadamard[idx]:
-        w = _rotate_weight(w)
-        x_cur = _rotate_acts(x_cur)
-        xq_curs = [_rotate_acts(v) for v in xq_curs]
+        w = _rotate(w, 0)
+        x_cur = _rotate(x_cur, 1)
+        xq_curs = [_rotate(v, 1) for v in xq_curs]
     if spec.act_levels is not None:
         xq_curs = [_grid.quantize_per_token(v, spec.act_levels) for v in xq_curs]
     return (w, x_cur, *xq_curs)
@@ -189,8 +196,10 @@ class PropagationReport:
 
 
 def _mean_row_relative_error(y: np.ndarray, yq: np.ndarray) -> float:
-    diff = np.linalg.norm(y - yq, axis=1)
-    base = np.linalg.norm(y, axis=1)
+    # np.linalg.norm(., axis=1)'s row sums of squares, in one temporary
+    sq = y - yq
+    diff = np.sqrt(np.add.reduce(np.multiply(sq, sq, out=sq), axis=1))
+    base = np.sqrt(np.add.reduce(np.multiply(y, y, out=sq), axis=1))
     out = np.zeros_like(base)
     live = base > 0.0
     out[live] = diff[live] / base[live]
@@ -229,10 +238,7 @@ def quantize_network(
         if idx in spec.block_boundaries and idx > 0:
             deployed = [x_cur.copy(), deployed[-1]]
         w_ref, x_in, xq_in, *no_reset_in = _layer_inputs(spec, idx, x_cur, *deployed)
-        grids = [
-            _grid.grid_from_minmax(w_ref[:, j], spec.weight_levels)
-            for j in range(w_ref.shape[1])
-        ]
+        grids = [_grid.grid_from_minmax(col, spec.weight_levels) for col in w_ref.T]
         stats = None if method == "rtn" else _rounding.layer_stats(method, w_ref, x_in, xq_in)
         req = _rounding.LayerQuantRequest(
             weights=w_ref, grids=grids, method=method, stats=stats,
@@ -275,10 +281,4 @@ def build_random_network(
     if n_blocks < 1 or n_blocks > n_layers:
         raise ShapeError(f"n_blocks {n_blocks} outside 1..{n_layers}")
     bounds = tuple(int(round(i * n_layers / n_blocks)) for i in range(1, n_blocks))
-    return NetworkSpec(
-        layers=layers,
-        block_boundaries=bounds,
-        weight_levels=weight_levels,
-        act_levels=act_levels,
-        hadamard=tuple(hadamard for _ in range(n_layers)),
-    )
+    return NetworkSpec(layers, bounds, weight_levels, act_levels, hadamard=(hadamard,) * n_layers)

@@ -52,9 +52,10 @@ The layer driver runs all output channels at once, step-synchronously,
 after applying the calib ordering.  For optq and qronos one in-place
 Cholesky of the index-reversed H (``linalg.reversed_cholesky``) gives U,
 which serves the first step, the sweep and the objective, whose
-q^T (H + lambda I) q is ||U^T q||^2.  The sweep is blocked (GPTQ's lazy
-batch, read left-looking): a block of SWEEP_BLOCK steps takes the errors
-of the blocks before it in one matrix product, then its own errors step
+q^T (H + lambda I) q is ||U^T q||^2.  The sweep is blocked on two levels
+(GPTQ's lazy batch, read left-looking): a block of SWEEP_BLOCK steps,
+then each sub-block of SWEEP_SUB steps in it, takes the errors of the
+(sub-)blocks before it in one matrix product, then its own errors step
 by step.  The per-column entry points take the moments with any ridge
 already added and run the layer driver on one channel (n_out = 1), in
 the caller's order and with no damping of its own.  With
@@ -123,6 +124,7 @@ ORDER_MODES = ("diag", "natural")
 # steps per block of the layer sweep; a block takes the errors of the
 # blocks before it in one matrix product
 SWEEP_BLOCK = 128
+SWEEP_SUB = 16  # steps per sub-block, whose own rows alone take rank-1 updates
 # LayerReport.timings keys, in the order the layer runs them; "permute"
 # also forms the cross term, G @ W included when the stats hold G
 PHASES = ("check", "damping", "permute", "factor", "first_step", "sweep", "unpermute", "objective")
@@ -526,7 +528,8 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     (U[j, t] / U[t, t]) (q_j - w_j), in reversed coordinates, where
     U[:t, t] is a column of c below its diagonal: a block of SWEEP_BLOCK
     steps takes the errors of the blocks before it in one product with a
-    slab of c, then its own step by step.  qronos first rounds q_1 and
+    slab of c, each sub-block of SWEEP_SUB those of the block's earlier
+    sub-blocks, then its own step by step.  qronos first rounds q_1 and
     refits the rest, w = hp[1:, 1:]^-1 (gwp[1:] - hp[1:, 0] q_1), by two
     triangular solves, then sweeps on U[1:, 1:].  Returns q and, with
     ``record``, its states (``LayerReport.states``, else None), the
@@ -571,14 +574,17 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
         # the block's U[j, t] / U[t, t], and its states after the blocks before it
         scaled = ct[b0:b1, b0:b1] / diag[b0:b1]
         s = wr[b0:b1] - (ct[b0:b1, b1:top] @ d[b1:top]) / diag[b0:b1]
-        for k in range(b1 - 1, b0 - 1, -1):
-            i = k - b0
-            qr[k] = rtn(s[i])
-            d[k] = qr[k] - wr[k]
-            s[:i] -= scaled[:i, i, None] * d[k]
-            if record and k:
-                refit = refit[:k] + lrows[k, :k, None] * (qr[k] - s[i])
-                states.append(refit[::-1])
+        for u1 in range(b1 - b0, 0, -SWEEP_SUB):
+            u0 = max(u1 - SWEEP_SUB, 0)
+            s[u0:u1] -= scaled[u0:u1, u1:] @ d[b0 + u1 : b1]
+            for i in range(u1 - 1, u0 - 1, -1):
+                k = b0 + i
+                qr[k] = rtn(s[i])
+                d[k] = qr[k] - wr[k]
+                s[u0:i] -= scaled[u0:i, i, None] * d[k]
+                if record and k:
+                    refit = refit[:k] + lrows[k, :k, None] * (qr[k] - s[i])
+                    states.append(refit[::-1])
     timings["sweep"] = time.perf_counter() - t0
     return qr[::-1], states
 

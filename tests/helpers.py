@@ -1,8 +1,10 @@
 """Shared instance builders for the test suite."""
 
+import math
+
 import numpy as np
 
-from qronos import CalibStats, accumulate, grid_from_minmax
+from qronos import CalibStats, QuantGrid, accumulate, grid_from_minmax, quantize_rtn
 
 
 def column_instance(rng, n, m, levels, noise=0.1, identical=False):
@@ -63,3 +65,23 @@ def fwht_reference(x, axis=-1):
             out[..., i + h : i + 2 * h] = a - b
         h *= 2
     return np.moveaxis(out, -1, axis)
+
+
+def symmetric_scale_search_reference(w, levels):
+    """Symmetric grid search one candidate at a time: a QuantGrid and a
+    quantize_rtn per candidate step, the error as one dot product.
+
+    The grid ``symmetric_scale_search`` must return, bit for bit, on a
+    column whose max|w| is nonzero and finite.
+    """
+    w = np.asarray(w, dtype=np.float64).ravel()
+    zero = (levels - 1) / 2.0
+    amax = float(np.abs(w).max())
+    steps = np.linspace(0.2, 1.0, 100) * (amax / ((levels - 1) / 2.0))
+    shift = max(math.frexp(amax)[1], 0)
+    ws = np.ldexp(w, -shift)
+    errs = []
+    for s in np.ldexp(steps, -shift):
+        r = ws - quantize_rtn(ws, QuantGrid(levels, float(s), zero))
+        errs.append(float(r @ r))
+    return QuantGrid(levels, float(steps[int(np.argmin(errs))]), zero)

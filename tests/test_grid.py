@@ -13,6 +13,8 @@ from qronos import (
     quantize_rtn,
     symmetric_scale_search,
 )
+from qronos.grid import CHUNK
+from helpers import symmetric_scale_search_reference
 
 
 def test_minmax_grid_two_point_range():
@@ -223,6 +225,36 @@ def test_per_token_grid_points_fixed():
 def test_per_token_constant_row_passthrough():
     x = np.array([[5.0, 5.0, 5.0]])
     assert np.array_equal(quantize_per_token(x, 16), x)
+
+
+def test_per_token_rounds_each_row_on_its_own_grid_across_chunks():
+    """Row chunks (300 rows of 256: two full chunks and a short one) give
+    every row the bits of quantize_rtn on that row's own min/max grid;
+    constant rows, one at each chunk edge, come back unchanged."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((300, 256)) * np.exp(rng.uniform(-3.0, 3.0, (300, 1)))
+    rows = CHUNK // 256
+    flat = [0, rows - 1, rows, 2 * rows, 299]
+    x[flat] = rng.standard_normal((len(flat), 1))
+    for levels in (3, 16):
+        out = quantize_per_token(x, levels)
+        for i, row in enumerate(x):
+            lo, hi = row.min(), row.max()
+            if i in flat:
+                expected = row
+            else:
+                step = (hi - lo) / (levels - 1)
+                expected = quantize_rtn(row, QuantGrid(levels, step, -lo / step))
+            assert out[i].tobytes() == expected.tobytes(), (levels, i)
+
+
+def test_symmetric_search_matches_one_candidate_at_a_time():
+    rng = np.random.default_rng(13)
+    for i in range(60):
+        n = int(rng.integers(1, 9)) if i % 2 else int(rng.integers(1, 3000))
+        w = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300)
+        levels = (2, 3, 4, 16, 255)[i % 5]
+        assert symmetric_scale_search(w, levels) == symmetric_scale_search_reference(w, levels), (i, n, levels)
 
 
 def test_per_token_half_step_bound():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from qronos import (
     CalibStats,
@@ -11,6 +12,7 @@ from qronos import (
     LayerQuantRequest,
     NonFiniteInputError,
     NotPositiveDefiniteError,
+    ShapeError,
     apply_damping,
     cholesky_lower,
     grid_from_minmax,
@@ -68,6 +70,25 @@ def test_solve_spd_matches_direct():
     sol = solve_spd(m, b)
     assert np.allclose(m @ sol, b, atol=1e-9)
     assert np.allclose(sol, np.linalg.solve(m, b))
+
+
+def test_solves_match_the_solve_triangular_route_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for n in range(1, 80):
+        m = random_spd(rng, n)
+        low = cholesky_lower(m)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            y = solve_triangular(low, b, lower=True)
+            ref = solve_triangular(low, y, lower=True, trans="T")
+            assert solve_spd(m, b).tobytes() == ref.tobytes(), n
+        linv = solve_triangular(low, np.eye(n), lower=True)
+        ref = linv.T @ linv
+        assert spd_inverse(m).tobytes() == ((ref + ref.T) / 2.0).tobytes(), n
+
+
+def test_solve_spd_refuses_a_mismatched_right_hand_side():
+    with pytest.raises(ShapeError):
+        solve_spd(np.eye(3), np.ones(4))
 
 
 def test_spd_inverse_diagonal():

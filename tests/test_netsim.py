@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import hadamard
@@ -17,7 +19,7 @@ from qronos import (
     quantize_layer,
     quantize_network,
 )
-from qronos.netsim import _rotate_acts, _rotate_weight
+from qronos.netsim import _rotate
 from qronos.rounding import METHOD_SPECS
 from helpers import fwht_reference, on_grid_weights
 
@@ -54,7 +56,10 @@ def test_fwht_matches_dense_hadamard_on_both_axes(n):
 @pytest.mark.parametrize(
     "shape, axis",
     [((1, 5), 0), ((5, 1), 1), ((2, 3), 0), ((3, 2), 1), ((64, 48), 0), ((48, 64), 1),
-     ((256, 256), 0), ((2048, 256), 1), ((3, 32, 5), 1), ((4, 2, 8), -1)],
+     ((256, 256), 0), ((2048, 256), 1), ((3, 32, 5), 1), ((4, 2, 8), -1),
+     # tiles of FWHT_TILE values: a short last tile, one row per tile, and
+     # tiles read transposed
+     ((1000, 256), 1), ((300, 512), 1), ((3, 2**17), 1), ((256, 300), 0)],
 )
 def test_fwht_matches_butterfly_loop_bit_for_bit(shape, axis):
     x = np.random.default_rng(sum(shape)).standard_normal(shape)
@@ -69,7 +74,7 @@ def test_fwht_rejects_non_power_of_two():
 
 
 def _hadamard_rotate(w, x):
-    return _rotate_weight(w), _rotate_acts(x)
+    return _rotate(w, 0), _rotate(x, 1)
 
 
 def test_hadamard_rotate_preserves_product():
@@ -258,6 +263,30 @@ def test_reported_errors_are_those_of_the_no_reset_forward(method):
                 xs, xqs = forward_pair(spec, calib, spec.n_layers, qweights, apply_resets=False)
                 expected = [float(_row_errors(y, yq).mean()) for y, yq in zip(xs, xqs)]
                 assert report.rel_errors == expected, (spec.block_boundaries, hadamard, act_levels)
+
+
+# sha256 of every layer's q, then rel_errors and objectives, per method on a
+# rotated width-64 network with 16-level per-token activations and two block
+# resets, recorded from the whole-matrix rotation, quantizer and sweep
+_GOLDEN_NETWORK = {
+    "rtn": "f4ba91100b268289f0e8c62a808d32f03cff0805556510763f4f973fdadbddc1",
+    "optq": "915e75635e4bd6fc7c5e77a26f8652f6c0f989d2330a2fa55e1f4ce8f453f24b",
+    "gpfq": "9e206460bb0e530e5329618b309d2fccc39780c552fc9db3f16fa49a43748bfd",
+    "qronos_base": "1637fb57b08ae35a52968c1279406e5c2627792d5c419588de4b2442de448a20",
+    "qronos": "1637fb57b08ae35a52968c1279406e5c2627792d5c419588de4b2442de448a20",
+}
+
+
+@pytest.mark.parametrize("method", list(_GOLDEN_NETWORK))
+def test_rotated_network_matches_golden_hashes(method):
+    spec = build_random_network(4, 64, seed=64, weight_levels=16, act_levels=16, n_blocks=3, hadamard=True)
+    assert spec.block_boundaries == (1, 3)
+    calib = np.random.default_rng(65).standard_normal((160, 64))
+    qweights, report = quantize_network(spec, calib, method)
+    digest = hashlib.sha256()
+    for a in (*qweights, report.rel_errors, report.objectives):
+        digest.update(np.asarray(a, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == _GOLDEN_NETWORK[method]
 
 
 def test_method_validation():
