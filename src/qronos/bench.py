@@ -8,16 +8,21 @@ same route and association from activations to moments that
 moments to quantized weights; both are timed separately inside one
 execution, and end to end is their sum.  Each (method, K, seed) cell
 runs a fixed number of inner repetitions and reports the minimum and
-the mean.
+the mean, the minimum of each ``rounding.PHASES`` key, and the layer's
+tracemalloc peak in MB (10^6 bytes) from one more, untimed repetition.
+The machine record holds both BLAS builds, NumPy's and SciPy's.
 """
 
 from __future__ import annotations
 
+import os
 import platform
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import rounding as _rounding
 from .grid import grid_from_minmax
@@ -53,7 +58,8 @@ class BenchConfig:
 
 
 def _time_cell(method, x, xq, w, grids, cfg):
-    """Return (stats_time, algo_time) lists over the inner repetitions.
+    """Return (stats_time, algo_time, timings) lists over the inner
+    repetitions, and the peak bytes of one more layer run.
 
     Even repetitions run the stats phase, then the layer on those stats;
     odd ones run the layer on the previous stats first, so it starts
@@ -64,6 +70,7 @@ def _time_cell(method, x, xq, w, grids, cfg):
     """
     stats_times = []
     algo_times = []
+    phases = []
     req = None
     for rep in range(cfg.inner_reps):
         if rep % 2 == 0:
@@ -78,13 +85,20 @@ def _time_cell(method, x, xq, w, grids, cfg):
                 damping=_rounding.METHOD_SPECS[method].damping,
             )
         t0 = time.perf_counter()
-        _rounding.quantize_layer(req)
+        _, report = _rounding.quantize_layer(req)
         algo_times.append(time.perf_counter() - t0)
+        phases.append(report.timings)
         if rep % 2 == 1:
             t0 = time.perf_counter()
             _rounding.layer_stats(method, w, x, xq)
             stats_times.append(time.perf_counter() - t0)
-    return stats_times, algo_times
+    tracemalloc.start()
+    try:
+        _rounding.quantize_layer(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return stats_times, algo_times, phases, peak
 
 
 def run_bench(cfg: BenchConfig) -> dict:
@@ -100,7 +114,7 @@ def run_bench(cfg: BenchConfig) -> dict:
             grids = [grid_from_minmax(w[:, j], cfg.levels, 1.0) for j in range(n_out)]
             for method in cfg.methods:
                 try:
-                    stats_t, algo_t = _time_cell(method, x, xq, w, grids, cfg)
+                    stats_t, algo_t, phases, peak = _time_cell(method, x, xq, w, grids, cfg)
                 except MemoryError:
                     rows.append(
                         {"method": method, "k": k, "seed": seed, "skipped": "resource"}
@@ -115,6 +129,8 @@ def run_bench(cfg: BenchConfig) -> dict:
                         "stats": {"min": min(stats_t), "mean": sum(stats_t) / len(stats_t)},
                         "algo": {"min": min(algo_t), "mean": sum(algo_t) / len(algo_t)},
                         "e2e": {"min": min(e2e), "mean": sum(e2e) / len(e2e)},
+                        "phases": {key: min(t[key] for t in phases) for key in _rounding.PHASES},
+                        "peak_mb": peak / 1e6,
                     }
                 )
     return {
@@ -130,6 +146,9 @@ def run_bench(cfg: BenchConfig) -> dict:
             "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "blas": {m.__name__: m.show_config(mode="dicts")["Build Dependencies"]["blas"] for m in (np, scipy)},
         },
         "timing": {"cells": rows},
     }

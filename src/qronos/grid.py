@@ -189,27 +189,34 @@ def symmetric_scale_search(w: np.ndarray, levels: int) -> QuantGrid:
     return QuantGrid(levels, float(steps[best]), zero)
 
 
-def quantize_per_token(x: np.ndarray, levels: int) -> np.ndarray:
+def quantize_per_token(x: np.ndarray, levels: int, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise asymmetric quantization of an activation matrix.
 
-    Each row gets its own min/max grid (beta 1).  Constant rows are
-    returned unchanged, matching the degenerate-grid convention.
+    Each row gets the min/max grid (beta 1) ``grid_from_minmax`` builds.
+    Constant rows are returned unchanged, matching the degenerate-grid
+    convention.  ``out``, of x's shape, may be x itself.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D activation matrix, got shape {x.shape}")
     _check_levels(levels)
+    out = np.empty_like(x) if out is None else out
+    if out.shape != x.shape:
+        raise ShapeError(f"output shape {out.shape} does not match input shape {x.shape}")
     lo = x.min(axis=1, keepdims=True)
     hi = x.max(axis=1, keepdims=True)
     flat = (hi == lo)[:, 0]
-    span = np.where(flat[:, None], 1.0, hi - lo)
-    step = span / (levels - 1)
+    const = x[flat]
+    with np.errstate(over="ignore"):
+        step = np.where(flat[:, None], 1.0, hi - lo) / (levels - 1)
+    # a finite range may overflow where its share per level does not
+    wide = np.isinf(step)[:, 0]
+    step[wide] = hi[wide] / (levels - 1) - lo[wide] / (levels - 1)
     zero = -lo / step
-    out = np.empty_like(x)
     rows = max(1, CHUNK // max(x.shape[1], 1))
     for r0 in range(0, len(x), rows):
         # a chunk of rows at a time, every pass over it in cache
         rs = slice(r0, r0 + rows)
         out[rs] = step[rs] * (integer_codes(x[rs], step[rs], zero[rs], levels) - zero[rs])
-    out[flat] = x[flat]
+    out[flat] = const
     return out

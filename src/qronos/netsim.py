@@ -36,20 +36,23 @@ NONLINEARITIES = ("none", "relu")
 FWHT_TILE = 1 << 16  # values per rotation tile: 256 x 256 float64, 512 KB
 
 
-def fwht(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def fwht(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along one axis.
 
     The result is laid out as a C-contiguous array with the transform
-    axis last, moved back into place.  It is formed a tile of about
-    FWHT_TILE values at a time, copied transform axis first into one
-    reused buffer where every butterfly stage runs on contiguous slabs.
+    axis last, moved back into place; ``out``, which may be x, must be
+    laid out so.  It is formed a tile of about FWHT_TILE values at a
+    time, copied transform axis first into one reused buffer where every
+    butterfly stage runs on contiguous slabs.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[axis]
     if n & (n - 1) or n == 0:
         raise ShapeError(f"transform length must be a power of two, got {n}")
     moved = np.moveaxis(x, axis, -1)
-    out = np.empty(moved.shape)
+    out = np.empty(moved.shape) if out is None else np.moveaxis(out, axis, -1)
+    if out.shape != moved.shape or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be C-contiguous with x's shape {x.shape}, transform axis last")
     src, dst = moved.reshape(-1, n), out.reshape(-1, n)
     rows = max(1, FWHT_TILE // n)
     buf = np.empty(n * min(rows, len(src)))
@@ -72,9 +75,9 @@ def fwht(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _rotate(x: np.ndarray, axis: int) -> np.ndarray:
+def _rotate(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized rotation: weights along axis 0, activations along axis 1."""
-    out = fwht(x, axis=axis)
+    out = fwht(x, axis=axis, out=out)
     out /= np.sqrt(x.shape[axis])
     return out
 
@@ -135,21 +138,20 @@ def _nonlin(tag: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _layer_inputs(spec: NetworkSpec, idx: int, x_cur: np.ndarray, *xq_curs: np.ndarray) -> tuple:
+def _layer_inputs(spec: NetworkSpec, idx: int, *paths: np.ndarray, in_place: bool = False) -> tuple:
     """Layer ``idx``'s weight and inputs: (weight, reference, *deployed).
 
     With the layer's hadamard flag set the weight and every path are
     rotated; the deployed paths then get per-token activation
-    quantization when the spec asks for it.
+    quantization when the spec asks for it, in place with ``in_place``.
     """
-    w = spec.layers[idx].weight
+    w, paths = spec.layers[idx].weight, list(paths)
     if spec.hadamard[idx]:
         w = _rotate(w, 0)
-        x_cur = _rotate(x_cur, 1)
-        xq_curs = [_rotate(v, 1) for v in xq_curs]
+        paths = [_rotate(v, 1, v if in_place else None) for v in paths]
     if spec.act_levels is not None:
-        xq_curs = [_grid.quantize_per_token(v, spec.act_levels) for v in xq_curs]
-    return (w, x_cur, *xq_curs)
+        paths[1:] = [_grid.quantize_per_token(v, spec.act_levels, v if in_place else None) for v in paths[1:]]
+    return (w, *paths)
 
 
 def forward_pair(
@@ -172,12 +174,11 @@ def forward_pair(
         raise ShapeError(f"quantized_prefix {quantized_prefix} outside 0..{spec.n_layers}")
     if quantized_prefix > 0 and quantized_weights is None:
         raise ValueError("quantized_prefix > 0 needs quantized_weights")
-    x_cur = x0
-    xq_cur = x0.copy()
+    x_cur = xq_cur = x0
     xs, xqs = [], []
     for idx, layer in enumerate(spec.layers):
         if apply_resets and idx in spec.block_boundaries:
-            xq_cur = x_cur.copy()
+            xq_cur = x_cur
         w_ref, x_in, xq_in = _layer_inputs(spec, idx, x_cur, xq_cur)
         w_dep = quantized_weights[idx] if idx < quantized_prefix else w_ref
         x_cur = _nonlin(layer.nonlinearity, x_in @ w_ref)
@@ -195,9 +196,9 @@ class PropagationReport:
     objectives: list[float] = field(default_factory=list)
 
 
-def _mean_row_relative_error(y: np.ndarray, yq: np.ndarray) -> float:
-    # np.linalg.norm(., axis=1)'s row sums of squares, in one temporary
-    sq = y - yq
+def _mean_row_relative_error(y: np.ndarray, yq: np.ndarray, sq: np.ndarray) -> float:
+    # np.linalg.norm(., axis=1)'s row sums of squares, in the scratch sq
+    np.subtract(y, yq, out=sq)
     diff = np.sqrt(np.add.reduce(np.multiply(sq, sq, out=sq), axis=1))
     base = np.sqrt(np.add.reduce(np.multiply(y, y, out=sq), axis=1))
     out = np.zeros_like(base)
@@ -223,37 +224,38 @@ def quantize_network(
     method damps by its ``METHOD_SPECS`` default.  The reported
     errors are those of ``forward_pair(..., apply_resets=False)`` on the
     quantized weights, computed in the same sweep.
+    ``calib_input`` is never written.  Each activation array exists once:
+    the pass rotates and quantizes its own copies in place, releases each
+    input once multiplied, and sums residuals and row errors in one array.
     """
     if method not in _rounding.METHODS:
         raise ValueError(f"unknown method {method!r}")
-    x0 = np.asarray(calib_input, dtype=np.float64)
-    x_cur = x0
+    x_cur = np.array(calib_input, dtype=np.float64)
     # deployed paths: the calibration one, then from the first block reset
     # on the no-reset one the report measures; the last is always measured
-    deployed = [x0.copy()]
+    deployed = [x_cur.copy()]
     qweights: list = []
     report = PropagationReport()
     for idx, layer in enumerate(spec.layers):
-        # a reset before layer 0 changes nothing: both paths start at x0
+        # a reset before layer 0 changes nothing: both paths start at the input
         if idx in spec.block_boundaries and idx > 0:
             deployed = [x_cur.copy(), deployed[-1]]
-        w_ref, x_in, xq_in, *no_reset_in = _layer_inputs(spec, idx, x_cur, *deployed)
+        w_ref, x_cur, *deployed = _layer_inputs(spec, idx, x_cur, *deployed, in_place=True)
         grids = [_grid.grid_from_minmax(col, spec.weight_levels) for col in w_ref.T]
-        stats = None if method == "rtn" else _rounding.layer_stats(method, w_ref, x_in, xq_in)
-        req = _rounding.LayerQuantRequest(
-            weights=w_ref, grids=grids, method=method, stats=stats,
+        q_l, _ = _rounding.quantize_layer(_rounding.LayerQuantRequest(
+            weights=w_ref, grids=grids, method=method,
+            stats=None if method == "rtn" else _rounding.layer_stats(method, w_ref, x_cur, deployed[0]),
             damping=_rounding.METHOD_SPECS[method].damping,
-        )
-        q_l, _ = _rounding.quantize_layer(req)
+        ))
         qweights.append(q_l)
-        y = x_in @ w_ref
-        yq = xq_in @ q_l
-        resid = y - yq
-        report.objectives.append(0.5 * float(np.einsum("ij,ij->", resid, resid)))
-        x_cur = _nonlin(layer.nonlinearity, y)
-        deployed = [_nonlin(layer.nonlinearity, yq)]
-        deployed += [_nonlin(layer.nonlinearity, v @ q_l) for v in no_reset_in]
-        report.rel_errors.append(_mean_row_relative_error(x_cur, deployed[-1]))
+        x_cur = x_cur @ w_ref
+        deployed = [v @ q_l for v in deployed]
+        scratch = np.subtract(x_cur, deployed[0])
+        report.objectives.append(0.5 * float(np.einsum("ij,ij->", scratch, scratch)))
+        x_cur = _nonlin(layer.nonlinearity, x_cur)
+        deployed = [_nonlin(layer.nonlinearity, v) for v in deployed]
+        report.rel_errors.append(_mean_row_relative_error(x_cur, deployed[-1], scratch))
+        del scratch  # not held through the next layer
     return qweights, report
 
 

@@ -45,8 +45,14 @@ product G W alone, and so does the moment objective, so the layer driver
 holds the cross term as one n x n_out array, (G W)[perm] + lambda W[perm],
 formed once: from the stats' GW when calibration folded Xq^T (X W)
 directly (``layer_stats`` passes the weights and ``calib.accumulate``
-picks that association from the shape), else as one product G @ W.  H
-is checked for finiteness and symmetry once, at the layer's entry.
+picks that association from the shape), else as one product G @ W (for
+optq and gpfq after the sweep, for the objective alone).  H is checked
+for finiteness and symmetry once, at the layer's entry.  Each whole
+array exists once: optq and qronos hold H's permuted copy, factored in
+place, and three arrays of W's size, W in processing order, q and q - w.
+qronos forms its first-step right-hand side, then its refit of W, in the
+cross term's buffer, and q - w in W's; the objective's product
+overwrites q's reversed copy.  At n_out = n / 4 the peak is under 2 H.
 
 The layer driver runs all output channels at once, step-synchronously,
 after applying the calib ordering.  For optq and qronos one in-place
@@ -413,21 +419,23 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         # undamped diagonal is the same permutation
         order = _calib.order_by_diag(stats.H) if req.order == "diag" else _calib.natural_order(n_in)
         factored = req.method in ("optq", "qronos")
-        # optq and qronos hold H index-reversed, as reversed_cholesky factors it
+        # optq and qronos hold H and the cross term reversed, as reversed_cholesky needs
         perm = order.perm[::-1] if factored else order.perm
         hx = stats.H[np.ix_(perm, perm)]
         wp = _calib.permute_weights(w, order)
         gp = stats.G[np.ix_(perm, perm)] if reads_g else None
-        gw = stats.GW if stats.GW is not None else stats.G @ w
-        gwp = gw[order.perm] if req.method in ("qronos", "qronos_base") else None
+        swept_gw = req.method in ("qronos", "qronos_base")
+        gw = stats.G @ w if stats.GW is None and swept_gw else stats.GW
+        gwx = gw[perm] if swept_gw else None
         if lam:
             # the one place the ridge is added; a permutation keeps the
             # diagonal on the diagonal
             hx.flat[:: n_in + 1] += lam
             if gp is not None:
                 gp.flat[:: n_in + 1] += lam
-            if gwp is not None:
-                gwp += lam * wp
+            if swept_gw:  # lam W a row block at a time
+                for r0 in range(0, n_in, SWEEP_BLOCK):
+                    gwx[r0 : r0 + SWEEP_BLOCK] += lam * w[perm[r0 : r0 + SWEEP_BLOCK]]
         t3 = clock()
         timings.update(check=t1 - t0, damping=t2 - t1, permute=t3 - t2)
         if req.method == "gpfq":
@@ -444,25 +452,26 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
                 h0 = hx[-1, ::-1].copy() if req.method == "qronos" else None
                 c = reversed_cholesky(hx)
                 timings["factor"] = clock() - t3
-                qp, states = _sweep(wp, req.grids, c, h0, gwp, req.record_trace, timings)
+                qp, states = _sweep(wp, req.grids, c, h0, gwx, req.record_trace, timings)
             else:
-                qp, states = _round_moments(req.method, wp, req.grids, hx, gp, gwp, req.record_trace, timings)
+                qp, states = _round_moments(req.method, wp, req.grids, hx, gp, gwx, req.record_trace, timings)
         except NotPositiveDefiniteError as exc:
             feature = int(order.perm[exc.index - 1]) + 1
             raise NotPositiveDefiniteError(
                 feature, f"H is not positive definite (failing pivot at feature {feature}, 1-based)"
             ) from None
+        del wp, gwx  # the sweep has used up these buffers
         t0 = clock()
         q = _calib.unpermute_result(qp, order)
         t1 = clock()
         # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
         if factored:
-            # q^T (H + lam I) q = ||c^T q_r||^2, q_r being q reversed in processing order
-            cq = blas.dtrmm(1.0, c, qp[::-1].T, side=1, lower=1)
+            # q^T (H + lam I) q = ||c^T q_r||^2, in place of q_r, q reversed in processing order
+            cq = blas.dtrmm(1.0, c, qp[::-1].T, side=1, lower=1, overwrite_b=1)
             qhq = np.einsum("ij,ij->i", cq, cq)
         else:
             qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
-        objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, gw)
+        objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, stats.G @ w if gw is None else gw)
         objective_form = "moment_quadratic"
         timings.update(unpermute=t1 - t0, objective=clock() - t1)
 
@@ -519,9 +528,9 @@ def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
     return q, states
 
 
-def _sweep(wp, grids, c, h0, gwp, record, timings):
-    """optq, or given hp's row 0 ``h0`` and the cross term ``gwp`` qronos,
-    on every column of ``wp`` (n, n_out), step-synchronously.
+def _sweep(wp, grids, c, h0, gwr, record, timings):
+    """optq, or given hp's row 0 ``h0`` and the reversed cross term ``gwr``
+    qronos, on every column of ``wp`` (n, n_out), step-synchronously.
 
     ``c`` factors the damped H index-reversed (``reversed_cholesky``:
     hp = U U^T, U = J c J).  Step t rounds s_t = w_t - sum_{j<t}
@@ -530,11 +539,12 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     steps takes the errors of the blocks before it in one product with a
     slab of c, each sub-block of SWEEP_SUB those of the block's earlier
     sub-blocks, then its own step by step.  qronos first rounds q_1 and
-    refits the rest, w = hp[1:, 1:]^-1 (gwp[1:] - hp[1:, 0] q_1), by two
-    triangular solves, then sweeps on U[1:, 1:].  Returns q and, with
-    ``record``, its states (``LayerReport.states``, else None), the
-    least-squares refits of the rows ahead, read off c^-1; ``timings``
-    gets the seconds of the first step and of the sweep.
+    refits the rest, w = hp[1:, 1:]^-1 (gw[1:] - hp[1:, 0] q_1), by two
+    triangular solves in gwr's buffer, then sweeps on U[1:, 1:] with
+    wp's buffer holding q - w.  Returns q and, with ``record``, its states
+    (``LayerReport.states``, else None), the least-squares refits of the
+    rows ahead, read off c^-1; ``timings`` gets the seconds of the first
+    step and of the sweep.
     """
     n, n_out = wp.shape
     t0 = time.perf_counter()
@@ -546,13 +556,14 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     if record:
         cinv = lapack.dtrtri(c, lower=1)[0]
     if h0 is not None:
-        qr[-1] = rtn((gwp[0] - h0[1:] @ wp[1:]) / h0[0])
+        qr[-1] = rtn((gwr[-1] - h0[1:] @ wp[1:]) / h0[0])
         top = n - 1
-        # hp[1:, 1:] reversed is the leading block of c c^T: two solves with
-        # all of c (a slice is copied), a zero last right-hand-side row
-        # keeping its last row out
-        rhs = np.vstack([(gwp[1:] - h0[1:, None] * qr[-1])[::-1], np.zeros((1, n_out))])
-        z = blas.dtrsm(1.0, c, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        # hp[1:, 1:] reversed leads c c^T: two solves with all of c (a slice is
+        # copied) on a right-hand side formed in gwr a row block at a time, the
+        # first solve's last column, fed by gwr's last row alone, then zeroed
+        for r0 in range(0, n, SWEEP_BLOCK):
+            gwr[r0 : r0 + SWEEP_BLOCK] -= h0[::-1][r0 : r0 + SWEEP_BLOCK, None] * qr[-1]
+        z = blas.dtrsm(1.0, c, gwr.T, side=1, lower=1, trans_a=1, overwrite_b=1)
         z[:, top] = 0.0
         wr = blas.dtrsm(1.0, c, z, side=1, lower=1, overwrite_b=1).T
         if record and top:
@@ -564,7 +575,8 @@ def _sweep(wp, grids, c, h0, gwp, record, timings):
     # every slab below a positive-stride slice
     ct = c.T
     diag = c.diagonal()[:, None]
-    d = np.empty((top, n_out))  # q - w, reversed
+    # q - w, reversed; once qronos has refit w, wp is free unless recorded
+    d = wp[:top] if h0 is not None and not record else np.empty((top, n_out))
     if record:
         # the refits of the rows ahead move along column t of L = U^-T,
         # the factor of hp^-1, scaled by L[t, t]: row k of c^-1, reversed

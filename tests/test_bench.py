@@ -37,6 +37,13 @@ def test_tiny_run_report_shape():
     for cell in cells:
         assert cell["algo"]["min"] > 0
         assert cell["e2e"]["min"] >= cell["algo"]["min"]
+        assert list(cell["phases"]) == list(rounding_mod.PHASES)
+        # each phase is a part of every timed layer run, the fastest included
+        assert 0 <= sum(cell["phases"].values()) <= cell["algo"]["min"]
+        assert cell["peak_mb"] > 0
+    machine = report["machine"]
+    assert machine["cpu_count"] >= 1 and "openblas_num_threads" in machine
+    assert machine["blas"]["numpy"]["name"] and machine["blas"]["scipy"]["name"]
     med = median_algo_times(report)
     assert set(med) == {(m, k) for m in ("optq", "qronos") for k in (8, 16)}
     assert all(v > 0 for v in med.values())
@@ -54,7 +61,8 @@ def test_cell_hands_the_layer_the_cli_stats(monkeypatch, method, form):
 
     monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
     run_bench(BenchConfig(k_min=16, k_max=16, m=32, seeds=1, inner_reps=2, methods=(method,)))
-    assert len(seen) == 2
+    # the two timed repetitions and the untimed one that takes the peak
+    assert len(seen) == 3
     for stats in seen:
         got = "GW" if stats.GW is not None else "shared" if stats.G is stats.H else "G"
         assert got == form

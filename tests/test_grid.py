@@ -238,6 +238,11 @@ def test_per_token_rounds_each_row_on_its_own_grid_across_chunks():
     x[flat] = rng.standard_normal((len(flat), 1))
     for levels in (3, 16):
         out = quantize_per_token(x, levels)
+        # written over its own input, constant rows included, it is the same
+        assert quantize_per_token(x, levels, out=x.copy()).tobytes() == out.tobytes()
+        in_place = x.copy()
+        assert quantize_per_token(in_place, levels, out=in_place) is in_place
+        assert in_place.tobytes() == out.tobytes()
         for i, row in enumerate(x):
             lo, hi = row.min(), row.max()
             if i in flat:
@@ -246,6 +251,17 @@ def test_per_token_rounds_each_row_on_its_own_grid_across_chunks():
                 step = (hi - lo) / (levels - 1)
                 expected = quantize_rtn(row, QuantGrid(levels, step, -lo / step))
             assert out[i].tobytes() == expected.tobytes(), (levels, i)
+
+
+def test_per_token_row_whose_range_overflows_gets_its_minmax_grid():
+    """max - min of a finite row may overflow float64; the step is then
+    the range divided end by end, as grid_from_minmax does, not NaN.
+    The other rows keep their bits."""
+    x = np.array([[-1e308, 1e308], [-1.0, 2.0], [1e308, -1.7e308]])
+    out = quantize_per_token(x, 4)
+    assert np.all(np.isfinite(out))
+    for row, got in zip(x, out):
+        assert got.tobytes() == quantize_rtn(row, grid_from_minmax(row, 4)).tobytes()
 
 
 def test_symmetric_search_matches_one_candidate_at_a_time():

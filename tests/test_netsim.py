@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,11 +67,25 @@ def test_fwht_matches_butterfly_loop_bit_for_bit(shape, axis):
     out, ref = fwht(x, axis=axis), fwht_reference(x, axis=axis)
     assert out.shape == ref.shape and out.strides == ref.strides
     assert out.tobytes(order="A") == ref.tobytes(order="A")
+    # the same bits written to an out of that layout, then over its input
+    buf = np.moveaxis(np.empty(np.moveaxis(x, axis, -1).shape), -1, axis)
+    fwht(x, axis=axis, out=buf)
+    assert buf.tobytes(order="A") == ref.tobytes(order="A")
+    np.copyto(buf, x)
+    fwht(buf, axis=axis, out=buf)
+    assert buf.tobytes(order="A") == ref.tobytes(order="A")
 
 
 def test_fwht_rejects_non_power_of_two():
     with pytest.raises(ShapeError):
         fwht(np.ones((2, 6)))
+
+
+def test_fwht_rejects_an_out_it_cannot_fill():
+    x = np.ones((4, 8))
+    for axis, out in ((1, np.empty((4, 4))), (0, np.empty((4, 8))), (1, np.empty((8, 4)).T)):
+        with pytest.raises(ShapeError, match="out"):
+            fwht(x, axis=axis, out=out)
 
 
 def _hadamard_rotate(w, x):
@@ -251,6 +266,12 @@ def _block_variants(n_layers, width, seed, hadamard, act_levels):
                                 act_levels=act_levels, hadamard=hadamard)
     spec.block_boundaries = (0,)
     yield spec
+    # a chain of non-square layers, whose outputs differ in shape from their inputs
+    rng = np.random.default_rng(seed)
+    widths = (width, width // 2, width, width // 4)
+    layers = [LayerSpec(rng.standard_normal((a, b)) / np.sqrt(a), "relu" if b > widths[-1] else "none")
+              for a, b in zip(widths, widths[1:])]
+    yield NetworkSpec(layers, (1,), 8, act_levels, hadamard=(hadamard,) * len(layers))
 
 
 @pytest.mark.parametrize("method", ["rtn", "optq", "gpfq", "qronos_base", "qronos"])
@@ -263,6 +284,35 @@ def test_reported_errors_are_those_of_the_no_reset_forward(method):
                 xs, xqs = forward_pair(spec, calib, spec.n_layers, qweights, apply_resets=False)
                 expected = [float(_row_errors(y, yq).mean()) for y, yq in zip(xs, xqs)]
                 assert report.rel_errors == expected, (spec.block_boundaries, hadamard, act_levels)
+
+
+@pytest.mark.parametrize("method", ["rtn", "qronos"])
+def test_quantize_network_never_writes_calib_input(method):
+    """The pass rotates and quantizes its own copies of the paths in
+    place: a float64 input, which needs no conversion, keeps its bits."""
+    calib = np.random.default_rng(22).standard_normal((40, 16))
+    before = calib.tobytes()
+    for hadamard in (False, True):
+        for act_levels in (None, 16):
+            for spec in _block_variants(3, 16, 23, hadamard, act_levels):
+                quantize_network(spec, calib, method)
+                assert calib.tobytes() == before, (spec.block_boundaries, hadamard, act_levels)
+
+
+def test_rotated_w4a4_pass_peaks_within_six_calibration_arrays():
+    """Each activation array of the pass exists once: the paths are
+    rotated and quantized in place, each layer's input is released once
+    multiplied, and one array takes the residual and the row-error sums."""
+    spec = build_random_network(4, 256, seed=24, weight_levels=16, act_levels=16, hadamard=True)
+    calib = np.random.default_rng(25).standard_normal((2048, 256))
+    quantize_network(spec, calib, "qronos")  # first call imports the Lanczos solver
+    tracemalloc.start()
+    try:
+        quantize_network(spec, calib, "qronos")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * calib.nbytes
 
 
 # sha256 of every layer's q, then rel_errors and objectives, per method on a

@@ -506,6 +506,32 @@ def test_layer_factors_its_one_copy_of_h_in_place(method):
 
 
 @pytest.mark.parametrize("method", ["optq", "qronos"])
+def test_layer_peaks_under_two_copies_of_h(method):
+    """At n_out = n / 4, the layer holds H's factored copy and three
+    weight-sized arrays at a time: qronos forms its first-step right-hand
+    side and refit in the cross term's buffer (its stats hold G W), optq
+    forms G W for its objective after the sweep, the caller's frame drops
+    W and the cross term once the sweep is done with them, and the
+    objective's product overwrites q's processing-order copy."""
+    rng = np.random.default_rng(37)
+    n, n_out = 1024, 256
+    x = rng.standard_normal((2 * n, n))
+    w = rng.standard_normal((n, n_out))
+    grids = [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    stats = layer_stats(method, w, x, x + 0.1 * rng.standard_normal(x.shape))
+    req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                            damping=METHOD_SPECS[method].damping)
+    quantize_layer(req)  # first call imports the Lanczos solver
+    tracemalloc.start()
+    try:
+        quantize_layer(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stats.H.nbytes
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos"])
 def test_duplicated_feature_is_named_in_caller_order(method):
     """An exactly singular H, feature 4 a copy of feature 1, raises
     naming the caller's feature 2 (1-based): the copy the reversed
