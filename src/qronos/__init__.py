@@ -73,7 +73,6 @@ from .rounding import (
     quantize_optq_column_ref,
     quantize_qronos_base_column,
     quantize_qronos_column,
-    quantize_rtn_layer,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -124,7 +123,6 @@ __all__ = [
     "quantize_qronos_base_column",
     "quantize_qronos_column",
     "quantize_rtn",
-    "quantize_rtn_layer",
     "read_qmx",
     "run_bench",
     "run_suite",

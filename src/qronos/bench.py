@@ -57,7 +57,7 @@ class BenchConfig:
         return ks
 
 
-def _time_cell(method, x, xq, w, grids, cfg):
+def _time_cell(method, x, xq, w, grid, cfg):
     """Return (stats_time, algo_time, timings) lists over the inner
     repetitions, and the peak bytes of one more layer run.
 
@@ -79,7 +79,7 @@ def _time_cell(method, x, xq, w, grids, cfg):
             stats_times.append(time.perf_counter() - t0)
             req = _rounding.LayerQuantRequest(
                 weights=w,
-                grids=grids,
+                grids=grid,
                 method=method,
                 stats=stats,
                 damping=_rounding.METHOD_SPECS[method].damping,
@@ -111,10 +111,10 @@ def run_bench(cfg: BenchConfig) -> dict:
             x = rng.standard_normal((cfg.m, k))
             xq = x + 0.1 * rng.standard_normal((cfg.m, k))
             w = rng.standard_normal((k, n_out))
-            grids = [grid_from_minmax(w[:, j], cfg.levels, 1.0) for j in range(n_out)]
+            grid = grid_from_minmax(w, cfg.levels, 1.0)
             for method in cfg.methods:
                 try:
-                    stats_t, algo_t, phases, peak = _time_cell(method, x, xq, w, grids, cfg)
+                    stats_t, algo_t, phases, peak = _time_cell(method, x, xq, w, grid, cfg)
                 except MemoryError:
                     rows.append(
                         {"method": method, "k": k, "seed": seed, "skipped": "resource"}

@@ -167,20 +167,16 @@ def cmd_quantize(args) -> int:
             )
     t_stats = time.perf_counter() - t0
 
-    grids = []
-    for j in range(n_out):
-        try:
-            if args.symmetric:
-                grids.append(_grid.symmetric_scale_search(w[:, j], levels))
-            else:
-                grids.append(_grid.grid_from_minmax(w[:, j], levels, args.beta))
-        except (NonFiniteInputError, ShapeError) as exc:
-            raise type(exc)(f"{args.weights}: column {j}: {exc}") from None
+    try:
+        grid = (_grid.symmetric_scale_search(w, levels) if args.symmetric
+                else _grid.grid_from_minmax(w, levels, args.beta))
+    except (NonFiniteInputError, ShapeError) as exc:
+        raise type(exc)(f"{args.weights}: {exc}") from None
 
     t0 = time.perf_counter()
     req = _rounding.LayerQuantRequest(
         weights=w,
-        grids=grids,
+        grids=grid,
         method=method,
         stats=stats,
         damping=policy,

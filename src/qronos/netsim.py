@@ -241,9 +241,8 @@ def quantize_network(
         if idx in spec.block_boundaries and idx > 0:
             deployed = [x_cur.copy(), deployed[-1]]
         w_ref, x_cur, *deployed = _layer_inputs(spec, idx, x_cur, *deployed, in_place=True)
-        grids = [_grid.grid_from_minmax(col, spec.weight_levels) for col in w_ref.T]
         q_l, _ = _rounding.quantize_layer(_rounding.LayerQuantRequest(
-            weights=w_ref, grids=grids, method=method,
+            weights=w_ref, grids=_grid.grid_from_minmax(w_ref, spec.weight_levels), method=method,
             stats=None if method == "rtn" else _rounding.layer_stats(method, w_ref, x_cur, deployed[0]),
             damping=_rounding.METHOD_SPECS[method].damping,
         ))

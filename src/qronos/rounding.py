@@ -153,12 +153,6 @@ class RoundingTrace:
 # per-column entry points
 
 
-def quantize_rtn_layer(w: np.ndarray, grids) -> np.ndarray:
-    """Independent round-to-nearest of every entry, column grids."""
-    w = _as_weights(w, grids)
-    return _grid.row_rounder(grids)(w)
-
-
 def quantize_optq_column(
     w: np.ndarray,
     h: np.ndarray,
@@ -314,7 +308,9 @@ def layer_stats(
 class LayerQuantRequest:
     """Everything needed to quantize one weight matrix.
 
-    ``weights`` is (n_in, n_out); ``grids`` one QuantGrid per output
+    ``weights`` is (n_in, n_out); ``grids`` is one QuantGrid for the
+    layer, with a step and zero point per output column as the builders
+    return for the weight matrix, or scalar ones that apply to every
     column.  ``stats`` supplies the moment pair, as ``layer_stats``
     builds it for the method from the layer's activations: H from the
     reference activations alone for optq, from the
@@ -326,7 +322,7 @@ class LayerQuantRequest:
     """
 
     weights: np.ndarray
-    grids: list
+    grids: _grid.QuantGrid
     method: str
     stats: _calib.CalibStats | None = None
     damping: DampingPolicy = field(default_factory=lambda: DampingPolicy("none"))
@@ -379,7 +375,7 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
 
     if req.method == "rtn":
         t0 = clock()
-        q = quantize_rtn_layer(w, req.grids)
+        q = _grid.quantize_rtn(w, req.grids)
         timings["sweep"] = clock() - t0
         lam = 0.0
         order = _calib.natural_order(n_in)
@@ -487,7 +483,7 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
     return q, report
 
 
-def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
+def _round_moments(method, wp, grid, hp, gp, gwp, record, timings):
     """gpfq or qronos_base on every column of ``wp`` (n, n_out), as ``_sweep``.
 
     gpfq reads each step off the moment pair (hp, gp) and rounds w_t
@@ -499,7 +495,7 @@ def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
     """
     n = wp.shape[0]
     t0 = time.perf_counter()
-    rtn = _grid.row_rounder(grids)
+    rtn = grid.rounder
     q = np.empty_like(wp)
     states = [wp] if record and method != "gpfq" else None
     if method == "gpfq":
@@ -528,7 +524,7 @@ def _round_moments(method, wp, grids, hp, gp, gwp, record, timings):
     return q, states
 
 
-def _sweep(wp, grids, c, h0, gwr, record, timings):
+def _sweep(wp, grid, c, h0, gwr, record, timings):
     """optq, or given hp's row 0 ``h0`` and the reversed cross term ``gwr``
     qronos, on every column of ``wp`` (n, n_out), step-synchronously.
 
@@ -548,7 +544,7 @@ def _sweep(wp, grids, c, h0, gwr, record, timings):
     """
     n, n_out = wp.shape
     t0 = time.perf_counter()
-    rtn = _grid.row_rounder(grids)
+    rtn = grid.rounder
     qr = np.empty((n, n_out))  # q in reversed order
     wr = wp[::-1]
     top = n  # the sweep's steps are the reversed rows [0, top)
@@ -607,7 +603,7 @@ def _round_column(method, w, h, g, grid, record_trace) -> RoundingTrace:
     w = _as_column(w)
     req = LayerQuantRequest(
         weights=w[:, None],
-        grids=[grid],
+        grids=grid,
         method=method,
         stats=_calib.CalibStats(w.size, H=h, G=g),
         order="natural",
@@ -628,12 +624,15 @@ def _as_column(w) -> np.ndarray:
     return w.copy()
 
 
-def _as_weights(w, grids) -> np.ndarray:
-    """``w`` as a float64 weight matrix with at least one output column
-    and one grid per column."""
+def _as_weights(w, grid) -> np.ndarray:
+    """``w`` as a float64 weight matrix with at least one output column,
+    and ``grid`` one QuantGrid whose arrays, if any, match its columns."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] == 0:
         raise ShapeError(f"expected a 2-D weight matrix with output columns, got shape {w.shape}")
-    if len(grids) != w.shape[1]:
-        raise ShapeError(f"got {len(grids)} grids for {w.shape[1]} output columns")
+    if not isinstance(grid, _grid.QuantGrid):
+        raise ShapeError(f"expected one QuantGrid for the layer's columns, got a {type(grid).__name__}")
+    shapes = (np.shape(grid.step_size), np.shape(grid.zero_point))
+    if set(shapes) - {(), (w.shape[1],)}:
+        raise ShapeError(f"grid step and zero point of shapes {shapes} do not match {w.shape[1]} output columns")
     return w

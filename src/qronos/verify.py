@@ -263,14 +263,14 @@ def _check_collapse(rng, i, tol, detail):
     n_out = max(2, n // 2)
     x = rng.standard_normal((8 * n, n))
     w = rng.standard_normal((n, n_out))
-    grids = [grid_from_minmax(w[:, j], levels, 1.0) for j in range(n_out)]
+    grid = grid_from_minmax(w, levels, 1.0)
     stats = accumulate(CalibStats(n), x, x)
     policy = DampingPolicy("mean_diag_percent")
     q_a, _ = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats, damping=policy)
+        LayerQuantRequest(weights=w, grids=grid, method="qronos", stats=stats, damping=policy)
     )
     q_b, _ = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method="optq", stats=stats, damping=policy)
+        LayerQuantRequest(weights=w, grids=grid, method="optq", stats=stats, damping=policy)
     )
     dev = float(np.abs(q_a - q_b).max()) if q_a.size else 0.0
     return np.array_equal(q_a, q_b), dev

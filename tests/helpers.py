@@ -22,8 +22,13 @@ def layer_instance(rng, n, m, n_out, levels, noise=0.1, identical=False):
     xq = x if identical else x + noise * rng.standard_normal((m, n))
     w = rng.standard_normal((n, n_out))
     stats = accumulate(CalibStats(n), x, xq)
-    grids = [grid_from_minmax(w[:, j], levels) for j in range(n_out)]
-    return w, x, xq, stats, grids
+    return w, x, xq, stats, grid_from_minmax(w, levels)
+
+
+def column_grid(grid, j):
+    """Column j's grid, on its own, out of a layer's grid."""
+    return QuantGrid(grid.levels, float(grid.step_size[j]), float(grid.zero_point[j]),
+                     bool(grid.degenerate[j]))
 
 
 def random_spd(rng, n, spread=1.0):

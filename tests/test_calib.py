@@ -119,11 +119,11 @@ def test_equal_diagonal_makes_ordering_a_no_op():
     x = rng.choice([-1.0, 1.0], size=(m, n))
     w = rng.standard_normal((n, n_out))
     stats = accumulate(CalibStats(n), x, x)
-    grids = [grid_from_minmax(w[:, j], 4) for j in range(n_out)]
+    grid = grid_from_minmax(w, 4)
     outs = {}
     for mode in ("diag", "natural"):
         req = LayerQuantRequest(
-            weights=w, grids=grids, method="optq", stats=stats,
+            weights=w, grids=grid, method="optq", stats=stats,
             damping=DampingPolicy("mean_diag_percent"), order=mode,
         )
         outs[mode], _ = quantize_layer(req)
@@ -162,11 +162,11 @@ def test_shared_moments_leave_optq_unchanged():
     n, n_out = 40, 6
     x = rng.standard_normal((160, n))
     w = rng.standard_normal((n, n_out))
-    grids = [grid_from_minmax(w[:, j], 8) for j in range(n_out)]
+    grid = grid_from_minmax(w, 8)
     shared = accumulate(CalibStats(n), x, x)
     separate = CalibStats(n, H=x.T @ x, G=x.T @ x)
     outs = [
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="optq", stats=s,
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="optq", stats=s,
                                          damping=DampingPolicy("mean_diag_percent")))
         for s in (shared, separate)
     ]

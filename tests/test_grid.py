@@ -301,3 +301,102 @@ def test_scalar_in_scalar_out():
     g = grid_from_minmax(np.array([-1.0, 0.5]), 4)
     out = quantize_rtn(-0.3, g)
     assert np.isscalar(out) or np.ndim(out) == 0
+
+
+def _grid_bits(g):
+    return (np.asarray(g.step_size).tobytes(), np.asarray(g.zero_point).tobytes(),
+            np.asarray(g.degenerate).tobytes())
+
+
+_KINDS = ("random", "random", "constant", "zero", "signed_zero", "underflow", "wide", "nan", "inf")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.lists(st.tuples(st.sampled_from(_KINDS), st.sampled_from([-300, -8, 0, 150, 300, 308])),
+             min_size=1, max_size=6),
+    st.sampled_from([2, 3, 16]),
+    st.sampled_from([1.0, 0.7]),
+    st.booleans(),
+)
+def test_matrix_grid_is_its_columns_grids_bit_for_bit(seed, n, columns, levels, beta, symmetric):
+    """A matrix gives, column by column, the step, zero point and
+    degenerate flag of building each column alone; a column whose step is
+    not finite (a NaN, an infinity, a range or 2 max|w| past float64's
+    top) makes the matrix raise NonFiniteInputError naming it."""
+    rng = np.random.default_rng(seed)
+    w = np.empty((n, len(columns)))
+    for j, (kind, exp) in enumerate(columns):
+        col = rng.uniform(-1.0, 1.0, n) * 10.0**exp
+        if kind == "constant":
+            col[:] = col[0]
+        elif kind == "zero":
+            col[:] = 0.0
+        elif kind == "signed_zero":
+            col = rng.choice([0.0, -0.0, 1.0], n)
+        elif kind == "underflow":
+            col = rng.choice([0.0, -0.0, 5e-324, -5e-324], n)
+        elif kind == "wide":
+            col[0], col[-1] = 1.5e308, -1.7e308
+        elif kind in ("nan", "inf"):
+            col[rng.integers(n)] = np.nan if kind == "nan" else -np.inf
+        w[:, j] = col
+    build = (lambda a: symmetric_scale_search(a, levels)) if symmetric else (
+        lambda a: grid_from_minmax(a, levels, beta))
+    alone = []
+    for j in range(w.shape[1]):
+        try:
+            alone.append(build(w[:, j]))
+        except NonFiniteInputError:
+            with pytest.raises(NonFiniteInputError, match=rf"^column {j}: .*not finite"):
+                build(w)
+            return
+    g = build(w)
+    assert g.levels == levels
+    for j, one in enumerate(alone):
+        assert type(one.step_size) is float and type(one.zero_point) is float
+        assert type(one.degenerate) is bool
+        assert _grid_bits(one) == (g.step_size[j].tobytes(), g.zero_point[j].tobytes(),
+                                   g.degenerate[j].tobytes()), j
+        if symmetric and one.degenerate:
+            # an all-zero or underflowing column keeps 0 on its grid
+            assert quantize_rtn(w[:, j], one).tobytes() == np.zeros(n).tobytes()
+
+
+def test_matrix_of_signed_zeros_gives_its_columns_grids_bit_for_bit():
+    """A column whose minimum is a zero of either sign gets the same zero
+    point in a matrix as alone, whichever zero each reduction keeps."""
+    # at 33 rows NumPy keeps different zeros in a matrix and in one column
+    w = np.random.default_rng(14).choice([0.0, -0.0, 1.0], (33, 64))
+    for build in (lambda a: grid_from_minmax(a, 16), lambda a: symmetric_scale_search(a, 16)):
+        g = build(w)
+        for j in range(w.shape[1]):
+            one = build(w[:, j])
+            assert _grid_bits(one) == (g.step_size[j].tobytes(), g.zero_point[j].tobytes(),
+                                       g.degenerate[j].tobytes()), j
+
+
+def test_per_token_row_whose_step_underflows_comes_back_unchanged():
+    """A row whose range is positive but whose step rounds to zero has a
+    degenerate grid, and is returned as it is, not as NaN."""
+    x = np.array([[0.0, 5e-324], [-1.0, 2.0], [-5e-324, 0.0]])
+    out = quantize_per_token(x, 16)
+    assert out[[0, 2]].tobytes() == x[[0, 2]].tobytes()
+    assert out[1].tobytes() == quantize_rtn(x[1], grid_from_minmax(x[1], 16)).tobytes()
+
+
+@pytest.mark.parametrize("row, levels", [([np.nan, 1.0], 4), ([np.inf, 1.0], 4), ([-1e308, 1e308], 2)])
+def test_per_token_row_whose_step_is_not_finite_raises_naming_it(row, levels):
+    """A row holding a NaN or an infinity, or whose step overflows (the
+    whole range at 2 levels), is refused rather than returned as NaN;
+    the rows around it keep their bits."""
+    finite = np.array([[-1.0, 2.0], [0.5, 0.25], [3.0, 3.0]])
+    x = np.vstack([finite[:2], [row], finite[2:]])
+    with pytest.raises(NonFiniteInputError, match=r"^row 2: grid step .* is not finite"):
+        quantize_per_token(x, levels)
+    out = quantize_per_token(finite, levels)
+    assert out[2].tobytes() == finite[2].tobytes()
+    for i in range(2):
+        assert out[i].tobytes() == quantize_rtn(finite[i], grid_from_minmax(finite[i], levels)).tobytes()

@@ -243,9 +243,9 @@ def test_layer_rejects_asymmetric_h_at_its_entry():
 
 
 def _qronos_layer(h, method="qronos"):
-    grids = [grid_from_minmax(np.arange(5.0), 4)] * 2
+    grid = grid_from_minmax(np.arange(5.0), 4)
     stats = CalibStats(5, H=h, G=np.eye(5))
-    return quantize_layer(LayerQuantRequest(np.ones((5, 2)), grids, method, stats=stats))
+    return quantize_layer(LayerQuantRequest(np.ones((5, 2)), grid, method, stats=stats))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -19,6 +19,7 @@ from qronos import (
     grid_from_minmax,
     quantize_layer,
     quantize_network,
+    quantize_rtn,
 )
 from qronos.netsim import _rotate
 from qronos.rounding import METHOD_SPECS
@@ -146,14 +147,11 @@ def test_on_grid_weights_make_deployment_exact():
 
 
 def test_identity_second_layer_carries_error_vector():
-    from qronos import quantize_rtn_layer
-
     rng = np.random.default_rng(6)
     w1 = rng.standard_normal((8, 8))
     spec = NetworkSpec(layers=[LayerSpec(w1), LayerSpec(np.eye(8))], weight_levels=4)
     x0 = rng.standard_normal((12, 8))
-    g = [grid_from_minmax(w1[:, j], 4) for j in range(8)]
-    q1 = quantize_rtn_layer(w1, g)
+    q1 = quantize_rtn(w1, grid_from_minmax(w1, 4))
     xs, xqs = forward_pair(spec, x0, quantized_prefix=1, quantized_weights=[q1, np.eye(8)])
     e1 = _row_errors(xs[0], xqs[0])
     e2 = _row_errors(xs[1], xqs[1])
@@ -224,9 +222,9 @@ def test_single_layer_objective_matches_layer_driver():
     calib = rng.standard_normal((40, 8))
     qweights, report = quantize_network(spec, calib, "optq")
     stats = accumulate(CalibStats(8), calib, calib)
-    grids = [grid_from_minmax(w[:, j], 16) for j in range(6)]
+    grid = grid_from_minmax(w, 16)
     q, _ = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method="optq", stats=stats,
+        LayerQuantRequest(weights=w, grids=grid, method="optq", stats=stats,
                           damping=METHOD_SPECS["optq"].damping),
     )
     assert np.array_equal(qweights[0], q)

@@ -59,7 +59,7 @@ def test_brute_force_dominates_greedy_methods():
         stats = accumulate(CalibStats(4), x, xq)
         for method in ("optq", "gpfq", "qronos", "qronos_base"):
             q, _ = quantize_layer(
-                LayerQuantRequest(weights=w[:, None], grids=[grid], method=method,
+                LayerQuantRequest(weights=w[:, None], grids=grid, method=method,
                                   stats=stats, damping=DampingPolicy("none")),
             )
             resid = x @ w - xq @ q[:, 0]
@@ -77,7 +77,7 @@ def test_greedy_attains_optimum_when_decoupled():
     _, best = brute_force_ils(w, x, x, grid)
     stats = accumulate(CalibStats(4), x, x)
     q, _ = quantize_layer(
-        LayerQuantRequest(weights=w[:, None], grids=[grid], method="optq",
+        LayerQuantRequest(weights=w[:, None], grids=grid, method="optq",
                           stats=stats, damping=DampingPolicy("none")),
     )
     resid = x @ (w - q[:, 0])

@@ -17,6 +17,7 @@ from qronos import (
     METHOD_SPECS,
     METHODS,
     NonFiniteInputError,
+    QuantGrid,
     ShapeError,
     accumulate,
     chol_of_inverse,
@@ -29,11 +30,10 @@ from qronos import (
     quantize_qronos_base_column,
     quantize_qronos_column,
     quantize_rtn,
-    quantize_rtn_layer,
 )
 from qronos.oracle import TIE_TOL, step_objective, stepwise_argmin_oracle
 from qronos.rounding import PHASES, SWEEP_BLOCK
-from helpers import column_instance, layer_instance, on_grid_weights
+from helpers import column_grid, column_instance, layer_instance, on_grid_weights
 
 
 def _stats_of(x, xq):
@@ -52,16 +52,17 @@ def _orthogonal_activations(rng, m, n):
 def test_rtn_layer_fixed_point():
     rng = np.random.default_rng(0)
     w = on_grid_weights(rng, 8, 5)
-    grids = [grid_from_minmax(w[:, j], 4) for j in range(5)]
-    assert np.array_equal(quantize_rtn_layer(w, grids), w)
+    grid = grid_from_minmax(w, 4)
+    assert np.array_equal(quantize_rtn(w, grid), w)
 
 
 def test_rtn_layer_matches_per_entry():
     rng = np.random.default_rng(1)
     w = rng.standard_normal((10, 4))
-    grids = [grid_from_minmax(w[:, j], 8) for j in range(4)]
-    q = quantize_rtn_layer(w, grids)
-    for j, g in enumerate(grids):
+    grid = grid_from_minmax(w, 8)
+    q = quantize_rtn(w, grid)
+    for j in range(4):
+        g = column_grid(grid, j)
         assert np.array_equal(q[:, j], quantize_rtn(w[:, j], g))
         assert np.max(np.abs(q[:, j] - w[:, j])) <= g.step_size / 2 + 1e-12
 
@@ -228,10 +229,10 @@ def test_trace_first_state_is_input_column():
 def test_layer_rtn_dispatch():
     rng = np.random.default_rng(16)
     w = rng.standard_normal((8, 3))
-    grids = [grid_from_minmax(w[:, j], 4) for j in range(3)]
-    req = LayerQuantRequest(weights=w, grids=grids, method="rtn")
+    grid = grid_from_minmax(w, 4)
+    req = LayerQuantRequest(weights=w, grids=grid, method="rtn")
     q, report = quantize_layer(req)
-    assert np.array_equal(q, quantize_rtn_layer(w, grids))
+    assert np.array_equal(q, quantize_rtn(w, grid))
     assert report.damping_lambda == 0.0
     assert np.all(np.isnan(report.objectives))
 
@@ -240,13 +241,13 @@ def test_layer_rtn_dispatch():
 def test_layer_matches_column_ops(method):
     """The vectorized layer path and the traced per-column path agree."""
     rng = np.random.default_rng(17)
-    w, x, xq, stats, grids = layer_instance(rng, 10, 80, 6, 4)
+    w, x, xq, stats, grid = layer_instance(rng, 10, 80, 6, 4)
     fast, _ = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+        LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                           damping=DampingPolicy("mean_diag_percent"))
     )
     traced, rep = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+        LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                           damping=DampingPolicy("mean_diag_percent"), record_trace=True)
     )
     assert np.array_equal(fast, traced)
@@ -268,10 +269,10 @@ def test_blocked_layer_matches_column_ops(method, n):
     """
     assert n == 1 or n > 2 * SWEEP_BLOCK
     rng = np.random.default_rng(30 + n)
-    w, x, xq, stats, grids = layer_instance(rng, n, 2 * n + 40, 6, 16)
+    w, x, xq, stats, grid = layer_instance(rng, n, 2 * n + 40, 6, 16)
     policy = DampingPolicy("mean_diag_percent")
     blocked, rep = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+        LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                           damping=policy, order="natural")
     )
     lam = rep.damping_lambda
@@ -280,9 +281,9 @@ def test_blocked_layer_matches_column_ops(method, n):
     chol = chol_of_inverse(h)
     for j in range(w.shape[1]):
         if method == "optq":
-            tr = quantize_optq_column(w[:, j], h, grids[j], record_trace=True)
+            tr = quantize_optq_column(w[:, j], h, column_grid(grid, j), record_trace=True)
         else:
-            tr = quantize_qronos_column(w[:, j], h, g, grids[j], record_trace=True)
+            tr = quantize_qronos_column(w[:, j], h, g, column_grid(grid, j), record_trace=True)
         differ = np.flatnonzero(blocked[:, j] != tr.q)
         if differ.size:
             t = int(differ[0])
@@ -305,7 +306,7 @@ def test_trace_does_not_change_layer_results(method):
     xq = x + 0.1 * rng.standard_normal(x.shape)
     xq[:, 5] = 0.0
     w = rng.standard_normal((n, 3))
-    grids = [grid_from_minmax(w[:, j], 16) for j in range(3)]
+    grid = grid_from_minmax(w, 16)
     stats = _stats_of(x, xq if method != "optq" else x)
     policy = DampingPolicy("none" if method == "gpfq" else "mean_diag_percent")
     runs = []
@@ -313,7 +314,7 @@ def test_trace_does_not_change_layer_results(method):
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             runs.append(quantize_layer(
-                LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+                LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                                   damping=policy, record_trace=record)
             ))
     (q0, rep0), (q1, rep1) = runs
@@ -357,8 +358,8 @@ def test_non_finite_g_raises_in_caller_order(method):
     h = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     g = np.eye(5)
     g[1, 3] = np.nan
-    grids = [grid_from_minmax(np.arange(5.0), 4)] * 2
-    req = LayerQuantRequest(np.ones((5, 2)), grids, method, stats=CalibStats(5, H=h, G=g))
+    grid = grid_from_minmax(np.arange(5.0), 4)
+    req = LayerQuantRequest(np.ones((5, 2)), grid, method, stats=CalibStats(5, H=h, G=g))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInputError, match="G: non-finite value nan at row 1, col 3"):
@@ -389,9 +390,9 @@ rng = np.random.default_rng(300)
 x = rng.standard_normal((700, 300)) * np.exp(rng.uniform(-1.0, 1.0, 300))
 xq = x + 0.1 * rng.standard_normal(x.shape)
 w = rng.standard_normal((300, 160))
-grids = [grid_from_minmax(w[:, j], 16) for j in range(w.shape[1])]
+grid = grid_from_minmax(w, 16)
 stats = accumulate(CalibStats(300), x, xq)
-q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats))
+q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="qronos", stats=stats))
 print(hashlib.sha256(q.tobytes()).hexdigest())
 """
 
@@ -414,31 +415,31 @@ def test_layer_q_independent_of_blas_threads():
 
 def test_layer_gpfq_moment_identity_matches_residual_recursion():
     rng = np.random.default_rng(18)
-    w, x, xq, stats, grids = layer_instance(rng, 8, 64, 5, 4)
+    w, x, xq, stats, grid = layer_instance(rng, 8, 64, 5, 4)
     q, report = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method="gpfq", stats=stats,
+        LayerQuantRequest(weights=w, grids=grid, method="gpfq", stats=stats,
                           damping=DampingPolicy("none"), order="natural")
     )
     for j in range(5):
-        tr = quantize_gpfq_column(w[:, j], x, xq, grids[j])
+        tr = quantize_gpfq_column(w[:, j], x, xq, column_grid(grid, j))
         assert np.array_equal(q[:, j], tr.q)
 
 
 def test_layer_collapse_to_optq_on_identical_paths():
     rng = np.random.default_rng(19)
-    w, x, _, stats, grids = layer_instance(rng, 12, 96, 4, 16, identical=True)
+    w, x, _, stats, grid = layer_instance(rng, 12, 96, 4, 16, identical=True)
     shared = DampingPolicy("mean_diag_percent")
-    q_opt, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="optq",
+    q_opt, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="optq",
                                                 stats=stats, damping=shared))
-    q_qro, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos",
+    q_qro, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="qronos",
                                                 stats=stats, damping=shared))
     assert np.array_equal(q_opt, q_qro)
 
 
 def test_layer_determinism():
     rng = np.random.default_rng(20)
-    w, _, _, stats, grids = layer_instance(rng, 9, 72, 4, 4)
-    req = LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats)
+    w, _, _, stats, grid = layer_instance(rng, 9, 72, 4, 4)
+    req = LayerQuantRequest(weights=w, grids=grid, method="qronos", stats=stats)
     q1, r1 = quantize_layer(req)
     q2, r2 = quantize_layer(req)
     assert q1.tobytes() == q2.tobytes()
@@ -448,18 +449,18 @@ def test_layer_determinism():
 def test_layer_order_is_internal_bijection():
     """Running permuted inputs without ordering equals the ordered run."""
     rng = np.random.default_rng(21)
-    w, x, xq, stats, grids = layer_instance(rng, 8, 64, 3, 4)
+    w, x, xq, stats, grid = layer_instance(rng, 8, 64, 3, 4)
     from qronos import order_by_diag, permute_weights, unpermute_result
 
     ordered, _ = quantize_layer(
-        LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats,
+        LayerQuantRequest(weights=w, grids=grid, method="qronos", stats=stats,
                           damping=DampingPolicy("none"), order="diag")
     )
     order = order_by_diag(stats.H)
     ix = np.ix_(order.perm, order.perm)
     permuted = CalibStats(stats.dim, H=stats.H[ix], G=stats.G[ix])
     manual, _ = quantize_layer(
-        LayerQuantRequest(weights=permute_weights(w, order), grids=grids, method="qronos",
+        LayerQuantRequest(weights=permute_weights(w, order), grids=grid, method="qronos",
                           stats=permuted, damping=DampingPolicy("none"), order="natural")
     )
     assert np.array_equal(ordered, unpermute_result(manual, order))
@@ -469,8 +470,8 @@ def test_layer_peak_memory_is_a_few_copies_of_h():
     """A qronos layer holds the permuted pair, the factor and its
     workspace: its tracemalloc peak stays within 6 copies of H."""
     rng = np.random.default_rng(29)
-    w, x, xq, stats, grids = layer_instance(rng, 512, 1024, 128, 16)
-    req = LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=stats,
+    w, x, xq, stats, grid = layer_instance(rng, 512, 1024, 128, 16)
+    req = LayerQuantRequest(weights=w, grids=grid, method="qronos", stats=stats,
                             damping=DampingPolicy("top_singular_fraction"))
     quantize_layer(req)  # first call imports the Lanczos solver
     tracemalloc.start()
@@ -491,9 +492,9 @@ def test_layer_factors_its_one_copy_of_h_in_place(method):
     n, n_out = 512, 8
     x = rng.standard_normal((2 * n, n))
     w = rng.standard_normal((n, n_out))
-    grids = [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    grid = grid_from_minmax(w, 16)
     stats = layer_stats(method, w, x, x + 0.1 * rng.standard_normal(x.shape))
-    req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+    req = LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                             damping=DampingPolicy("top_singular_fraction"))
     quantize_layer(req)  # first call imports the Lanczos solver
     tracemalloc.start()
@@ -517,9 +518,9 @@ def test_layer_peaks_under_two_copies_of_h(method):
     n, n_out = 1024, 256
     x = rng.standard_normal((2 * n, n))
     w = rng.standard_normal((n, n_out))
-    grids = [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    grid = grid_from_minmax(w, 16)
     stats = layer_stats(method, w, x, x + 0.1 * rng.standard_normal(x.shape))
-    req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+    req = LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                             damping=METHOD_SPECS[method].damping)
     quantize_layer(req)  # first call imports the Lanczos solver
     tracemalloc.start()
@@ -540,10 +541,10 @@ def test_duplicated_feature_is_named_in_caller_order(method):
     x = rng.standard_normal((40, 6)) * np.array([1.0, 3.0, 0.5, 2.0, 1.5, 0.7])
     x[:, 4] = x[:, 1]
     w = rng.standard_normal((6, 2))
-    grids = [grid_from_minmax(w[:, j], 4) for j in range(2)]
+    grid = grid_from_minmax(w, 4)
     from qronos import NotPositiveDefiniteError
 
-    req = LayerQuantRequest(weights=w, grids=grids, method=method,
+    req = LayerQuantRequest(weights=w, grids=grid, method=method,
                             stats=layer_stats(method, w, x, x.copy()), damping=DampingPolicy("none"))
     with pytest.raises(NotPositiveDefiniteError, match="feature 2,") as exc:
         quantize_layer(req)
@@ -584,16 +585,16 @@ def _golden_instance(seed, n, n_out):
     x = rng.standard_normal((2 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
     xq = x + 0.1 * rng.standard_normal(x.shape)
     w = rng.standard_normal((n, n_out))
-    return x, xq, w, [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    return x, xq, w, grid_from_minmax(w, 16)
 
 
 @pytest.mark.parametrize("seed, n, n_out", [(0, 24, 5), (1, 300, 4)])
 def test_layer_q_matches_golden_hashes(seed, n, n_out):
     """q is bit for bit what it was; n = 300 spans three sweep blocks."""
-    x, xq, w, grids = _golden_instance(seed, n, n_out)
+    x, xq, w, grid = _golden_instance(seed, n, n_out)
     for method in METHODS:
         stats = None if method == "rtn" else layer_stats(method, w, x, xq)
-        q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+        q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                                                 damping=METHOD_SPECS[method].damping))
         assert hashlib.sha256(q.tobytes()).hexdigest() == _GOLDEN_Q[seed, method], method
 
@@ -602,7 +603,7 @@ def test_layer_q_matches_golden_hashes(seed, n, n_out):
 @pytest.mark.parametrize("seed, n, n_out", [(0, 24, 5), (1, 300, 4)])
 def test_column_q_matches_golden_hashes(seed, n, n_out, record):
     """Per-column q is bit for bit what it was, traced or not."""
-    x, xq, w, grids = _golden_instance(seed, n, n_out)
+    x, xq, w, layer_grid = _golden_instance(seed, n, n_out)
     hx, h, g = x.T @ x, xq.T @ xq, xq.T @ x
     routes = {
         "optq": lambda col, grid: quantize_optq_column(col, hx, grid, record),
@@ -610,7 +611,7 @@ def test_column_q_matches_golden_hashes(seed, n, n_out, record):
         "qronos": lambda col, grid: quantize_qronos_column(col, h, g, grid, record),
     }
     for method, route in routes.items():
-        q = np.column_stack([route(w[:, j], grids[j]).q for j in range(n_out)])
+        q = np.column_stack([route(w[:, j], column_grid(layer_grid, j)).q for j in range(n_out)])
         assert hashlib.sha256(q.tobytes()).hexdigest() == _GOLDEN_COLUMN_Q[seed, method], method
 
 
@@ -619,8 +620,8 @@ def test_layer_moment_objective_is_shifted_residual(mode):
     """Moment-form objective is 0.5 q^T (H + lam I) q - q^T G w: the
     residual of the ridge-augmented pair, shifted by a q-free constant."""
     rng = np.random.default_rng(23)
-    w, x, xq, stats, grids = layer_instance(rng, 6, 48, 3, 4)
-    req = LayerQuantRequest(weights=w, grids=grids, method="optq", stats=stats,
+    w, x, xq, stats, grid = layer_instance(rng, 6, 48, 3, 4)
+    req = LayerQuantRequest(weights=w, grids=grid, method="optq", stats=stats,
                             damping=DampingPolicy(mode, alpha=1e-2))
     q, rep_m = quantize_layer(req)
     assert rep_m.objective_form == "moment_quadratic"
@@ -643,9 +644,9 @@ def test_damped_optq_layer_is_the_reference_on_augmented_activations(mode):
     for n, levels in ((4, 3), (9, 4), (16, 16), (32, 4)):
         x = rng.standard_normal((3 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
         w = rng.standard_normal((n, 3))
-        grids = [grid_from_minmax(w[:, j], levels) for j in range(3)]
+        grid = grid_from_minmax(w, levels)
         q, rep = quantize_layer(
-            LayerQuantRequest(weights=w, grids=grids, method="optq", stats=layer_stats("optq", w, x),
+            LayerQuantRequest(weights=w, grids=grid, method="optq", stats=layer_stats("optq", w, x),
                               damping=DampingPolicy(mode, alpha=1e-2), record_trace=True)
         )
         assert (rep.damping_lambda > 0.0) == (mode != "none")
@@ -654,7 +655,7 @@ def test_damped_optq_layer_is_the_reference_on_augmented_activations(mode):
         target_of = aug @ w[perm]
         for j in range(3):
             qj = q[perm, j]
-            ref = quantize_optq_column_ref(w[perm, j], aug, grids[j], record_trace=True)
+            ref = quantize_optq_column_ref(w[perm, j], aug, column_grid(grid, j), record_trace=True)
             differ = np.flatnonzero(qj != ref.q)
             stop = int(differ[0]) if differ.size else n
             for t in range(min(stop + 1, n)):
@@ -672,9 +673,9 @@ def test_damped_optq_layer_is_the_reference_on_augmented_activations(mode):
 def test_layer_leaves_the_moments_untouched(method, order):
     """The ridge goes on the driver's own copies, never on stats.H or stats.G."""
     rng = np.random.default_rng(27)
-    w, x, xq, stats, grids = layer_instance(rng, 7, 56, 3, 4)
+    w, x, xq, stats, grid = layer_instance(rng, 7, 56, 3, 4)
     h0, g0 = stats.H.copy(), stats.G.copy()
-    _, rep = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+    _, rep = quantize_layer(LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                                               damping=DampingPolicy("mean_diag_percent"),
                                               order=order))
     assert rep.damping_lambda > 0.0
@@ -685,21 +686,40 @@ def test_layer_leaves_the_moments_untouched(method, order):
 def test_layer_validation_errors():
     rng = np.random.default_rng(24)
     w = rng.standard_normal((6, 2))
-    grids = [grid_from_minmax(w[:, j], 4) for j in range(2)]
+    grid = grid_from_minmax(w, 4)
     with pytest.raises(ValueError):
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="optq"))
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="optq"))
     with pytest.raises(ValueError):
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="nope"))
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="nope"))
     with pytest.raises(ShapeError):
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids[:1], method="rtn"))
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid_from_minmax(w[:, :1], 4), method="rtn"))
     x = rng.standard_normal((10, 6))
     stats = _stats_of(x, x)
     # weights with no output column
     for method in ("rtn", "qronos"):
         with pytest.raises(ShapeError, match="output columns"):
-            quantize_layer(LayerQuantRequest(weights=w[:, :0], grids=[], method=method, stats=stats))
-    with pytest.raises(ShapeError, match="output columns"):
-        quantize_rtn_layer(w[:, :0], [])
+            quantize_layer(LayerQuantRequest(weights=w[:, :0], grids=grid, method=method, stats=stats))
+
+
+@pytest.mark.parametrize("method", ["rtn", "optq", "gpfq", "qronos"])
+def test_layer_takes_one_grid_of_its_columns(method):
+    """A grid whose arrays do not match n_out, or a list of per-column
+    grids, is a ShapeError; a scalar grid rounds every column alike."""
+    rng = np.random.default_rng(25)
+    w, _, _, stats, grid = layer_instance(rng, 6, 48, 3, 4)
+    for bad in (grid_from_minmax(w[:, :2], 4), grid_from_minmax(np.hstack([w, w]), 4),
+                QuantGrid(4, 0.5, np.zeros(2))):
+        with pytest.raises(ShapeError, match="do not match 3 output columns"):
+            quantize_layer(LayerQuantRequest(weights=w, grids=bad, method=method, stats=stats))
+    columns = [column_grid(grid, j) for j in range(3)]
+    with pytest.raises(ShapeError, match="expected one QuantGrid"):
+        quantize_layer(LayerQuantRequest(weights=w, grids=columns, method=method, stats=stats))
+    one = column_grid(grid, 0)
+    q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=one, method=method, stats=stats))
+    each = QuantGrid(4, np.full(3, one.step_size), np.full(3, one.zero_point))
+    q_each, _ = quantize_layer(LayerQuantRequest(weights=w, grids=each, method=method, stats=stats))
+    assert q.tobytes() == q_each.tobytes()
+    assert np.isin(q, one.alphabet).all()
 
 
 def test_singular_trailing_block_raises_without_damping():
@@ -708,11 +728,11 @@ def test_singular_trailing_block_raises_without_damping():
     x[:, 4] = x[:, 3]  # exactly dependent columns
     w = rng.standard_normal((5, 2))
     stats = _stats_of(x, x)
-    grids = [grid_from_minmax(w[:, j], 4) for j in range(2)]
+    grid = grid_from_minmax(w, 4)
     from qronos import NotPositiveDefiniteError
 
     with pytest.raises(NotPositiveDefiniteError):
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos",
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="qronos",
                                          stats=stats, damping=DampingPolicy("none")))
 
 
@@ -725,10 +745,10 @@ def test_dead_feature_is_named_in_caller_order(method):
     x[:, 2] = 0.0
     w = rng.standard_normal((6, 2))
     stats = _stats_of(x, x)
-    grids = [grid_from_minmax(w[:, j], 4) for j in range(2)]
+    grid = grid_from_minmax(w, 4)
     from qronos import NotPositiveDefiniteError
 
-    req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+    req = LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                             damping=DampingPolicy("none"))
     with pytest.raises(NotPositiveDefiniteError, match="feature 3") as exc:
         quantize_layer(req)
@@ -742,10 +762,10 @@ def test_layer_reports_gpfq_zero_column_warning():
     xq[:, 1] = 0.0
     w = rng.standard_normal((4, 2))
     stats = _stats_of(x, xq)
-    grids = [grid_from_minmax(w[:, j], 4) for j in range(2)]
+    grid = grid_from_minmax(w, 4)
     with pytest.warns(RuntimeWarning):
         q, report = quantize_layer(
-            LayerQuantRequest(weights=w, grids=grids, method="gpfq", stats=stats,
+            LayerQuantRequest(weights=w, grids=grid, method="gpfq", stats=stats,
                               damping=DampingPolicy("none"), order="natural")
         )
     assert any("zero" in msg for msg in report.warnings)
@@ -755,10 +775,10 @@ def test_layer_reports_gpfq_zero_column_warning():
 @given(st.integers(0, 10_000), st.sampled_from(["optq", "gpfq", "qronos", "qronos_base"]))
 def test_layer_outputs_stay_on_grid(seed, method):
     rng = np.random.default_rng(seed)
-    w, x, xq, stats, grids = layer_instance(rng, 6, 48, 3, 4)
-    q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats))
-    for j, g in enumerate(grids):
-        assert set(np.round(q[:, j], 10)) <= set(np.round(g.alphabet, 10))
+    w, x, xq, stats, grid = layer_instance(rng, 6, 48, 3, 4)
+    q, _ = quantize_layer(LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats))
+    for j, alphabet in enumerate(grid.alphabet.T):
+        assert set(np.round(q[:, j], 10)) <= set(np.round(alphabet, 10))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -772,12 +792,12 @@ def test_g_path_and_gw_path_agree(seed, method, mode):
     x = rng.standard_normal((4 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
     xq = x + 0.1 * rng.standard_normal(x.shape)
     w = rng.standard_normal((n, n_out))
-    grids = [grid_from_minmax(w[:, j], 16) for j in range(n_out)]
+    grid = grid_from_minmax(w, 16)
     via_g = accumulate(CalibStats(n), x, xq)
     via_gw = accumulate(CalibStats(n), x, xq, weights=w)
     assert via_g.GW is None and via_gw.G is None
     (q_g, rep_g), (q_gw, rep_gw) = (
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=s,
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid, method=method, stats=s,
                                          damping=DampingPolicy(mode)))
         for s in (via_g, via_gw)
     )
@@ -793,24 +813,24 @@ def test_gw_stats_are_refused_where_g_is_read_or_w_differs():
     x = rng.standard_normal((60, n))
     xq = x + 0.1 * rng.standard_normal(x.shape)
     w = rng.standard_normal((n, n_out))
-    grids = [grid_from_minmax(w[:, j], 8) for j in range(n_out)]
+    grid = grid_from_minmax(w, 8)
     stats = accumulate(CalibStats(n), x, xq, weights=w)
     with pytest.raises(ValueError, match="entries of G"):
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="gpfq", stats=stats))
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="gpfq", stats=stats))
     with pytest.raises(ValueError, match="other weights"):
-        quantize_layer(LayerQuantRequest(weights=w + 1.0, grids=grids, method="qronos", stats=stats))
+        quantize_layer(LayerQuantRequest(weights=w + 1.0, grids=grid, method="qronos", stats=stats))
     with pytest.raises(ValueError, match="no cross moment"):
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos", stats=CalibStats(n)))
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="qronos", stats=CalibStats(n)))
     with pytest.raises(ValueError, match="no second moment"):
-        quantize_layer(LayerQuantRequest(weights=w, grids=grids, method="qronos",
+        quantize_layer(LayerQuantRequest(weights=w, grids=grid, method="qronos",
                                          stats=CalibStats(n, G=np.eye(n))))
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_layer_reports_every_phase(method):
     rng = np.random.default_rng(33)
-    w, x, xq, stats, grids = layer_instance(rng, 140, 420, 4, 8)
-    _, report = quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats))
+    w, x, xq, stats, grid = layer_instance(rng, 140, 420, 4, 8)
+    _, report = quantize_layer(LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats))
     assert tuple(report.timings) == PHASES
     assert all(v >= 0.0 for v in report.timings.values())
     if method == "qronos":
@@ -837,8 +857,8 @@ def test_layer_scans_h_for_symmetry_once(monkeypatch, method, mode):
     monkeypatch.setattr(linalg_mod, "check_symmetric", counting)
     monkeypatch.setattr(rounding_mod, "check_symmetric", counting)
     rng = np.random.default_rng(34)
-    w, _, _, stats, grids = layer_instance(rng, 40, 160, 3, 8)
-    quantize_layer(LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+    w, _, _, stats, grid = layer_instance(rng, 40, 160, 3, 8)
+    quantize_layer(LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                                      damping=DampingPolicy(mode)))
     assert calls == [(40, 40)]
 
@@ -871,10 +891,10 @@ def test_layer_stats_form_and_q_match_hand_built_stats(method, n_in, n_out):
     assert got == form
     path, with_w = _HAND_ROUTE[method]
     hand = accumulate(CalibStats(n_in), x, x if path == "x" else xq, weights=w if with_w else None)
-    grids = [grid_from_minmax(w[:, j], 8) for j in range(n_out)]
+    grid = grid_from_minmax(w, 8)
     qs = [
         quantize_layer(
-            LayerQuantRequest(weights=w, grids=grids, method=method, stats=st,
+            LayerQuantRequest(weights=w, grids=grid, method=method, stats=st,
                               damping=DampingPolicy("mean_diag_percent"))
         )[0]
         for st in (stats, hand)
@@ -899,12 +919,12 @@ def test_no_damping_policy_makes_q_nan(mode):
     """Every alpha a policy accepts gives grid values (the rest are refused
     when the policy is made)."""
     rng = np.random.default_rng(33)
-    w, _, _, stats, grids = layer_instance(rng, 16, 48, 3, 8)
+    w, _, _, stats, grid = layer_instance(rng, 16, 48, 3, 8)
     for alpha in (0.0, 1e-6, 1.0, 1e6):
         for method in ("optq", "gpfq", "qronos_base", "qronos"):
-            req = LayerQuantRequest(weights=w, grids=grids, method=method, stats=stats,
+            req = LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                                     damping=DampingPolicy(mode, alpha=alpha))
             q, report = quantize_layer(req)
             assert np.isfinite(q).all() and np.isfinite(report.damping_lambda)
-            for j, g in enumerate(grids):
-                assert np.isin(q[:, j], g.alphabet).all()
+            for j, alphabet in enumerate(grid.alphabet.T):
+                assert np.isin(q[:, j], alphabet).all()
