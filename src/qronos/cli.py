@@ -173,6 +173,16 @@ def cmd_quantize(args) -> int:
     except (NonFiniteInputError, ShapeError) as exc:
         raise type(exc)(f"{args.weights}: {exc}") from None
 
+    # --trace takes each step's move norm as the next state arrives and keeps
+    # only the last state; squaring in place holds the peak near two states
+    moves, last = [], [None]
+
+    def take_move(state):
+        if last[0] is not None:
+            move = state - last[0][1:]
+            moves.append(np.sqrt(np.square(move, out=move).sum(axis=0)))
+        last[0] = state
+
     t0 = time.perf_counter()
     req = _rounding.LayerQuantRequest(
         weights=w,
@@ -181,7 +191,7 @@ def cmd_quantize(args) -> int:
         stats=stats,
         damping=policy,
         order=args.order,
-        record_trace=args.trace,
+        on_state=take_move if args.trace else None,
     )
     q, layer_report = _rounding.quantize_layer(req)
     t_algo = time.perf_counter() - t0
@@ -201,10 +211,7 @@ def cmd_quantize(args) -> int:
             "out": args.out,
         }
         if args.trace:
-            # a step's move is the difference of two consecutive states
-            states = layer_report.states or []
-            norms = np.array([np.linalg.norm(b - a[1:], axis=0) for a, b in zip(states, states[1:])])
-            norms = norms.reshape(-1, n_out)
+            norms = np.array(moves).reshape(-1, n_out)
             result["trace"] = [
                 {"column": j, "q": q[:, j].tolist(), "delta_norms": norms[:, j].tolist()}
                 for j in range(n_out)

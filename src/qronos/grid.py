@@ -50,10 +50,11 @@ def _check_levels(levels):
         raise ValueError(f"need at least 2 levels, got {levels}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantGrid:
     """One channel's quantization alphabet, or with arrays (one entry per
-    column) a layer's; a scalar grid rounds every column alike."""
+    column) a layer's; a scalar grid rounds every column alike.  Grids
+    compare and hash by identity."""
 
     levels: int
     step_size: float | np.ndarray

@@ -64,18 +64,19 @@ then each sub-block of SWEEP_SUB steps in it, takes the errors of the
 (sub-)blocks before it in one matrix product, then its own errors step
 by step.  The per-column entry points take the moments with any ridge
 already added and run the layer driver on one channel (n_out = 1), in
-the caller's order and with no damping of its own.  With
-``record_trace`` the layer records its per-step states, the rows not yet
-quantized after each step, for verification; a recorded state is the
-least-squares refit of the rows ahead, updated on the side, so recording
-never changes q.  A step's move is the difference of two consecutive
-states.
+the caller's order and with no damping of its own.  With ``on_state``
+the layer hands each per-step state, the rows not yet quantized after a
+step, to the caller as it forms it and keeps none; a state is the
+least-squares refit of the rows ahead, updated on the side and never
+written after it is handed over, so tracing never changes q.  A step's
+move is the difference of two consecutive states.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,6 +320,9 @@ class LayerQuantRequest:
     reads G's entries (gpfq).  The ordering permutation is derived from
     the undamped diagonal of H ("diag") or skipped ("natural"); results
     are returned in the caller's original row order either way.
+    ``on_state``, if set, takes each step's state as it forms, the
+    (n_in - t, n_out) rows not yet quantized after step t in processing
+    order (the permuted weights first); rtn and gpfq hand over none.
     """
 
     weights: np.ndarray
@@ -327,7 +331,7 @@ class LayerQuantRequest:
     stats: _calib.CalibStats | None = None
     damping: DampingPolicy = field(default_factory=lambda: DampingPolicy("none"))
     order: str = "diag"
-    record_trace: bool = False
+    on_state: Callable[[np.ndarray], None] | None = None
 
 
 @dataclass
@@ -336,13 +340,9 @@ class LayerReport:
 
     ``objectives`` holds one value per output column.  For every
     calibrated method (``objective_form`` "moment_quadratic") it is
-    0.5 q^T (H + lambda I) q - q^T G w on the caller's undamped pair;
-    with no ridge that is the residual 0.5 ||X w - Xq q||^2 less the
-    q-free 0.5 ||X w||^2.  rtn reads no moments and reports NaN
-    ("unavailable").  With ``record_trace``, ``states[t]`` holds the
-    (n_in - t, n_out) block of weights not yet quantized after step t, in
-    processing order (``states[0]`` the permuted weights); rtn and gpfq
-    move no weights and record none.
+    0.5 q^T (H + lambda I) q - q^T G w on the caller's undamped pair; with
+    no ridge that is the residual 0.5 ||X w - Xq q||^2 less the q-free
+    0.5 ||X w||^2.  rtn reads no moments and reports NaN ("unavailable").
     """
 
     damping_lambda: float
@@ -350,7 +350,6 @@ class LayerReport:
     objective_form: str
     objectives: np.ndarray
     warnings: list[str] = field(default_factory=list)
-    states: list[np.ndarray] | None = None
     # wall-clock seconds per phase, keyed by PHASES
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -379,7 +378,6 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         timings["sweep"] = clock() - t0
         lam = 0.0
         order = _calib.natural_order(n_in)
-        states = None
         objectives = np.full(n_out, np.nan)
         objective_form = "unavailable"
     else:
@@ -448,9 +446,9 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
                 h0 = hx[-1, ::-1].copy() if req.method == "qronos" else None
                 c = reversed_cholesky(hx)
                 timings["factor"] = clock() - t3
-                qp, states = _sweep(wp, req.grids, c, h0, gwx, req.record_trace, timings)
+                qp = _sweep(wp, req.grids, c, h0, gwx, req.on_state, timings)
             else:
-                qp, states = _round_moments(req.method, wp, req.grids, hx, gp, gwx, req.record_trace, timings)
+                qp = _round_moments(req.method, wp, req.grids, hx, gp, gwx, req.on_state, timings)
         except NotPositiveDefiniteError as exc:
             feature = int(order.perm[exc.index - 1]) + 1
             raise NotPositiveDefiniteError(
@@ -477,27 +475,25 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         objective_form=objective_form,
         objectives=objectives,
         warnings=report_warnings,
-        states=states,
         timings=timings,
     )
     return q, report
 
 
-def _round_moments(method, wp, grid, hp, gp, gwp, record, timings):
+def _round_moments(method, wp, grid, hp, gp, gwp, on_state, timings):
     """gpfq or qronos_base on every column of ``wp`` (n, n_out), as ``_sweep``.
 
     gpfq reads each step off the moment pair (hp, gp) and rounds w_t
     itself where hp[t, t] is zero; qronos_base re-solves the trailing
     normal equations, right-hand side from gwp = gp @ wp, at every step.
     A NotPositiveDefiniteError names its 1-based pivot in processing order.
-    With ``record``, qronos_base returns its states (``LayerReport.states``);
-    gpfq moves no weights and returns None.
+    qronos_base hands its states to ``on_state`` (``LayerQuantRequest``);
+    gpfq moves no weights and hands over none.  Returns q.
     """
     n = wp.shape[0]
     t0 = time.perf_counter()
     rtn = grid.rounder
     q = np.empty_like(wp)
-    states = [wp] if record and method != "gpfq" else None
     if method == "gpfq":
         for t in range(n):
             if hp[t, t] > 0.0:
@@ -506,6 +502,8 @@ def _round_moments(method, wp, grid, hp, gp, gwp, record, timings):
             else:
                 q[t] = rtn(wp[t])
     else:
+        if on_state is not None:
+            on_state(wp)
         state = wp.copy()
         for t in range(n):
             num = gwp[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ state[t + 1 :]
@@ -517,14 +515,14 @@ def _round_moments(method, wp, grid, hp, gp, gwp, record, timings):
                     tail = solve_spd(hp[t + 1 :, t + 1 :], rhs, checked=True)
                 except NotPositiveDefiniteError as exc:
                     raise NotPositiveDefiniteError(t + 1 + exc.index) from None
-                if record:
-                    states.append(tail)
+                if on_state is not None:
+                    on_state(tail)
                 state[t + 1 :] = tail
     timings["sweep"] = time.perf_counter() - t0
-    return q, states
+    return q
 
 
-def _sweep(wp, grid, c, h0, gwr, record, timings):
+def _sweep(wp, grid, c, h0, gwr, on_state, timings):
     """optq, or given hp's row 0 ``h0`` and the reversed cross term ``gwr``
     qronos, on every column of ``wp`` (n, n_out), step-synchronously.
 
@@ -537,9 +535,9 @@ def _sweep(wp, grid, c, h0, gwr, record, timings):
     sub-blocks, then its own step by step.  qronos first rounds q_1 and
     refits the rest, w = hp[1:, 1:]^-1 (gw[1:] - hp[1:, 0] q_1), by two
     triangular solves in gwr's buffer, then sweeps on U[1:, 1:] with
-    wp's buffer holding q - w.  Returns q and, with ``record``, its states
-    (``LayerReport.states``, else None), the least-squares refits of the
-    rows ahead, read off c^-1; ``timings`` gets the seconds of the first
+    wp's buffer holding q - w unless ``on_state`` takes the states
+    (``LayerQuantRequest``), the least-squares refits of the rows ahead,
+    read off c^-1.  Returns q; ``timings`` gets the seconds of the first
     step and of the sweep.
     """
     n, n_out = wp.shape
@@ -548,9 +546,8 @@ def _sweep(wp, grid, c, h0, gwr, record, timings):
     qr = np.empty((n, n_out))  # q in reversed order
     wr = wp[::-1]
     top = n  # the sweep's steps are the reversed rows [0, top)
-    states = [wp] if record else None
-    if record:
-        cinv = lapack.dtrtri(c, lower=1)[0]
+    if on_state is not None:
+        on_state(wp)
     if h0 is not None:
         qr[-1] = rtn((gwr[-1] - h0[1:] @ wp[1:]) / h0[0])
         top = n - 1
@@ -562,8 +559,8 @@ def _sweep(wp, grid, c, h0, gwr, record, timings):
         z = blas.dtrsm(1.0, c, gwr.T, side=1, lower=1, trans_a=1, overwrite_b=1)
         z[:, top] = 0.0
         wr = blas.dtrsm(1.0, c, z, side=1, lower=1, overwrite_b=1).T
-        if record and top:
-            states.append(wr[top - 1 :: -1])
+        if on_state is not None and top:
+            on_state(wr[top - 1 :: -1])
         t1 = time.perf_counter()
         timings["first_step"] = t1 - t0
         t0 = t1
@@ -571,12 +568,13 @@ def _sweep(wp, grid, c, h0, gwr, record, timings):
     # every slab below a positive-stride slice
     ct = c.T
     diag = c.diagonal()[:, None]
-    # q - w, reversed; once qronos has refit w, wp is free unless recorded
-    d = wp[:top] if h0 is not None and not record else np.empty((top, n_out))
-    if record:
-        # the refits of the rows ahead move along column t of L = U^-T,
-        # the factor of hp^-1, scaled by L[t, t]: row k of c^-1, reversed
-        lrows, refit = cinv / cinv.diagonal()[:, None], wr[:top]
+    # q - w, reversed; once qronos has refit w, wp is free unless handed over
+    d = wp[:top] if h0 is not None and on_state is None else np.empty((top, n_out))
+    if on_state is not None:
+        # the refits of the rows ahead move along column t of L = U^-T, the
+        # factor of hp^-1, scaled by L[t, t]: row k of c^-1 (scaled in place), reversed
+        lrows, refit = lapack.dtrtri(c, lower=1)[0], wr[:top]
+        lrows /= lrows.diagonal().copy()[:, None]
     for b1 in range(top, 0, -SWEEP_BLOCK):
         b0 = max(b1 - SWEEP_BLOCK, 0)
         # the block's U[j, t] / U[t, t], and its states after the blocks before it
@@ -590,27 +588,23 @@ def _sweep(wp, grid, c, h0, gwr, record, timings):
                 qr[k] = rtn(s[i])
                 d[k] = qr[k] - wr[k]
                 s[u0:i] -= scaled[u0:i, i, None] * d[k]
-                if record and k:
+                if on_state is not None and k:
                     refit = refit[:k] + lrows[k, :k, None] * (qr[k] - s[i])
-                    states.append(refit[::-1])
+                    on_state(refit[::-1])
     timings["sweep"] = time.perf_counter() - t0
-    return qr[::-1], states
+    return qr[::-1]
 
 
 def _round_column(method, w, h, g, grid, record_trace) -> RoundingTrace:
     """One column through ``quantize_layer`` (n_out = 1), in the caller's
     order and with no ridge beyond the one already in (h, g)."""
     w = _as_column(w)
-    req = LayerQuantRequest(
-        weights=w[:, None],
-        grids=grid,
-        method=method,
-        stats=_calib.CalibStats(w.size, H=h, G=g),
-        order="natural",
-        record_trace=record_trace,
-    )
-    q, report = quantize_layer(req)
-    return RoundingTrace(q=q[:, 0], w_states=[s[:, 0] for s in report.states] if record_trace else None)
+    states = []
+    req = LayerQuantRequest(weights=w[:, None], grids=grid, method=method,
+                            stats=_calib.CalibStats(w.size, H=h, G=g), order="natural",
+                            on_state=states.append if record_trace else None)
+    q, _ = quantize_layer(req)
+    return RoundingTrace(q=q[:, 0], w_states=[s[:, 0] for s in states] if record_trace else None)
 
 
 # ---------------------------------------------------------------------------

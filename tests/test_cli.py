@@ -556,6 +556,28 @@ def test_cli_releases_activations_before_the_layer(tmp_path, monkeypatch, method
     assert alive and all(a == kept for a in alive)
 
 
+def test_traced_quantize_keeps_no_states(tmp_path):
+    """--trace takes each step's move as the states arrive and keeps none
+    of the layer's n (n + 1) / 2 n_out floats: at K = 512 the traced run
+    peaks at most 1.5x the untraced one."""
+    import tracemalloc
+
+    rng = np.random.default_rng(29)
+    w = rng.standard_normal((512, 128))
+    x = rng.standard_normal((1024, 512))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    peaks = []
+    for flags in ({}, {"trace": True}):
+        args = quantize_args(tmp_path, w, x=x, xq=xq, method="qronos", report=tmp_path / "r.json", **flags)
+        tracemalloc.start()
+        try:
+            assert run(args) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], [f"{p / 2**20:.1f} MiB" for p in peaks]
+
+
 def test_report_times_every_phase(tmp_path):
     from qronos.rounding import PHASES
 

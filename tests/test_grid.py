@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ def test_minmax_grid_shrink_factor():
     g = grid_from_minmax(np.array([-1.0, 1.0]), 4, beta=0.8)
     assert np.isclose(g.step_size, 0.8 * 2.0 / 3.0)
     assert np.isclose(g.zero_point, 1.5)
+
+
+def test_grids_compare_and_hash_by_identity():
+    """A grid of per-column arrays can be compared, hashed and kept in a
+    set like any object; equal fields do not make two grids equal."""
+    w = np.arange(12.0).reshape(4, 3)
+    a, b = grid_from_minmax(w, 4), grid_from_minmax(w, 4)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    assert QuantGrid(4, 0.5, 2.0) != QuantGrid(4, 0.5, 2.0)
 
 
 def test_minmax_grid_degenerate_range():
@@ -98,7 +109,7 @@ def test_grids_are_unchanged_where_the_range_did_not_overflow(symmetric):
                 build = (lambda: symmetric_scale_search(w, levels)) if symmetric else (
                     lambda: grid_from_minmax(w, levels, beta))
                 if old is not None:
-                    assert build() == old
+                    assert astuple(build()) == astuple(old)
                     continue
                 overflowed += 1
                 lo, hi = (-np.abs(w).max(), np.abs(w).max()) if symmetric else (w.min(), w.max())
@@ -270,7 +281,8 @@ def test_symmetric_search_matches_one_candidate_at_a_time():
         n = int(rng.integers(1, 9)) if i % 2 else int(rng.integers(1, 3000))
         w = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300)
         levels = (2, 3, 4, 16, 255)[i % 5]
-        assert symmetric_scale_search(w, levels) == symmetric_scale_search_reference(w, levels), (i, n, levels)
+        got, ref = symmetric_scale_search(w, levels), symmetric_scale_search_reference(w, levels)
+        assert astuple(got) == astuple(ref), (i, n, levels)
 
 
 def test_per_token_half_step_bound():

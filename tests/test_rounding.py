@@ -246,15 +246,16 @@ def test_layer_matches_column_ops(method):
         LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                           damping=DampingPolicy("mean_diag_percent"))
     )
+    states = []
     traced, rep = quantize_layer(
         LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
-                          damping=DampingPolicy("mean_diag_percent"), record_trace=True)
+                          damping=DampingPolicy("mean_diag_percent"), on_state=states.append)
     )
     assert np.array_equal(fast, traced)
     if method == "gpfq":
-        assert rep.states is None
+        assert states == []
     else:
-        assert [s.shape for s in rep.states] == [(10 - t, 6) for t in range(10)]
+        assert [s.shape for s in states] == [(10 - t, 6) for t in range(10)]
 
 
 @pytest.mark.parametrize("method", ["optq", "qronos"])
@@ -295,7 +296,8 @@ def test_blocked_layer_matches_column_ops(method, n):
 
 @pytest.mark.parametrize("method", ["optq", "gpfq", "qronos_base", "qronos"])
 def test_trace_does_not_change_layer_results(method):
-    """Recording traces leaves q and the warnings bit for bit as they were.
+    """Tracing leaves q and the warnings bit for bit as they were, and no
+    state is written after the layer hands it over.
 
     n = 300 spans three sweep blocks; gpfq meets a zero-norm
     quantized-path column.
@@ -309,13 +311,18 @@ def test_trace_does_not_change_layer_results(method):
     grid = grid_from_minmax(w, 16)
     stats = _stats_of(x, xq if method != "optq" else x)
     policy = DampingPolicy("none" if method == "gpfq" else "mean_diag_percent")
-    runs = []
-    for record in (False, True):
+    runs, states, copies = [], [], []
+
+    def take(state):
+        states.append(state)
+        copies.append(state.copy())
+
+    for on_state in (None, take):
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             runs.append(quantize_layer(
                 LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
-                                  damping=policy, record_trace=record)
+                                  damping=policy, on_state=on_state)
             ))
     (q0, rep0), (q1, rep1) = runs
     assert q0.tobytes() == q1.tobytes()
@@ -323,10 +330,11 @@ def test_trace_does_not_change_layer_results(method):
     assert len(rep0.warnings) == (1 if method == "gpfq" else 0)
     assert rep0.objectives.tobytes() == rep1.objectives.tobytes()
     if method == "gpfq":
-        assert rep1.states is None
+        assert states == []
     else:
-        assert np.array_equal(rep1.states[0], w[rep1.order])
-        assert [s.shape for s in rep1.states] == [(n - t, 3) for t in range(n)]
+        assert np.array_equal(states[0], w[rep1.order])
+        assert [s.shape for s in states] == [(n - t, 3) for t in range(n)]
+    assert all(np.array_equal(s, c) for s, c in zip(states, copies, strict=True))
 
 
 @pytest.mark.parametrize("method", ["optq", "qronos_base", "qronos"])
@@ -645,9 +653,10 @@ def test_damped_optq_layer_is_the_reference_on_augmented_activations(mode):
         x = rng.standard_normal((3 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
         w = rng.standard_normal((n, 3))
         grid = grid_from_minmax(w, levels)
+        states = []
         q, rep = quantize_layer(
             LayerQuantRequest(weights=w, grids=grid, method="optq", stats=layer_stats("optq", w, x),
-                              damping=DampingPolicy(mode, alpha=1e-2), record_trace=True)
+                              damping=DampingPolicy(mode, alpha=1e-2), on_state=states.append)
         )
         assert (rep.damping_lambda > 0.0) == (mode != "none")
         perm = np.asarray(rep.order)
@@ -659,7 +668,7 @@ def test_damped_optq_layer_is_the_reference_on_augmented_activations(mode):
             differ = np.flatnonzero(qj != ref.q)
             stop = int(differ[0]) if differ.size else n
             for t in range(min(stop + 1, n)):
-                a, b = rep.states[t][:, j], ref.w_states[t]
+                a, b = states[t][:, j], ref.w_states[t]
                 assert np.linalg.norm(a - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
             if differ.size:
                 t = stop
