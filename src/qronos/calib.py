@@ -19,9 +19,11 @@ itself from a G.  When both paths are the same array (one-path methods)
 the cross moment is H itself: G shares H's array and one product feeds
 both.
 
-Ordering is by descending diagonal of H with stable ties, applied to
-rows/columns of H and G and to weight rows, and undone on the way out so
-the public API stays order-agnostic.
+The processing order is one permutation array, entry t the caller's
+index of step t: by descending diagonal of H with stable ties.  The
+layer applies it to weight rows and reads H and G through it, and
+scatters the result back on the way out, so the public API stays
+order-agnostic.
 """
 
 from __future__ import annotations
@@ -157,40 +159,28 @@ def _raise_non_finite(x, xq, one_path):
     raise NonFiniteInputError("the batch's moments overflow float64")
 
 
-@dataclass(frozen=True)
-class ColumnOrder:
-    """A processing permutation and its inverse."""
-
-    perm: np.ndarray
-    inverse: np.ndarray
-
-
-def natural_order(dim: int) -> ColumnOrder:
-    ident = np.arange(dim)
-    return ColumnOrder(ident, ident.copy())
-
-
-def order_by_diag(h: np.ndarray) -> ColumnOrder:
-    """Descending-diagonal processing order with stable ties."""
+def order_by_diag(h: np.ndarray) -> np.ndarray:
+    """Descending-diagonal processing order with stable ties, as one
+    permutation array: entry t is the caller's index of step t."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"H must be square, got shape {h.shape}")
-    diag = np.diag(h)
-    perm = np.argsort(-diag, kind="stable")
-    return ColumnOrder(perm, np.argsort(perm))
+    return np.argsort(-np.diag(h), kind="stable")
 
 
-def permute_weights(w: np.ndarray, order: ColumnOrder) -> np.ndarray:
+def permute_weights(w: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Reorder weight rows (the input dimension) into processing order."""
     w = np.asarray(w)
-    if w.shape[0] != order.perm.size:
-        raise ShapeError(f"weight rows {w.shape[0]} do not match permutation size {order.perm.size}")
-    return w[order.perm]
+    if w.shape[0] != perm.size:
+        raise ShapeError(f"weight rows {w.shape[0]} do not match permutation size {perm.size}")
+    return w[perm]
 
 
-def unpermute_result(q: np.ndarray, order: ColumnOrder) -> np.ndarray:
+def unpermute_result(q: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Undo permute_weights on a result with the same leading axis."""
     q = np.asarray(q)
-    if q.shape[0] != order.inverse.size:
-        raise ShapeError(f"result rows {q.shape[0]} do not match permutation size {order.inverse.size}")
-    return q[order.inverse]
+    if q.shape[0] != perm.size:
+        raise ShapeError(f"result rows {q.shape[0]} do not match permutation size {perm.size}")
+    out = np.empty(q.shape, q.dtype)
+    out[perm] = q
+    return out

@@ -72,20 +72,39 @@ def _write_report(path, payload):
 
 def _resolve_levels(args) -> int:
     if args.levels is not None:
-        _at_least(args, levels=2)
-        return args.levels
+        return _levels_flag("levels", args.levels)
     bits = 4.0 if args.bits is None else args.bits
     try:
         return _grid.levels_from_bits(bits)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"--bits: {exc}") from exc
+
+
+def _levels_flag(name, value) -> int:
+    """A level count flag's value as an int a grid can hold, or a usage error."""
+    try:
+        levels = int(value)
+        _grid._check_levels(levels)
+    except ValueError as exc:
+        raise UsageError(f"--{name}: {exc}") from exc
+    return levels
+
+
+def _methods_flag(text, allowed) -> list[str]:
+    """The --methods list in order; empty, or naming a method outside
+    ``allowed``, is a usage error."""
+    methods = [tok.strip().replace("-", "_") for tok in text.split(",") if tok.strip()]
+    if not methods or set(methods) - set(allowed):
+        names = ", ".join(m.replace("_", "-") for m in allowed)
+        raise UsageError(f"--methods takes a comma-separated list from {names}, got {text!r}")
+    return methods
 
 
 def _at_least(args, **floors):
-    """Reject an integer flag below its floor, naming the flag."""
+    """Reject an integer flag set below its floor, naming the flag."""
     for name, floor in floors.items():
         value = getattr(args, name)
-        if value < floor:
+        if value is not None and value < floor:
             raise UsageError(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
 
 
@@ -133,38 +152,26 @@ def cmd_quantize(args) -> int:
 
     t0 = time.perf_counter()
     if method != "rtn":
-        needs_pair = _rounding.METHOD_SPECS[method].two_path
-        if raw_given:
-            if args.calib_x is None:
-                raise UsageError(f"--method {args.method} needs --calib-x")
-            x = _read_shaped(args.calib_x, None, n_in)
-            if needs_pair and args.calib_xt is None:
-                raise UsageError(
-                    f"--method {args.method} needs the quantized-path activations: "
-                    "pass --calib-xt (or precomputed --stats-h/--stats-g)"
-                )
-            xq = _read_shaped(args.calib_xt, x.shape[0], n_in) if needs_pair else None
-            stats = _rounding.layer_stats(method, w, x, xq)
-            # the moments hold everything the layer reads
-            x = xq = None
-        elif stats_given:
-            if args.stats_h is None:
-                raise UsageError(f"--method {args.method} needs --stats-h")
-            h = _read_shaped(args.stats_h, n_in, n_in)
-            g = h
-            if needs_pair:
-                if args.stats_g is None:
-                    raise UsageError(
-                        f"--method {args.method} needs the cross moments: pass --stats-g "
-                        "(or raw --calib-x/--calib-xt)"
-                    )
-                g = _read_shaped(args.stats_g, n_in, n_in)
-            stats = _calib.CalibStats(n_in, H=h, G=g)
-        else:
+        if not (raw_given or stats_given):
             raise UsageError(
                 f"--method {args.method} needs calibration input: "
                 "--calib-x/--calib-xt or --stats-h/--stats-g"
             )
+        # the reference input, and for two-path methods the quantized path
+        needs_pair = _rounding.METHOD_SPECS[method].two_path
+        flags = ("calib_x", "calib_xt") if raw_given else ("stats_h", "stats_g")
+        for name in flags[: 1 + needs_pair]:
+            if getattr(args, name) is None:
+                raise UsageError(f"--method {args.method} needs --{name.replace('_', '-')}")
+        if raw_given:
+            x = _read_shaped(args.calib_x, None, n_in)
+            xq = _read_shaped(args.calib_xt, x.shape[0], n_in) if needs_pair else None
+            stats = _rounding.layer_stats(method, w, x, xq)
+            x = xq = None  # the moments hold everything the layer reads
+        else:
+            h = _read_shaped(args.stats_h, n_in, n_in)
+            g = _read_shaped(args.stats_g, n_in, n_in) if needs_pair else h
+            stats = _calib.CalibStats(n_in, H=h, G=g)
     t_stats = time.perf_counter() - t0
 
     try:
@@ -239,8 +246,9 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    methods = tuple(tok.strip().replace("-", "_") for tok in args.methods.split(",") if tok.strip())
-    _at_least(args, m=1, seeds=1, levels=2, reps=1)
+    methods = tuple(_methods_flag(args.methods, _bench.BENCH_METHODS))
+    _at_least(args, m=1, seeds=1, reps=1)
+    _levels_flag("levels", args.levels)
     try:
         cfg = _bench.BenchConfig(
             k_min=args.k_min,
@@ -271,6 +279,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     names = _verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    _at_least(args, trials=0)
     t0 = time.perf_counter()
     results = []
     for name in names:
@@ -295,20 +304,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    methods = [tok.strip().replace("-", "_") for tok in args.methods.split(",") if tok.strip()]
-    for method in methods:
-        if method not in _rounding.METHODS:
-            raise UsageError(f"unknown method {method!r}")
-    if args.alevels in (None, "off", "none"):
-        alevels = None
-    else:
-        try:
-            alevels = int(args.alevels)
-        except ValueError as exc:
-            raise UsageError(f"--alevels takes an integer or 'off', got {args.alevels!r}") from exc
-        if alevels < 2:
-            raise UsageError(f"--alevels must be at least 2 or 'off', got {alevels}")
-    _at_least(args, layers=1, width=1, wlevels=2, seeds=1, samples=1)
+    methods = _methods_flag(args.methods, _rounding.METHODS)
+    alevels = None if args.alevels in (None, "off", "none") else _levels_flag("alevels", args.alevels)
+    _at_least(args, layers=1, width=1, seeds=1, samples=1)
+    _levels_flag("wlevels", args.wlevels)
     if args.hadamard and (args.width & (args.width - 1)):
         raise UsageError(f"--hadamard needs a power-of-two width, got {args.width}")
     if args.blocks < 1 or args.blocks > args.layers:

@@ -48,6 +48,8 @@ CHUNK = 1 << 15  # values per chunk of a whole-array pass: 256 KB of float64
 def _check_levels(levels):
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels}")
+    if levels > 2**53:
+        raise ValueError("need at most 2**53 levels: float64 codes stop being exact integers beyond that")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +103,10 @@ def levels_from_bits(bits: float) -> int:
     """Level count for a bit width; the 1.58-bit convention means ternary."""
     if abs(bits - 1.58) < 1e-9:
         return 3
-    if bits < 1 or bits != int(bits):
-        raise ValueError(f"unsupported bit width {bits!r} (use an integer >= 1, or 1.58)")
+    # a width is compared before 2 ** int(bits) is formed: int() of inf or
+    # NaN raises, and a huge width would take the power's time and memory
+    if not 1 <= bits <= 53 or bits != int(bits):
+        raise ValueError(f"unsupported bit width {bits!r} (use an integer from 1 to 53, or 1.58)")
     return 2 ** int(bits)
 
 

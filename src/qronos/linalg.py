@@ -180,8 +180,6 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     can factor the result again without a symmetry guard.
     """
     low = cholesky_lower(m)
-    if low.shape[0] == 0:
-        return np.zeros((0, 0))
     linv = _trsolve(low, np.eye(low.shape[0]))
     out = linv.T @ linv
     return (out + out.T) / 2.0

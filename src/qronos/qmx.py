@@ -75,6 +75,7 @@ def _parse_header(path, line: bytes) -> tuple[int, int, str]:
     if header["dtype"] not in _DTYPES:
         raise QmxFormatError(f"{path}: unsupported dtype {header['dtype']!r}")
     rows, cols = header["rows"], header["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
+    # not isinstance: JSON true and false read as bools, which are ints
+    if any(type(d) is not int or d < 0 for d in (rows, cols)):
         raise QmxFormatError(f"{path}: bad dimensions {rows!r} x {cols!r}")
     return rows, cols, header["dtype"]

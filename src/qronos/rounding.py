@@ -35,10 +35,10 @@ pair, damped or not, which the verification suites certify numerically.
 When the quantized path equals the reference path (G = H) qronos
 collapses onto optq exactly, provided the ridge is added to both H and
 G.  The layer driver therefore resolves the ridge lambda once, on the
-caller's undamped H, and adds it to the diagonal of its permuted copy of
-H and to the cross term, as if sqrt(lambda) I were appended to both
-activation sets as phantom calibration rows.  The caller's matrices are
-never written.
+caller's undamped H, and adds it to the diagonal of H (for gpfq, of each
+step's gathered rows) and to the cross term, as if sqrt(lambda) I were
+appended to both activation sets as phantom calibration rows.  The
+caller's matrices are never written.
 
 Only gpfq reads G's entries.  qronos and qronos_base read G through the
 product G W alone, and so does the moment objective, so the layer driver
@@ -50,6 +50,8 @@ optq and gpfq after the sweep, for the objective alone).  H is checked
 for finiteness and symmetry once, at the layer's entry.  Each whole
 array exists once: optq and qronos hold H's permuted copy, factored in
 place, and three arrays of W's size, W in processing order, q and q - w.
+gpfq copies neither H nor G: the order is one permutation array, entry
+t the caller's index of step t, and step t reads its rows through it.
 qronos forms its first-step right-hand side, then its refit of W, in the
 cross term's buffer, and q - w in W's; the objective's product
 overwrites q's reversed copy.  At n_out = n / 4 the peak is under 2 H.
@@ -377,7 +379,7 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         q = _grid.quantize_rtn(w, req.grids)
         timings["sweep"] = clock() - t0
         lam = 0.0
-        order = _calib.natural_order(n_in)
+        order = np.arange(n_in)
         objectives = np.full(n_out, np.nan)
         objective_form = "unavailable"
     else:
@@ -411,50 +413,47 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         t2 = clock()
         # the ridge shifts every diagonal entry equally, so ordering from the
         # undamped diagonal is the same permutation
-        order = _calib.order_by_diag(stats.H) if req.order == "diag" else _calib.natural_order(n_in)
-        factored = req.method in ("optq", "qronos")
-        # optq and qronos hold H and the cross term reversed, as reversed_cholesky needs
-        perm = order.perm[::-1] if factored else order.perm
-        hx = stats.H[np.ix_(perm, perm)]
+        order = _calib.order_by_diag(stats.H) if req.order == "diag" else np.arange(n_in)
         wp = _calib.permute_weights(w, order)
-        gp = stats.G[np.ix_(perm, perm)] if reads_g else None
+        factored = req.method in ("optq", "qronos")
         swept_gw = req.method in ("qronos", "qronos_base")
         gw = stats.G @ w if stats.GW is None and swept_gw else stats.GW
+        # optq and qronos hold H and the cross term reversed, as reversed_cholesky
+        # needs; gpfq reads the caller's H and G through the order and holds neither
+        perm, wx = (order[::-1], wp[::-1]) if factored else (order, wp)
+        hx = None if req.method == "gpfq" else stats.H[np.ix_(perm, perm)]
         gwx = gw[perm] if swept_gw else None
-        if lam:
-            # the one place the ridge is added; a permutation keeps the
-            # diagonal on the diagonal
+        if lam and hx is not None:
+            # the one place the ridge is added to H and the cross term; a
+            # permutation keeps the diagonal on the diagonal
             hx.flat[:: n_in + 1] += lam
-            if gp is not None:
-                gp.flat[:: n_in + 1] += lam
             if swept_gw:  # lam W a row block at a time
                 for r0 in range(0, n_in, SWEEP_BLOCK):
-                    gwx[r0 : r0 + SWEEP_BLOCK] += lam * w[perm[r0 : r0 + SWEEP_BLOCK]]
+                    gwx[r0 : r0 + SWEEP_BLOCK] += lam * wx[r0 : r0 + SWEEP_BLOCK]
         t3 = clock()
         timings.update(check=t1 - t0, damping=t2 - t1, permute=t3 - t2)
-        if req.method == "gpfq":
-            for t in np.flatnonzero(np.diag(hx) <= 0.0):
-                feature = int(order.perm[t])
-                warnings.warn(
-                    f"quantized-path column {feature} has zero norm; falling back to RTN for that step",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                report_warnings.append(f"gpfq: zero-norm quantized-path column {feature}, RTN fallback")
         try:
             if factored:
                 h0 = hx[-1, ::-1].copy() if req.method == "qronos" else None
                 c = reversed_cholesky(hx)
                 timings["factor"] = clock() - t3
                 qp = _sweep(wp, req.grids, c, h0, gwx, req.on_state, timings)
+            elif hx is None:
+                for feature in order[stats.H.diagonal()[order] + lam <= 0.0].tolist():
+                    msg = f"quantized-path column {feature} has zero norm; falling back to RTN for that step"
+                    warnings.warn(msg, RuntimeWarning, stacklevel=2)
+                    report_warnings.append(f"gpfq: zero-norm quantized-path column {feature}, RTN fallback")
+                qp = _gpfq_sweep(wp, req.grids, stats.H, stats.G, order, lam)
             else:
-                qp = _round_moments(req.method, wp, req.grids, hx, gp, gwx, req.on_state, timings)
+                qp = _direct_sweep(wp, req.grids, hx, gwx, req.on_state)
+            if not factored:
+                timings["sweep"] = clock() - t3
         except NotPositiveDefiniteError as exc:
-            feature = int(order.perm[exc.index - 1]) + 1
+            feature = int(order[exc.index - 1]) + 1
             raise NotPositiveDefiniteError(
                 feature, f"H is not positive definite (failing pivot at feature {feature}, 1-based)"
             ) from None
-        del wp, gwx  # the sweep has used up these buffers
+        del wp, wx, gwx  # the sweep has used up these buffers
         t0 = clock()
         q = _calib.unpermute_result(qp, order)
         t1 = clock()
@@ -471,7 +470,7 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
 
     report = LayerReport(
         damping_lambda=lam,
-        order=[int(i) for i in order.perm],
+        order=order.tolist(),
         objective_form=objective_form,
         objectives=objectives,
         warnings=report_warnings,
@@ -480,45 +479,50 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
     return q, report
 
 
-def _round_moments(method, wp, grid, hp, gp, gwp, on_state, timings):
-    """gpfq or qronos_base on every column of ``wp`` (n, n_out), as ``_sweep``.
-
-    gpfq reads each step off the moment pair (hp, gp) and rounds w_t
-    itself where hp[t, t] is zero; qronos_base re-solves the trailing
-    normal equations, right-hand side from gwp = gp @ wp, at every step.
-    A NotPositiveDefiniteError names its 1-based pivot in processing order.
-    qronos_base hands its states to ``on_state`` (``LayerQuantRequest``);
-    gpfq moves no weights and hands over none.  Returns q.
-    """
-    n = wp.shape[0]
-    t0 = time.perf_counter()
+def _gpfq_sweep(wp, grid, h, g, order, lam):
+    """gpfq on every column of ``wp`` (n, n_out), as ``_sweep``: step t
+    reads row f = order[t] of the caller's undamped pair (h, g) through
+    ``order``, adding the ridge lam to the diagonal, and rounds w_t
+    itself where h[f, f] + lam is not positive.  Returns q."""
     rtn = grid.rounder
     q = np.empty_like(wp)
-    if method == "gpfq":
-        for t in range(n):
-            if hp[t, t] > 0.0:
-                num = gp[t, : t + 1] @ wp[: t + 1] - hp[t, :t] @ q[:t]
-                q[t] = rtn(num / hp[t, t])
-            else:
-                q[t] = rtn(wp[t])
-    else:
-        if on_state is not None:
-            on_state(wp)
-        state = wp.copy()
-        for t in range(n):
-            num = gwp[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ state[t + 1 :]
-            q[t] = rtn(num / hp[t, t])
-            if t + 1 < n:
-                rhs = gwp[t + 1 :] - hp[t + 1 :, : t + 1] @ q[: t + 1]
-                try:
-                    # hp was checked whole; its trailing blocks need no scan
-                    tail = solve_spd(hp[t + 1 :, t + 1 :], rhs, checked=True)
-                except NotPositiveDefiniteError as exc:
-                    raise NotPositiveDefiniteError(t + 1 + exc.index) from None
-                if on_state is not None:
-                    on_state(tail)
-                state[t + 1 :] = tail
-    timings["sweep"] = time.perf_counter() - t0
+    for t, f in enumerate(order):
+        denom = h[f, f] + lam
+        if denom > 0.0:
+            g_row = g[f][order[: t + 1]]  # the row's view, then the gather: faster than g[f, idx]
+            if lam:
+                g_row[t] += lam
+            q[t] = rtn((g_row @ wp[: t + 1] - h[f][order[:t]] @ q[:t]) / denom)
+        else:
+            q[t] = rtn(wp[t])
+    return q
+
+
+def _direct_sweep(wp, grid, hp, gwp, on_state):
+    """qronos_base on every column of ``wp`` (n, n_out), as ``_sweep``:
+    every step re-solves the trailing normal equations of the damped,
+    permuted H ``hp``, right-hand side from gwp = (G W)[perm], and hands
+    its state to ``on_state``.  A NotPositiveDefiniteError names its
+    1-based pivot in processing order.  Returns q."""
+    n = wp.shape[0]
+    rtn = grid.rounder
+    q = np.empty_like(wp)
+    if on_state is not None:
+        on_state(wp)
+    state = wp.copy()
+    for t in range(n):
+        num = gwp[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ state[t + 1 :]
+        q[t] = rtn(num / hp[t, t])
+        if t + 1 < n:
+            rhs = gwp[t + 1 :] - hp[t + 1 :, : t + 1] @ q[: t + 1]
+            try:
+                # hp was checked whole; its trailing blocks need no scan
+                tail = solve_spd(hp[t + 1 :, t + 1 :], rhs, checked=True)
+            except NotPositiveDefiniteError as exc:
+                raise NotPositiveDefiniteError(t + 1 + exc.index) from None
+            if on_state is not None:
+                on_state(tail)
+            state[t + 1 :] = tail
     return q
 
 

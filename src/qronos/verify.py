@@ -300,4 +300,6 @@ def run_suite(name: str, trials: int | None = None, tol: float | None = None, se
         raise ValueError(f"unknown suite {name!r} (expected one of {SUITE_NAMES})")
     check, default_trials, default_tol = _DEFAULTS[name]
     trials = default_trials if trials is None else trials
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     return _run(name, check, trials, default_tol if tol is None else tol, seed)

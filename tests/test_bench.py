@@ -68,3 +68,21 @@ def test_cell_hands_the_layer_the_cli_stats(monkeypatch, method, form):
         assert got == form
         if form == "GW":
             assert stats.GW.shape == (16, 4)
+
+
+def test_cell_out_of_memory_is_skipped(monkeypatch):
+    """A cell whose layer raises MemoryError is marked skipped, and the
+    medians leave it out."""
+    original = rounding_mod.quantize_layer
+
+    def starved(req):
+        if req.method == "qronos":
+            raise MemoryError
+        return original(req)
+
+    monkeypatch.setattr(rounding_mod, "quantize_layer", starved)
+    report = run_bench(BenchConfig(k_min=8, k_max=8, m=32, seeds=1, inner_reps=1, methods=("optq", "qronos")))
+    cells = {c["method"]: c for c in report["timing"]["cells"]}
+    assert cells["qronos"] == {"method": "qronos", "k": 8, "seed": 0, "skipped": "resource"}
+    assert "algo" in cells["optq"]
+    assert set(median_algo_times(report)) == {("optq", 8)}

@@ -231,7 +231,8 @@ def test_levels_below_two_is_usage_error(tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("beta", "0"), ("beta", "-1"), ("beta", "nan"), ("beta", "inf"),
-     ("alpha", "nan"), ("alpha", "-1"), ("alpha", "inf")],
+     ("alpha", "nan"), ("alpha", "-1"), ("alpha", "inf"),
+     ("bits", "inf"), ("bits", "1100"), ("bits", "3.5"), pytest.param("levels", "1" + "0" * 400, id="levels-1e400")],
 )
 def test_quantize_bad_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     rng = np.random.default_rng(8)
@@ -241,6 +242,26 @@ def test_quantize_bad_flag_value_is_usage_error(tmp_path, capsys, flag, value):
     assert run(quantize_args(tmp_path, w, x=x, xq=xq, method="qronos", **{flag: value})) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"--{flag}" in err
+    assert not (tmp_path / "q.qmx").exists()
+
+
+@pytest.mark.parametrize(
+    "method, given, named",
+    [("optq", ["calib_xt"], "needs --calib-x"), ("qronos", ["stats_g"], "needs --stats-h"),
+     ("qronos", ["stats_h"], "--stats-g"), ("optq", [], "calibration input")],
+)
+def test_incomplete_calibration_input_is_usage_error(tmp_path, capsys, method, given, named):
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((8, 2))
+    x = rng.standard_normal((32, 8))
+    files = {"calib_xt": x, "stats_h": x.T @ x, "stats_g": x.T @ x}
+    flags = {}
+    for name in given:
+        flags[name] = tmp_path / f"{name}.qmx"
+        write_qmx(flags[name], files[name])
+    assert run(quantize_args(tmp_path, w, method=method, **flags)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
     assert not (tmp_path / "q.qmx").exists()
 
 
@@ -278,6 +299,15 @@ def test_malformed_container_is_io_error(tmp_path):
     bad.write_bytes(b"not a header\n\x00\x01")
     code = run(["quantize", "--weights", bad, "--method", "rtn", "--out", tmp_path / "q.qmx"])
     assert code == 3
+
+
+def test_boolean_dimensions_in_header_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qmx"
+    header = json.dumps({"rows": True, "cols": True, "dtype": "f64", "order": "row-major"})
+    bad.write_bytes(header.encode() + b"\n" + np.zeros(1).tobytes())
+    assert run(["quantize", "--weights", bad, "--method", "rtn", "--out", tmp_path / "q.qmx"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad dimensions" in err
 
 
 # shape errors: exit 4
@@ -358,6 +388,13 @@ def test_verify_zero_trials_is_vacuous_pass(capsys):
     assert "PASS" in out and "0 trials" in out
 
 
+def test_verify_negative_trials_is_usage_error(capsys):
+    assert run(["verify", "--suite", "lemmaC", "--trials", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--trials" in captured.err
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     code = run(["verify", "--suite", "theorem1", "--trials", "2", "--tol", "-1"])
     assert code == 6
@@ -396,6 +433,13 @@ def test_bench_tiny_ladder(tmp_path, capsys):
     assert "K=32" in capsys.readouterr().out
 
 
+def test_bench_prints_the_efficient_form_speedup(capsys):
+    code = run(["bench", "--k-min", "8", "--k-max", "8", "--m", "16", "--seeds", "1", "--reps", "1",
+                "--methods", "qronos-base,qronos"])
+    assert code == 0
+    assert "speedup=" in capsys.readouterr().out
+
+
 def test_bench_bad_ladder_is_usage_error():
     assert run(["bench", "--k-min", "128", "--k-max", "64"]) == 2
 
@@ -414,6 +458,13 @@ def test_bench_bad_ladder_is_usage_error():
         (["simulate", "--samples", "0"], "--samples"),
         (["simulate", "--seeds", "0"], "--seeds"),
         (["simulate", "--layers", "0"], "--layers"),
+        (["simulate", "--layers", "2", "--blocks", "3"], "--blocks"),
+        (["bench", "--levels", "1" + "0" * 400], "--levels"),
+        (["simulate", "--wlevels", "1" + "0" * 400], "--wlevels"),
+        (["simulate", "--alevels", "1" + "0" * 400], "--alevels"),
+        (["bench", "--methods", ","], "--methods"),
+        (["bench", "--methods", "rtn"], "--methods"),
+        (["simulate", "--methods", ""], "--methods"),
     ],
 )
 def test_bench_and_simulate_bad_flag_value_is_usage_error(capsys, argv, flag):

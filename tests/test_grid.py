@@ -134,6 +134,20 @@ def test_levels_from_bits():
         levels_from_bits(0.5)
 
 
+@pytest.mark.parametrize("bits", [float("inf"), float("nan"), 54, 1100, 3.5])
+def test_levels_from_bits_rejects_widths_without_a_grid(bits):
+    with pytest.raises(ValueError, match="bit width"):
+        levels_from_bits(bits)
+
+
+@pytest.mark.parametrize("levels", [2**53 + 1, 10**400], ids=["2**53+1", "1e400"])
+def test_level_counts_beyond_float64_integers_are_rejected(levels):
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        QuantGrid(levels, 1.0, 0.0)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        grid_from_minmax(np.arange(4.0), levels)
+
+
 def test_rtn_worked_values():
     g = QuantGrid(levels=4, step_size=0.5, zero_point=2.0)
     assert quantize_rtn(-0.3, g) == -0.5

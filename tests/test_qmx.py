@@ -98,6 +98,15 @@ def test_rejects_missing_key_and_bad_order(tmp_path):
         read_qmx(path)
 
 
+@pytest.mark.parametrize("rows, cols", [(True, True), (1, False), (-1, 1), (1.0, 1)])
+def test_rejects_dimensions_that_are_not_counts(tmp_path, rows, cols):
+    path = tmp_path / "x.qmx"
+    header = json.dumps({"rows": rows, "cols": cols, "dtype": "f64", "order": "row-major"}).encode()
+    path.write_bytes(header + b"\n" + np.zeros(1).tobytes())
+    with pytest.raises(QmxFormatError, match="bad dimensions"):
+        read_qmx(path)
+
+
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "t.qmx"
     write_qmx(path, np.zeros((2, 2)))

@@ -465,7 +465,7 @@ def test_layer_order_is_internal_bijection():
                           damping=DampingPolicy("none"), order="diag")
     )
     order = order_by_diag(stats.H)
-    ix = np.ix_(order.perm, order.perm)
+    ix = np.ix_(order, order)
     permuted = CalibStats(stats.dim, H=stats.H[ix], G=stats.G[ix])
     manual, _ = quantize_layer(
         LayerQuantRequest(weights=permute_weights(w, order), grids=grid, method="qronos",
@@ -538,6 +538,23 @@ def test_layer_peaks_under_two_copies_of_h(method):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * stats.H.nbytes
+
+
+@pytest.mark.parametrize("mode", ["none", "mean_diag_percent"])
+def test_gpfq_layer_peaks_under_one_copy_of_h(mode):
+    """gpfq reads each step's rows of the caller's H and G through the
+    order and copies neither: its peak is a few weight-sized arrays."""
+    rng = np.random.default_rng(41)
+    w, x, xq, stats, grid = layer_instance(rng, 512, 1024, 128, 16)
+    req = LayerQuantRequest(weights=w, grids=grid, method="gpfq", stats=stats,
+                            damping=DampingPolicy(mode))
+    tracemalloc.start()
+    try:
+        quantize_layer(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stats.H.nbytes
 
 
 @pytest.mark.parametrize("method", ["optq", "qronos"])

@@ -18,6 +18,11 @@ def test_same_seed_reproduces_max_dev_exactly():
     assert a.failures == b.failures
 
 
+def test_negative_trials_raise():
+    with pytest.raises(ValueError, match="trials"):
+        run_suite("lemmaC", trials=-1)
+
+
 def test_zero_trials_is_a_vacuous_pass():
     res = run_suite("corollary1", trials=0)
     assert res.passed
