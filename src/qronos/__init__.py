@@ -20,7 +20,6 @@ from .calib import (
 )
 from .errors import (
     ConvergenceError,
-    EnumerationCapError,
     NonFiniteInputError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -35,29 +34,13 @@ from .grid import (
     quantize_rtn,
     symmetric_scale_search,
 )
-from .linalg import (
-    DampingPolicy,
-    apply_damping,
-    cholesky_lower,
-    inverse_hessian_step,
-    solve_spd,
-    spd_inverse,
-    top_singular_value,
-)
+from .linalg import DampingPolicy, apply_damping
 from .netsim import (
     LayerSpec,
     NetworkSpec,
     build_random_network,
-    forward_pair,
     fwht,
     quantize_network,
-)
-from .oracle import (
-    brute_force_ils,
-    direct_lstsq,
-    first_step_pinv,
-    step_objective,
-    stepwise_argmin_oracle,
 )
 from .qmx import read_qmx, write_qmx
 from .rounding import (
@@ -65,14 +48,8 @@ from .rounding import (
     LayerReport,
     METHOD_SPECS,
     METHODS,
-    chol_of_inverse,
     layer_stats,
-    quantize_gpfq_column,
     quantize_layer,
-    quantize_optq_column,
-    quantize_optq_column_ref,
-    quantize_qronos_base_column,
-    quantize_qronos_column,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -83,7 +60,6 @@ __all__ = [
     "CalibStats",
     "ConvergenceError",
     "DampingPolicy",
-    "EnumerationCapError",
     "LayerQuantRequest",
     "LayerReport",
     "LayerSpec",
@@ -99,39 +75,22 @@ __all__ = [
     "ShapeError",
     "accumulate",
     "apply_damping",
-    "brute_force_ils",
     "build_random_network",
-    "chol_of_inverse",
-    "cholesky_lower",
-    "direct_lstsq",
-    "first_step_pinv",
-    "forward_pair",
     "fwht",
     "grid_from_minmax",
-    "inverse_hessian_step",
     "layer_stats",
     "levels_from_bits",
     "median_algo_times",
     "order_by_diag",
     "permute_weights",
-    "quantize_gpfq_column",
     "quantize_layer",
     "quantize_network",
-    "quantize_optq_column",
-    "quantize_optq_column_ref",
     "quantize_per_token",
-    "quantize_qronos_base_column",
-    "quantize_qronos_column",
     "quantize_rtn",
     "read_qmx",
     "run_bench",
     "run_suite",
-    "solve_spd",
-    "spd_inverse",
-    "step_objective",
-    "stepwise_argmin_oracle",
     "symmetric_scale_search",
-    "top_singular_value",
     "unpermute_result",
     "write_qmx",
 ]

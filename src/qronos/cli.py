@@ -9,14 +9,16 @@ key so everything else is reproducible byte for byte.
 Exit codes: 0 success, 2 usage, 3 file I/O, 4 shape mismatch (weights
 with no output column or no row included), 5 numerical failure
 (including a NaN or infinity in an input matrix, an asymmetric
---stats-h, or a weights column whose grid step overflows float64), 6
-verification suite failure.
+--stats-h, a weights column whose grid step overflows float64, or a
+ridge that does), 6 verification suite failure.  A report writes
+every NaN or infinity as null, so strict JSON parsers read it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -64,9 +66,21 @@ def _flags(args, *names) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
+def _json_safe(value):
+    """``value`` with every float that is not finite replaced by None:
+    RFC 8259 JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _write_report(path, payload):
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -279,7 +293,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     names = _verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    _at_least(args, trials=0)
+    _at_least(args, trials=0, seed=0)
     t0 = time.perf_counter()
     results = []
     for name in names:
@@ -306,7 +320,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     methods = _methods_flag(args.methods, _rounding.METHODS)
     alevels = None if args.alevels in (None, "off", "none") else _levels_flag("alevels", args.alevels)
-    _at_least(args, layers=1, width=1, seeds=1, samples=1)
+    _at_least(args, layers=1, width=1, seeds=1, samples=1, seed=0)
     _levels_flag("wlevels", args.wlevels)
     if args.hadamard and (args.width & (args.width - 1)):
         raise UsageError(f"--hadamard needs a power-of-two width, got {args.width}")

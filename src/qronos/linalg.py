@@ -85,16 +85,14 @@ def check_symmetric(m, name="matrix") -> float:
     return scale
 
 
-def cholesky_lower(m: np.ndarray, *, checked: bool = False) -> np.ndarray:
+def cholesky_lower(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L (L L^T = m) of an SPD matrix, as an array.
 
     Raises NotPositiveDefiniteError carrying the 1-based failing pivot
-    when the matrix is not positive definite.  ``checked`` skips the
-    finiteness and symmetry scan, for a caller that has made it.
+    when the matrix is not positive definite.
     """
     m = _as_square(m)
-    if not checked:
-        check_symmetric(m)
+    check_symmetric(m)
     if m.shape[0] == 0:
         return np.zeros((0, 0))
     c, info = lapack.dpotrf(m, lower=1, clean=1, overwrite_a=0)
@@ -152,35 +150,20 @@ def chol_of_inverse(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cinv.T[::-1, ::-1])
 
 
-def _trsolve(low: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """low x = b (low^T x = b for ``trans`` 1) by one ``dtrtrs``: the call
-    ``scipy.linalg.solve_triangular`` makes, without its input checks."""
-    if np.shape(b)[:1] != low.shape[:1]:
-        raise ShapeError(f"right-hand side {np.shape(b)} does not match the factor {low.shape}")
-    if not np.size(b):
-        return np.zeros(np.shape(b))
-    x, info = lapack.dtrtrs(low, b, lower=1, trans=trans)
-    if info:
-        raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
-    return x
-
-
-def solve_spd(m: np.ndarray, b: np.ndarray, *, checked: bool = False) -> np.ndarray:
-    """Solve m x = b for symmetric positive definite m: the Cholesky
-    factor L of m, then two triangular solves."""
-    low = cholesky_lower(m, checked=checked)
-    return _trsolve(low, _trsolve(low, b), trans=1)
-
-
 def spd_inverse(m: np.ndarray) -> np.ndarray:
     """Explicit inverse of an SPD matrix, symmetrized exactly.
 
-    Computed as (L^-1)^T (L^-1) from the Cholesky factor; the final
-    averaging removes the last-ulp asymmetry of the matmul so callers
-    can factor the result again without a symmetry guard.
+    Computed as (L^-1)^T (L^-1) from the Cholesky factor, L^-1 by one
+    ``dtrtrs`` (the call ``scipy.linalg.solve_triangular`` makes); the
+    final averaging removes the last-ulp asymmetry of the matmul so
+    callers can factor the result again without a symmetry guard.
     """
     low = cholesky_lower(m)
-    linv = _trsolve(low, np.eye(low.shape[0]))
+    if not low.size:
+        return low
+    linv, info = lapack.dtrtrs(low, np.eye(low.shape[0]), lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
     out = linv.T @ linv
     return (out + out.T) / 2.0
 
@@ -250,14 +233,20 @@ def apply_damping(h: np.ndarray, policy: DampingPolicy, *, checked: bool = False
     copies it holds, and everything downstream shares that one number
     rather than re-resolving it on a modified matrix.  ``checked`` skips
     the spectral norm's finiteness and symmetry scan, for a caller that
-    has made it.
+    has made it.  A finite H can still give a ridge past float64's range,
+    which raises NonFiniteInputError.
     """
     h = _as_square(h, "H")
     if policy.mode == "none":
         return 0.0
     if policy.mode == "mean_diag_percent":
-        return 0.01 * float(np.mean(np.diag(h))) if h.shape[0] else 0.0
-    return policy.alpha * top_singular_value(h, checked=checked)
+        with np.errstate(over="ignore"):  # an overflowing mean is rejected below
+            lam = 0.01 * float(np.mean(np.diag(h))) if h.shape[0] else 0.0
+    else:
+        lam = policy.alpha * top_singular_value(h, checked=checked)
+    if not math.isfinite(lam):
+        raise NonFiniteInputError(f"damping {policy.mode} with alpha {policy.alpha:g} gives the ridge {lam}")
+    return lam
 
 
 def inverse_hessian_step(hinv: np.ndarray) -> np.ndarray:

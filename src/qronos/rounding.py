@@ -94,7 +94,6 @@ from .linalg import (
     check_finite,
     check_symmetric,
     reversed_cholesky,
-    solve_spd,
 )
 
 # the factor L = U^-T of H^-1, exported here: the independent reference
@@ -501,28 +500,27 @@ def _gpfq_sweep(wp, grid, h, g, order, lam):
 def _direct_sweep(wp, grid, hp, gwp, on_state):
     """qronos_base on every column of ``wp`` (n, n_out), as ``_sweep``:
     every step re-solves the trailing normal equations of the damped,
-    permuted H ``hp``, right-hand side from gwp = (G W)[perm], and hands
-    its state to ``on_state``.  A NotPositiveDefiniteError names its
-    1-based pivot in processing order.  Returns q."""
+    permuted H ``hp``, right-hand side from gwp = (G W)[perm], by one
+    ``dposv`` (hp was checked whole, so its trailing blocks need no
+    scan), and hands its state to ``on_state``.  A
+    NotPositiveDefiniteError names its 1-based pivot in processing
+    order.  Returns q."""
     n = wp.shape[0]
     rtn = grid.rounder
     q = np.empty_like(wp)
+    tail = wp  # the rows from step t on, refit by the step before
     if on_state is not None:
         on_state(wp)
-    state = wp.copy()
     for t in range(n):
-        num = gwp[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ state[t + 1 :]
+        num = gwp[t] - hp[t, :t] @ q[:t] - hp[t, t + 1 :] @ tail[1:]
         q[t] = rtn(num / hp[t, t])
         if t + 1 < n:
             rhs = gwp[t + 1 :] - hp[t + 1 :, : t + 1] @ q[: t + 1]
-            try:
-                # hp was checked whole; its trailing blocks need no scan
-                tail = solve_spd(hp[t + 1 :, t + 1 :], rhs, checked=True)
-            except NotPositiveDefiniteError as exc:
-                raise NotPositiveDefiniteError(t + 1 + exc.index) from None
+            _, tail, info = lapack.dposv(hp[t + 1 :, t + 1 :], rhs, lower=1)
+            if info > 0:
+                raise NotPositiveDefiniteError(t + 1 + info)
             if on_state is not None:
                 on_state(tail)
-            state[t + 1 :] = tail
     return q
 
 

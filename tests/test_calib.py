@@ -282,3 +282,27 @@ def test_two_path_batch_peak_holds_one_square_product():
     assert stats.GW is not None
     # adding into a zero H would hold a second n x n array: 5.5 MB here
     assert peak <= 1.05 * 8 * (n * n + m * n_out + n * n_out)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: CalibStats(0), ShapeError, "dimension must be positive"),
+        (lambda: CalibStats(3, H=np.eye(2)), ShapeError, "must be \\(3, 3\\), got H"),
+        (lambda: accumulate(CalibStats(4), np.zeros(4), np.zeros(4)), ShapeError, "must be 2-D"),
+        (lambda: accumulate(CalibStats(4), np.zeros((8, 4)), np.ones((8, 4)), weights=np.zeros((3, 2))),
+         ShapeError, "weights \\(3, 2\\)"),
+        (lambda: accumulate(CalibStats(2), np.full((3, 2), 1e200), np.full((3, 2), 1e200)),
+         NonFiniteInputError, "^the batch's moments overflow float64$"),
+        (lambda: order_by_diag(np.zeros((2, 3))), ShapeError, "must be square"),
+        (lambda: permute_weights(np.zeros((3, 2)), np.arange(4)), ShapeError, "permutation size 4"),
+        (lambda: unpermute_result(np.zeros((3, 2)), np.arange(4)), ShapeError, "permutation size 4"),
+    ],
+    ids=["dim-0", "h-shape", "1d-batch", "weight-rows", "overflow", "order-non-square",
+         "permute-size", "unpermute-size"],
+)
+def test_malformed_calibration_input_raises(call, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()

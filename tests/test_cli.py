@@ -4,14 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from qronos import (
-    grid_from_minmax,
-    quantize_optq_column,
-    quantize_qronos_base_column,
-    quantize_qronos_column,
-    read_qmx,
-    write_qmx,
-)
+from qronos import grid_from_minmax, read_qmx, write_qmx
+from qronos.rounding import quantize_optq_column, quantize_qronos_base_column, quantize_qronos_column
 from qronos.cli import main
 
 from helpers import on_grid_weights
@@ -361,6 +355,20 @@ def test_inf_activation_is_numeric_error(tmp_path, capsys):
     assert "xq.qmx" in err and "row 100, col 7" in err and "inf" in err
 
 
+@pytest.mark.parametrize("method, damping", [("qronos-base", None), ("qronos", None), ("gpfq", "topsv"),
+                                             ("optq", "topsv")])
+def test_ridge_that_overflows_is_numeric_error(tmp_path, capsys, method, damping):
+    rng = np.random.default_rng(14)
+    w = rng.standard_normal((8, 3))
+    x = rng.standard_normal((20, 8))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    flags = {"alpha": "1e308", "report": tmp_path / "r.json"} | ({"damping": damping} if damping else {})
+    assert run(quantize_args(tmp_path, w, x=x, xq=xq, method=method, **flags)) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "alpha 1e+308 gives the ridge inf" in err
+    assert not (tmp_path / "q.qmx").exists() and not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("which", ["calib_x", "stats_h", "stats_g"])
 def test_non_finite_input_files_are_numeric_errors(tmp_path, capsys, which):
     rng = np.random.default_rng(13)
@@ -393,6 +401,24 @@ def test_verify_negative_trials_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "--trials" in captured.err
+
+
+def _strict_json(path):
+    """The file parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", ["quantize", "verify"])
+def test_reports_write_non_finite_numbers_as_null(tmp_path, command):
+    report = tmp_path / "r.json"
+    if command == "quantize":  # rtn reads no moments: every objective is NaN
+        assert run(quantize_args(tmp_path, np.ones((4, 3)), method="rtn", report=report)) == 0
+        assert _strict_json(report)["result"]["objectives"] == [None] * 3
+    else:
+        assert run(["verify", "--suite", "oracle", "--trials", "1", "--tol", "inf", "--out", report]) == 0
+        assert _strict_json(report)["suites"][0]["tol"] is None
 
 
 def test_verify_impossible_tolerance_fails(capsys):
@@ -465,10 +491,12 @@ def test_bench_bad_ladder_is_usage_error():
         (["bench", "--methods", ","], "--methods"),
         (["bench", "--methods", "rtn"], "--methods"),
         (["simulate", "--methods", ""], "--methods"),
+        (["simulate", "--layers", "2", "--width", "4", "--seeds", "1", "--seed", "-5"], "--seed"),
+        (["verify", "--suite", "oracle", "--trials", "1", "--seed", "-1"], "--seed"),
     ],
 )
 def test_bench_and_simulate_bad_flag_value_is_usage_error(capsys, argv, flag):
-    tiny = ["--k-min", "8", "--k-max", "8", "--m", "16"] if argv[0] == "bench" else ["--samples", "8"]
+    tiny = {"bench": ["--k-min", "8", "--k-max", "8", "--m", "16"], "simulate": ["--samples", "8"]}.get(argv[0], [])
     assert run(argv[:1] + tiny + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

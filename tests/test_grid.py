@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qronos import (
     NonFiniteInputError,
     QuantGrid,
+    ShapeError,
     grid_from_minmax,
     levels_from_bits,
     quantize_per_token,
@@ -426,3 +427,13 @@ def test_per_token_row_whose_step_is_not_finite_raises_naming_it(row, levels):
     assert out[2].tobytes() == finite[2].tobytes()
     for i in range(2):
         assert out[i].tobytes() == quantize_rtn(finite[i], grid_from_minmax(finite[i], levels)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, out, error",
+    [(np.ones(4), None, ValueError), (np.ones((3, 4)), np.empty((4, 3)), ShapeError)],
+    ids=["1d-input", "out-shape"],
+)
+def test_per_token_rejects_malformed_arrays(x, out, error):
+    with pytest.raises(error):
+        quantize_per_token(x, 4, out=out)

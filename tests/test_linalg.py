@@ -14,14 +14,10 @@ from qronos import (
     NotPositiveDefiniteError,
     ShapeError,
     apply_damping,
-    cholesky_lower,
     grid_from_minmax,
-    inverse_hessian_step,
     quantize_layer,
-    solve_spd,
-    spd_inverse,
-    top_singular_value,
 )
+from qronos.linalg import cholesky_lower, inverse_hessian_step, spd_inverse, top_singular_value
 from qronos.rounding import chol_of_inverse
 from helpers import random_spd
 
@@ -63,32 +59,14 @@ def test_cholesky_round_trip_large():
     assert np.linalg.norm(low @ low.T - m) <= 1e-10 * np.linalg.norm(m)
 
 
-def test_solve_spd_matches_direct():
-    rng = np.random.default_rng(1)
-    m = random_spd(rng, 12)
-    b = rng.standard_normal((12, 3))
-    sol = solve_spd(m, b)
-    assert np.allclose(m @ sol, b, atol=1e-9)
-    assert np.allclose(sol, np.linalg.solve(m, b))
-
-
 def test_solves_match_the_solve_triangular_route_bit_for_bit():
     rng = np.random.default_rng(4)
     for n in range(1, 80):
         m = random_spd(rng, n)
         low = cholesky_lower(m)
-        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            y = solve_triangular(low, b, lower=True)
-            ref = solve_triangular(low, y, lower=True, trans="T")
-            assert solve_spd(m, b).tobytes() == ref.tobytes(), n
         linv = solve_triangular(low, np.eye(n), lower=True)
         ref = linv.T @ linv
         assert spd_inverse(m).tobytes() == ((ref + ref.T) / 2.0).tobytes(), n
-
-
-def test_solve_spd_refuses_a_mismatched_right_hand_side():
-    with pytest.raises(ShapeError):
-        solve_spd(np.eye(3), np.ones(4))
 
 
 def test_spd_inverse_diagonal():
@@ -224,9 +202,8 @@ def test_symmetry_check_spans_tiles(where):
         chol_of_inverse,
         top_singular_value,
         lambda m: apply_damping(m, DampingPolicy("top_singular_fraction")),
-        lambda m: solve_spd(m, np.ones(6)),
     ],
-    ids=["cholesky_lower", "chol_of_inverse", "top_singular_value", "apply_damping", "solve_spd"],
+    ids=["cholesky_lower", "chol_of_inverse", "top_singular_value", "apply_damping"],
 )
 def test_public_routes_still_reject_asymmetry(route):
     m = random_spd(np.random.default_rng(9), 6)
@@ -318,3 +295,30 @@ def test_inverse_step_edge_cases():
     assert inverse_hessian_step(np.array([[2.0]])).shape == (0, 0)
     with pytest.raises(ValueError):
         inverse_hessian_step(np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "route, m",
+    [(cholesky_lower, np.ones((2, 3))), (inverse_hessian_step, np.zeros((0, 0)))],
+    ids=["cholesky_lower-non-square", "inverse_hessian_step-empty"],
+)
+def test_malformed_matrix_is_a_shape_error(route, m):
+    with pytest.raises(ShapeError):
+        route(m)
+
+
+@pytest.mark.parametrize("method", ["optq", "gpfq", "qronos_base", "qronos"])
+@pytest.mark.parametrize(
+    "diag, policy",
+    [([4.0] * 5, DampingPolicy("top_singular_fraction", alpha=1e308)),
+     ([1e308] * 4 + [1.0], DampingPolicy("mean_diag_percent"))],
+    ids=["topsv", "meandiag"],
+)
+def test_ridge_that_overflows_float64_raises_in_every_method(method, diag, policy):
+    stats = CalibStats(5, H=np.diag(diag), G=np.eye(5))
+    req = LayerQuantRequest(np.ones((5, 2)), grid_from_minmax(np.arange(5.0), 4), method,
+                            stats=stats, damping=policy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError, match=f"^damping {policy.mode} with alpha .* gives the ridge inf$"):
+            quantize_layer(req)

@@ -14,14 +14,13 @@ from qronos import (
     ShapeError,
     accumulate,
     build_random_network,
-    forward_pair,
     fwht,
     grid_from_minmax,
     quantize_layer,
     quantize_network,
     quantize_rtn,
 )
-from qronos.netsim import _rotate
+from qronos.netsim import _rotate, forward_pair
 from qronos.rounding import METHOD_SPECS
 from helpers import fwht_reference, on_grid_weights
 
@@ -352,3 +351,19 @@ def test_build_random_network_shapes():
     assert all(l.weight.shape == (16, 16) for l in spec.layers)
     with pytest.raises(ShapeError):
         build_random_network(2, 12, seed=19, hadamard=True)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: LayerSpec(np.eye(4), "tanh"), ValueError),
+        (lambda: LayerSpec(np.ones(4)), ShapeError),
+        (lambda: NetworkSpec(layers=[]), ShapeError),
+        (lambda: NetworkSpec(layers=[LayerSpec(np.eye(4))], hadamard=(True, True)), ShapeError),
+        (lambda: build_random_network(2, 8, seed=20, n_blocks=0), ShapeError),
+    ],
+    ids=["nonlinearity", "1d-weight", "no-layers", "hadamard-flags", "no-blocks"],
+)
+def test_malformed_network_spec_raises(call, error):
+    with pytest.raises(error):
+        call()

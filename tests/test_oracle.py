@@ -4,19 +4,22 @@ import pytest
 from qronos import (
     CalibStats,
     DampingPolicy,
-    EnumerationCapError,
     LayerQuantRequest,
+    ShapeError,
     accumulate,
-    brute_force_ils,
-    direct_lstsq,
-    first_step_pinv,
     grid_from_minmax,
     quantize_layer,
     quantize_rtn,
+)
+from qronos.errors import EnumerationCapError
+from qronos.oracle import (
+    DEFAULT_CELL_CAP,
+    brute_force_ils,
+    direct_lstsq,
+    first_step_pinv,
     step_objective,
     stepwise_argmin_oracle,
 )
-from qronos.oracle import DEFAULT_CELL_CAP
 from helpers import column_instance
 
 
@@ -138,3 +141,17 @@ def test_first_step_pinv_scalar_case():
     resid = x @ w - xq[:, 1:] @ w[1:]
     assert q1 == quantize_rtn(float(xq[:, 0] @ resid) / float(xq[:, 0] @ xq[:, 0]), grid)
     assert tail.shape == (1,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: brute_force_ils(np.zeros(3), np.zeros((5, 3)), np.zeros((5, 2)), grid),
+        lambda grid: stepwise_argmin_oracle(np.zeros(5), np.zeros(4), grid),
+        lambda grid: direct_lstsq(np.zeros((5, 3)), np.zeros(4)),
+    ],
+    ids=["brute_force_ils", "stepwise_argmin_oracle", "direct_lstsq"],
+)
+def test_oracles_reject_mismatched_shapes(call):
+    with pytest.raises(ShapeError):
+        call(grid_from_minmax(np.array([-1.0, 1.0]), 4))

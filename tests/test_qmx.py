@@ -135,3 +135,16 @@ def test_explicit_dtype_override(tmp_path):
     back = read_qmx(path)
     assert back.dtype == np.float32
     assert back.tobytes() == arr.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("route", ["write", "read"])
+def test_unsupported_dtype_is_refused(tmp_path, route):
+    path = tmp_path / "a.qmx"
+    if route == "write":
+        with pytest.raises(ValueError, match="unsupported dtype 'f16'"):
+            write_qmx(path, np.zeros((1, 1)), dtype="f16")
+    else:
+        header = json.dumps({"rows": 1, "cols": 1, "dtype": "f16", "order": "row-major"}).encode()
+        path.write_bytes(header + b"\n" + np.zeros(1, dtype=np.float16).tobytes())
+        with pytest.raises(QmxFormatError, match="unsupported dtype 'f16'"):
+            read_qmx(path)

@@ -20,16 +20,18 @@ from qronos import (
     QuantGrid,
     ShapeError,
     accumulate,
-    chol_of_inverse,
     grid_from_minmax,
     layer_stats,
-    quantize_gpfq_column,
     quantize_layer,
+    quantize_rtn,
+)
+from qronos.linalg import chol_of_inverse
+from qronos.rounding import (
+    quantize_gpfq_column,
     quantize_optq_column,
     quantize_optq_column_ref,
     quantize_qronos_base_column,
     quantize_qronos_column,
-    quantize_rtn,
 )
 from qronos.oracle import TIE_TOL, step_objective, stepwise_argmin_oracle
 from qronos.rounding import PHASES, SWEEP_BLOCK
@@ -954,3 +956,30 @@ def test_no_damping_policy_makes_q_nan(mode):
             assert np.isfinite(q).all() and np.isfinite(report.damping_lambda)
             for j, alphabet in enumerate(grid.alphabet.T):
                 assert np.isin(q[:, j], alphabet).all()
+
+
+def _optq_layer(grid, stats, order="diag"):
+    return quantize_layer(LayerQuantRequest(np.ones((4, 2)), grid, "optq", stats=stats, order=order))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda grid: quantize_optq_column_ref(np.ones(4), np.ones((6, 3)), grid),
+         ShapeError, "activations \\(6, 3\\) do not match column length 4"),
+        (lambda grid: quantize_gpfq_column(np.ones(4), np.ones((6, 4)), np.ones((6, 3)), grid),
+         ShapeError, "activation pair"),
+        (lambda grid: _optq_layer(grid, CalibStats(4, H=np.eye(4), G=np.eye(4)), order="bogus"),
+         ValueError, "unknown order mode 'bogus'"),
+        (lambda grid: _optq_layer(grid, CalibStats(3, H=np.eye(3), G=np.eye(3))),
+         ShapeError, "stats dim 3 does not match weight rows 4"),
+        (lambda grid: quantize_optq_column(np.ones((4, 1)), np.eye(4), grid),
+         ShapeError, "1-D weight column, got shape \\(4, 1\\)"),
+        (lambda grid: quantize_qronos_column(np.ones(0), np.eye(4), np.eye(4), grid),
+         ShapeError, "1-D weight column, got shape \\(0,\\)"),
+    ],
+    ids=["optq_ref-activations", "gpfq-activations", "order", "stats-dim", "2d-column", "empty-column"],
+)
+def test_malformed_rounding_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call(grid_from_minmax(np.array([-1.0, 1.0]), 4))
