@@ -48,8 +48,11 @@ from .rounding import (
     LayerReport,
     METHOD_SPECS,
     METHODS,
+    PreparedLayer,
     layer_stats,
+    prepare_layer,
     quantize_layer,
+    round_layer,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -69,6 +72,7 @@ __all__ = [
     "NonFiniteInputError",
     "NotPositiveDefiniteError",
     "NotSymmetricError",
+    "PreparedLayer",
     "QmxFormatError",
     "QuantGrid",
     "SUITE_NAMES",
@@ -83,11 +87,13 @@ __all__ = [
     "median_algo_times",
     "order_by_diag",
     "permute_weights",
+    "prepare_layer",
     "quantize_layer",
     "quantize_network",
     "quantize_per_token",
     "quantize_rtn",
     "read_qmx",
+    "round_layer",
     "run_bench",
     "run_suite",
     "symmetric_scale_search",

@@ -11,6 +11,12 @@ runs a fixed number of inner repetitions and reports the minimum and
 the mean, the minimum of each ``rounding.PHASES`` key, and the layer's
 tracemalloc peak in MB (10^6 bytes) from one more, untimed repetition.
 The machine record holds both BLAS builds, NumPy's and SciPy's.
+
+The shared-input cell, at the ladder's largest K when qronos is
+benchmarked, times three K/4-column weight matrices drawn for one input
+(its stats hold G, which all three share): one ``prepare_layer`` and
+three ``round_layer`` calls against three ``quantize_layer`` calls,
+each the minimum over the inner repetitions.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 import scipy
 
 from . import rounding as _rounding
+from .calib import CalibStats, accumulate
 from .grid import grid_from_minmax
 
 BENCH_METHODS = tuple(m for m in _rounding.METHODS if m != "rtn")
@@ -101,9 +108,40 @@ def _time_cell(method, x, xq, w, grid, cfg):
     return stats_times, algo_times, phases, peak
 
 
+def _shared_input_cell(cfg, x, xq, rng) -> dict:
+    """Prepare once, round three weight matrices on one input, against
+    three whole layers; a MemoryError marks the cell skipped."""
+    k, n_out = x.shape[1], max(1, x.shape[1] // 4)
+    cell = {"method": "qronos", "k": k, "matrices": 3}
+    stats = accumulate(CalibStats(k), x, xq)
+    ws = [rng.standard_normal((k, n_out)) for _ in range(3)]
+    grids = [grid_from_minmax(w, cfg.levels, 1.0) for w in ws]
+    damping = _rounding.METHOD_SPECS["qronos"].damping
+    prepare, rounds, layers = [], [[] for _ in ws], [[] for _ in ws]
+    try:
+        for _ in range(cfg.inner_reps):
+            t0 = time.perf_counter()
+            prep = _rounding.prepare_layer(stats, damping, "diag", "qronos")
+            prepare.append(time.perf_counter() - t0)
+            for times, w, grid in zip(rounds, ws, grids):
+                t0 = time.perf_counter()
+                _rounding.round_layer(prep, w, grid)
+                times.append(time.perf_counter() - t0)
+            for times, w, grid in zip(layers, ws, grids):
+                req = _rounding.LayerQuantRequest(w, grid, "qronos", stats=stats, damping=damping)
+                t0 = time.perf_counter()
+                _rounding.quantize_layer(req)
+                times.append(time.perf_counter() - t0)
+    except MemoryError:
+        return {**cell, "skipped": "resource"}
+    return {**cell, "prepare_s": min(prepare), "round_s": [min(t) for t in rounds],
+            "quantize_layer_s": [min(t) for t in layers]}
+
+
 def run_bench(cfg: BenchConfig) -> dict:
     """Execute the full ladder and return the report dictionary."""
     rows = []
+    shared = None
     for k in cfg.ladder:
         n_out = max(1, k // 4)
         for seed in range(cfg.seeds):
@@ -133,6 +171,8 @@ def run_bench(cfg: BenchConfig) -> dict:
                         "peak_mb": peak / 1e6,
                     }
                 )
+            if k == cfg.ladder[-1] and seed == 0 and "qronos" in cfg.methods:
+                shared = _shared_input_cell(cfg, x, xq, rng)
     return {
         "config": {
             "k_ladder": cfg.ladder,
@@ -150,7 +190,7 @@ def run_bench(cfg: BenchConfig) -> dict:
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "blas": {m.__name__: m.show_config(mode="dicts")["Build Dependencies"]["blas"] for m in (np, scipy)},
         },
-        "timing": {"cells": rows},
+        "timing": {"cells": rows, "shared_input": shared},
     }
 
 

@@ -176,6 +176,20 @@ def permute_weights(w: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return w[perm]
 
 
+def permute_moment(m: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """m[np.ix_(perm, perm)] as a fresh C-contiguous array, a block of rows
+    at a time: the block's rows, then their columns into the output, in
+    half the fancy index's time and with no temporary of m's size."""
+    n = perm.size
+    out = np.empty((n, n))
+    rows = max(1, (1 << 15) // n)  # a 256 KB block
+    for r0 in range(0, n, rows):
+        # mode "clip" (the indices are in range) lets take write into out unbuffered
+        block = m.take(perm[r0 : r0 + rows], axis=0, mode="clip")
+        block.take(perm, axis=1, out=out[r0 : r0 + rows], mode="clip")
+    return out
+
+
 def unpermute_result(q: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Undo permute_weights on a result with the same leading axis."""
     q = np.asarray(q)

@@ -288,6 +288,11 @@ def cmd_bench(args) -> int:
         if ("qronos_base", k) in med and ("qronos", k) in med and med[("qronos", k)] > 0:
             parts.append(f"speedup={med[('qronos_base', k)] / med[('qronos', k)]:.1f}x")
         print("  ".join(parts))
+    shared = payload["timing"]["shared_input"]
+    if shared and "prepare_s" in shared:
+        rounds, layers = ("/".join(f"{t * 1e3:.2f}" for t in shared[key]) for key in ("round_s", "quantize_layer_s"))
+        print(f"shared input K={shared['k']}: prepare={shared['prepare_s'] * 1e3:.2f}ms once  "
+              f"round={rounds}ms  quantize_layer={layers}ms")
     return EXIT_OK
 
 

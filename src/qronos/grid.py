@@ -65,8 +65,9 @@ class QuantGrid:
 
     def __post_init__(self):
         _check_levels(self.levels)
-        if not (np.asarray(self.step_size) > 0).all():
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        step = self.step_size
+        if not (step > 0 if isinstance(step, float) else (np.asarray(step) > 0).all()):
+            raise ValueError(f"step_size must be positive, got {step}")
 
     @cached_property
     def alphabet(self) -> np.ndarray:
@@ -124,12 +125,13 @@ def _build(w, levels, step, zero, degenerate, source) -> QuantGrid:
     """The grid of ``w``'s columns, of Python scalars for a vector.  A step
     that is not finite raises NonFiniteInputError naming the first such
     column j and ``source(j)``, what its step came from."""
-    if not np.isfinite(step).all():
+    vector = np.ndim(w) < 2
+    if not (math.isfinite(step[0]) if vector else np.isfinite(step).all()):
         j = np.flatnonzero(~np.isfinite(step))[0]
         raise NonFiniteInputError(f"column {j}: grid step {step[j]} from {source(j)} is not finite")
-    if np.ndim(w) == 2:
-        return QuantGrid(levels, step, zero, degenerate)
-    return QuantGrid(levels, float(step[0]), float(zero[0]), bool(degenerate[0]))
+    if vector:
+        return QuantGrid(levels, float(step[0]), float(zero[0]), bool(degenerate[0]))
+    return QuantGrid(levels, step, zero, degenerate)
 
 
 def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid:
@@ -143,15 +145,20 @@ def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid
     """
     cols = _columns(w, levels)
     # + 0.0 makes a -0.0 minimum +0.0, whichever zero the reduction kept
-    lo, hi = cols.min(axis=0) + 0.0, cols.max(axis=0)
+    lo, hi = np.minimum.reduce(cols) + 0.0, np.maximum.reduce(cols)
     with np.errstate(over="ignore", invalid="ignore"):
         step = beta * (hi - lo) / (levels - 1)
-        # the range may overflow where its share per level does not
-        wide = np.isinf(step)
-        step[wide] = beta * (hi[wide] / (levels - 1) - lo[wide] / (levels - 1))
-        flat = step == 0.0
-        step[flat] = 1.0
-        zero = np.where(flat, -lo, -beta * lo / step)
+        wide, flat = np.isinf(step), step == 0.0
+        # the masked passes only where a column needs them: a vector's grid
+        # is a few microseconds of one-entry arrays, which they would double
+        if np.count_nonzero(wide):  # the range may overflow where its share per level does not
+            step[wide] = beta * (hi[wide] / (levels - 1) - lo[wide] / (levels - 1))
+            flat = step == 0.0
+        if np.count_nonzero(flat):
+            step[flat] = 1.0
+            zero = np.where(flat, -lo, -beta * lo / step)
+        else:
+            zero = -beta * lo / step
     return _build(w, levels, step, zero, flat, lambda j: f"the range [{lo[j]}, {hi[j]}]")
 
 

@@ -21,8 +21,11 @@ the eigenvalue's own error is of the order of that residual squared.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lapack
@@ -42,6 +45,57 @@ _SYM_TILE = 128
 _LANCZOS_TOL = 1e-8
 
 DAMPING_MODES = ("mean_diag_percent", "top_singular_fraction", "none")
+
+
+@functools.cache
+def _scipy_pool():
+    """(get, set) for the thread count of the OpenBLAS SciPy bundles, or
+    None where SciPy uses a BLAS without them.  Opening the library SciPy
+    has loaded returns that same library; ILP64 builds suffix 64_."""
+    import scipy
+
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def one_lapack_thread(fn):
+    """``fn`` run with SciPy's OpenBLAS pool at one thread, the caller's
+    count restored when it returns or raises.
+
+    SciPy loads its own OpenBLAS, apart from NumPy's, and its pool stalls
+    for milliseconds on calls that follow each other closely: the layer's
+    factor, triangular solves and per-step ``dposv``.  On a 2-vCPU Xeon
+    one thread cut a K=512 qronos_base layer from 5.05 to 0.75 s, and no
+    layer from K=32 to 2048 gained from a second one.  NumPy's pool, which
+    runs the layer's matrix products, is left alone, and so is SciPy's
+    where the symbols are absent.  The count is per process, so layers
+    run concurrently in threads may restore it out of order.
+    """
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        pool = _scipy_pool()
+        prev = pool[0]() if pool else 1
+        if prev == 1:
+            return fn(*args, **kwargs)
+        pool[1](1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            pool[1](prev)
+
+    return pinned
 
 
 def _as_square(m, name="matrix") -> np.ndarray:

@@ -26,52 +26,43 @@ qronos       the same iterates at O(n^2) per column: step t = 1 solves
              for s_{>1} with U[1:, 1:], which factors H[1:, 1:], and
              every later step is the optq rule on s and U[1:, 1:].
 
-Every method quantizes from its moments alone.  The verification
-suites' oracle ``quantize_optq_column_ref`` derives optq's trajectory by
-least-squares refits against raw activations; it is not a layer method.
+Every method quantizes from its moments alone; the suites' oracle
+``quantize_optq_column_ref`` instead refits against raw activations.
+The two qronos forms are algebraically identical on one (H, G) pair,
+damped or not, and with G = H qronos collapses onto optq exactly, given
+the same ridge on H and G.  So the ridge lambda is resolved once, on the
+caller's undamped H, and added to the driver's copy of H's diagonal (for
+gpfq, to each step's gathered rows) and to the cross term, as if
+sqrt(lambda) I were appended to both activation sets as calibration
+rows.  The caller's matrices are never written.
 
-The two qronos forms are algebraically identical on the same (H, G)
-pair, damped or not, which the verification suites certify numerically.
-When the quantized path equals the reference path (G = H) qronos
-collapses onto optq exactly, provided the ridge is added to both H and
-G.  The layer driver therefore resolves the ridge lambda once, on the
-caller's undamped H, and adds it to the diagonal of H (for gpfq, of each
-step's gathered rows) and to the cross term, as if sqrt(lambda) I were
-appended to both activation sets as phantom calibration rows.  The
-caller's matrices are never written.
-
-Only gpfq reads G's entries.  qronos and qronos_base read G through the
-product G W alone, and so does the moment objective, so the layer driver
-holds the cross term as one n x n_out array, (G W)[perm] + lambda W[perm],
-formed once: from the stats' GW when calibration folded Xq^T (X W)
-directly (``layer_stats`` passes the weights and ``calib.accumulate``
-picks that association from the shape), else as one product G @ W (for
-optq and gpfq after the sweep, for the objective alone).  H is checked
-for finiteness and symmetry once, at the layer's entry.  Each whole
-array exists once: optq and qronos hold H's permuted copy, factored in
-place, and three arrays of W's size, W in processing order, q and q - w.
-gpfq copies neither H nor G: the order is one permutation array, entry
-t the caller's index of step t, and step t reads its rows through it.
-qronos forms its first-step right-hand side, then its refit of W, in the
-cross term's buffer, and q - w in W's; the objective's product
-overwrites q's reversed copy.  At n_out = n / 4 the peak is under 2 H.
-
-The layer driver runs all output channels at once, step-synchronously,
-after applying the calib ordering.  For optq and qronos one in-place
-Cholesky of the index-reversed H (``linalg.reversed_cholesky``) gives U,
-which serves the first step, the sweep and the objective, whose
-q^T (H + lambda I) q is ||U^T q||^2.  The sweep is blocked on two levels
-(GPTQ's lazy batch, read left-looking): a block of SWEEP_BLOCK steps,
-then each sub-block of SWEEP_SUB steps in it, takes the errors of the
-(sub-)blocks before it in one matrix product, then its own errors step
-by step.  The per-column entry points take the moments with any ridge
-already added and run the layer driver on one channel (n_out = 1), in
-the caller's order and with no damping of its own.  With ``on_state``
-the layer hands each per-step state, the rows not yet quantized after a
-step, to the caller as it forms it and keeps none; a state is the
-least-squares refit of the rows ahead, updated on the side and never
-written after it is handed over, so tracing never changes q.  A step's
-move is the difference of two consecutive states.
+The layer driver is two halves.  ``prepare_layer`` reads the stats
+alone: one finiteness and symmetry scan of H, the ridge, the order, and
+the damped H gathered in processing order, which optq and qronos factor
+in place by one Cholesky of its index reversal (``reversed_cholesky``).
+``round_layer`` reads one weight matrix and, never writing it, the
+preparation: it forms the cross term and runs the first step and the
+sweep.  Layers on one input (a block's q/k/v projections; H depends on
+the input alone) so pay for the scan, ridge, order and factor once.
+``quantize_layer`` is the two halves, then q in the caller's order, the
+moment objective (q^T (H + lambda I) q = ||U^T q||^2 under the factor)
+and the report; the per-column entry points run the halves on one
+channel, in the caller's order with no ridge of their own, and skip the
+rest.  Only gpfq reads G's entries; the others hold G W as one n x n_out
+cross term, (G W)[perm] + lambda W[perm], from the stats' GW when
+calibration folded Xq^T (X W) (``layer_stats``), else from one G @ W.
+Each whole array exists once: optq and qronos hold H's factored copy and
+three arrays of W's size (W in processing order, q, q - w), and qronos
+forms its first-step right-hand side and refit in the cross term's
+buffer; gpfq reads its rows of the caller's H and G through the order.
+At n_out = n / 4 the peak is under 2 H.  All output channels run at
+once, step-synchronously, in a sweep blocked on two levels (GPTQ's lazy
+batch, read left-looking): a block of SWEEP_BLOCK steps, then each
+sub-block of SWEEP_SUB steps in it, takes the errors of the (sub-)blocks
+before it in one product, then its own step by step.  With ``on_state``
+the layer hands each step's state, the least-squares refit of the rows
+not yet quantized, to the caller and keeps none; a state is never
+written after it is handed over, so tracing never changes q.
 """
 
 from __future__ import annotations
@@ -80,6 +71,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -88,13 +80,7 @@ from . import calib as _calib
 from . import grid as _grid
 from . import linalg as _linalg
 from .errors import NotPositiveDefiniteError, ShapeError
-from .linalg import (
-    DampingPolicy,
-    apply_damping,
-    check_finite,
-    check_symmetric,
-    reversed_cholesky,
-)
+from .linalg import DampingPolicy, apply_damping, check_finite, check_symmetric, reversed_cholesky
 
 # the factor L = U^-T of H^-1, exported here: the independent reference
 # for the sweep's U
@@ -103,14 +89,10 @@ chol_of_inverse = _linalg.chol_of_inverse
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One method's defaults.
-
-    ``damping`` is the ridge used when the caller names none.
-    ``layer_stats`` reads the other two: ``two_path`` methods calibrate
-    on the (reference, quantized-path) pair, the others on the reference
-    activations alone; ``reads_g`` methods read the entries of the cross
-    moment G, the others only G W, so only their stats must hold G.
-    """
+    """One method's defaults: ``damping``, the ridge when the caller names
+    none, and for ``layer_stats`` whether it calibrates on the (reference,
+    quantized-path) pair or the reference alone (``two_path``) and reads
+    G's entries, so its stats must hold G, or G W alone (``reads_g``)."""
 
     damping: DampingPolicy
     two_path: bool
@@ -120,10 +102,11 @@ class MethodSpec:
 # optq traditionally damps by mean diagonal, the error-corrected methods
 # by a small fraction of the spectral norm
 _TOPSV = DampingPolicy("top_singular_fraction", alpha=1e-6)
+_NO_RIDGE = DampingPolicy("none")
 METHOD_SPECS = {
-    "rtn": MethodSpec(DampingPolicy("none"), two_path=False),
+    "rtn": MethodSpec(_NO_RIDGE, two_path=False),
     "optq": MethodSpec(DampingPolicy("mean_diag_percent"), two_path=False),
-    "gpfq": MethodSpec(DampingPolicy("none"), two_path=True, reads_g=True),
+    "gpfq": MethodSpec(_NO_RIDGE, two_path=True, reads_g=True),
     "qronos_base": MethodSpec(_TOPSV, two_path=True),
     "qronos": MethodSpec(_TOPSV, two_path=True),
 }
@@ -140,12 +123,9 @@ PHASES = ("check", "damping", "permute", "factor", "first_step", "sweep", "unper
 
 @dataclass
 class RoundingTrace:
-    """One per-column rounding run.
-
-    ``q`` is the quantized column.  When recorded, ``w_states[t]`` holds
-    the weights not yet quantized after step t (``w_states[0]`` is the
-    input column itself, bit for bit).
-    """
+    """One per-column rounding run: the quantized column ``q`` and, when
+    recorded, ``w_states[t]``, the weights not yet quantized after step t
+    (``w_states[0]`` is the input column itself, bit for bit)."""
 
     q: np.ndarray
     w_states: list[np.ndarray] | None = None
@@ -155,12 +135,8 @@ class RoundingTrace:
 # per-column entry points
 
 
-def quantize_optq_column(
-    w: np.ndarray,
-    h: np.ndarray,
-    grid: _grid.QuantGrid,
-    record_trace: bool = False,
-) -> RoundingTrace:
+def quantize_optq_column(w: np.ndarray, h: np.ndarray, grid: _grid.QuantGrid,
+                         record_trace: bool = False) -> RoundingTrace:
     """Cholesky-form greedy rounding with error feedback.
 
     ``h`` is the damped second moment H = U U^T of the layer's own input
@@ -170,12 +146,8 @@ def quantize_optq_column(
     return _round_column("optq", w, h, h, grid, record_trace)
 
 
-def quantize_optq_column_ref(
-    w: np.ndarray,
-    x: np.ndarray,
-    grid: _grid.QuantGrid,
-    record_trace: bool = False,
-) -> RoundingTrace:
+def quantize_optq_column_ref(w: np.ndarray, x: np.ndarray, grid: _grid.QuantGrid,
+                             record_trace: bool = False) -> RoundingTrace:
     """Reference trajectory: argmin per step against raw activations.
 
     Step t picks the alphabet value minimizing the full residual with
@@ -207,13 +179,8 @@ def quantize_optq_column_ref(
     return RoundingTrace(q=q, w_states=w_states)
 
 
-def quantize_gpfq_column(
-    w: np.ndarray,
-    x: np.ndarray,
-    xq: np.ndarray,
-    grid: _grid.QuantGrid,
-    record_trace: bool = False,
-) -> RoundingTrace:
+def quantize_gpfq_column(w: np.ndarray, x: np.ndarray, xq: np.ndarray, grid: _grid.QuantGrid,
+                         record_trace: bool = False) -> RoundingTrace:
     """Path-following rounding on a (reference, quantized-path) pair.
 
     Maintains the running residual u_t = sum_{j<=t} w_j X_j - q_j Xq_j
@@ -226,9 +193,7 @@ def quantize_gpfq_column(
     xq = np.asarray(xq, dtype=np.float64)
     n = w.size
     if x.shape != xq.shape or x.ndim != 2 or x.shape[1] != n:
-        raise ShapeError(
-            f"activation pair {x.shape}/{xq.shape} does not match column length {n}"
-        )
+        raise ShapeError(f"activation pair {x.shape}/{xq.shape} does not match column length {n}")
     u = np.zeros(x.shape[0])
     q = np.empty(n)
     w_states = [w.copy()] if record_trace else None
@@ -239,11 +204,8 @@ def quantize_gpfq_column(
         if norm2 > 0.0:
             q[t] = _grid.quantize_rtn(float(col @ ahead) / norm2, grid)
         else:
-            warnings.warn(
-                f"quantized-path column {t} has zero norm; falling back to RTN for that step",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"quantized-path column {t} has zero norm; falling back to RTN for that step",
+                          RuntimeWarning, stacklevel=2)
             q[t] = _grid.quantize_rtn(w[t], grid)
         u = ahead - q[t] * col
         if record_trace and t + 1 < n:
@@ -251,13 +213,8 @@ def quantize_gpfq_column(
     return RoundingTrace(q=q, w_states=w_states)
 
 
-def quantize_qronos_base_column(
-    w: np.ndarray,
-    h: np.ndarray,
-    g: np.ndarray,
-    grid: _grid.QuantGrid,
-    record_trace: bool = False,
-) -> RoundingTrace:
+def quantize_qronos_base_column(w: np.ndarray, h: np.ndarray, g: np.ndarray, grid: _grid.QuantGrid,
+                                record_trace: bool = False) -> RoundingTrace:
     """Direct-evaluation error-corrected rounding on a moment pair.
 
     Every step re-solves the trailing normal equations from scratch; a
@@ -267,13 +224,8 @@ def quantize_qronos_base_column(
     return _round_column("qronos_base", w, h, g, grid, record_trace)
 
 
-def quantize_qronos_column(
-    w: np.ndarray,
-    h: np.ndarray,
-    g: np.ndarray,
-    grid: _grid.QuantGrid,
-    record_trace: bool = False,
-) -> RoundingTrace:
+def quantize_qronos_column(w: np.ndarray, h: np.ndarray, g: np.ndarray, grid: _grid.QuantGrid,
+                           record_trace: bool = False) -> RoundingTrace:
     """Efficient form of the error-corrected iterates on a moment pair.
 
     With h = U U^T, step 1 solves for the rest of the column through
@@ -287,9 +239,7 @@ def quantize_qronos_column(
 # layer driver
 
 
-def layer_stats(
-    method: str, weights: np.ndarray, x: np.ndarray, xq: np.ndarray | None = None
-) -> _calib.CalibStats:
+def layer_stats(method: str, weights: np.ndarray, x: np.ndarray, xq: np.ndarray | None = None) -> _calib.CalibStats:
     """The moments ``method`` reads, from one batch of a layer's activations.
 
     The one route from activations to a layer's stats.  Two-path methods
@@ -312,15 +262,13 @@ class LayerQuantRequest:
 
     ``weights`` is (n_in, n_out); ``grids`` is one QuantGrid for the
     layer, with a step and zero point per output column as the builders
-    return for the weight matrix, or scalar ones that apply to every
-    column.  ``stats`` supplies the moment pair, as ``layer_stats``
-    builds it for the method from the layer's activations: H from the
-    reference activations alone for optq, from the
-    quantized path for two-path methods (``METHOD_SPECS``).  Its cross
-    moment may be G, or G W for these same weights unless the method
-    reads G's entries (gpfq).  The ordering permutation is derived from
-    the undamped diagonal of H ("diag") or skipped ("natural"); results
-    are returned in the caller's original row order either way.
+    return for the weight matrix, or scalar ones for every column.
+    ``stats`` holds the moments as ``layer_stats`` builds them for the
+    method: H from the reference activations for optq, from the quantized
+    path for two-path methods (``METHOD_SPECS``), and G, or G W for these
+    same weights unless the method reads G's entries (gpfq).  The order
+    comes from the undamped diagonal of H ("diag") or is skipped
+    ("natural"); q comes back in the caller's row order either way.
     ``on_state``, if set, takes each step's state as it forms, the
     (n_in - t, n_out) rows not yet quantized after step t in processing
     order (the permuted weights first); rtn and gpfq hand over none.
@@ -330,7 +278,7 @@ class LayerQuantRequest:
     grids: _grid.QuantGrid
     method: str
     stats: _calib.CalibStats | None = None
-    damping: DampingPolicy = field(default_factory=lambda: DampingPolicy("none"))
+    damping: DampingPolicy = _NO_RIDGE
     order: str = "diag"
     on_state: Callable[[np.ndarray], None] | None = None
 
@@ -355,127 +303,173 @@ class LayerReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
-    """Quantize all output channels of one layer from its moments alone.
+class PreparedLayer(NamedTuple):
+    """A layer's stats-side work, from ``prepare_layer``.  Its arrays are
+    read-only; the stats must not change while it is in use.
 
-    Every calibrated method reads ``req.stats`` and reports the moment
-    objective (``LayerReport``).  Warnings and a NotPositiveDefiniteError
-    name the caller's feature, not the processing step.
+    ``order`` is the processing order, entry t the caller's index of step
+    t.  ``h`` is the damped H in processing order for qronos_base, its
+    reversed factor c (``reversed_cholesky``) for optq and qronos, and
+    None for gpfq, which reads the caller's H and G through ``order``;
+    ``h0`` is the damped H's row 0 in processing order (qronos).
+    ``timings`` holds the check, damping, permute and factor seconds.
     """
+
+    method: str
+    stats: _calib.CalibStats
+    damping_lambda: float
+    order: np.ndarray
+    h: np.ndarray | None
+    h0: np.ndarray | None
+    warnings: tuple[str, ...]
+    timings: dict[str, float]
+
+
+@_linalg.one_lapack_thread
+def prepare_layer(stats: _calib.CalibStats, damping: DampingPolicy, order: str, method: str) -> PreparedLayer:
+    """The half of ``quantize_layer`` that reads the stats alone: scan H and
+    the cross moment, resolve the ridge on the undamped H, order, and
+    gather the damped H in processing order, which optq and qronos factor
+    in place.  Arguments are as in ``LayerQuantRequest``.  Warnings and a
+    NotPositiveDefiniteError name the caller's feature."""
+    _check_modes(method, order)
+    if method == "rtn":
+        raise ValueError("method 'rtn' reads no moments; quantize_layer rounds it directly")
+    if stats is None:
+        raise ValueError(f"method {method!r} requires calibration stats")
+    if stats.GW is not None and METHOD_SPECS[method].reads_g:
+        raise ValueError(f"method {method!r} reads the entries of G; these stats hold only G W")
+    if stats.GW is None and stats.G is None:
+        raise ValueError("these stats hold no cross moment")
+    if stats.H is None:
+        raise ValueError("these stats hold no second moment H")
+    clock = time.perf_counter
+    t0 = clock()
+    # the one finiteness and symmetry scan of H: the sweeps would carry a NaN
+    # or inf into q without raising, and the damping call skips its own scan
+    check_symmetric(stats.H, "H")
+    if stats.GW is not None:
+        check_finite(stats.GW, "GW")
+    elif stats.G is not stats.H:
+        check_finite(stats.G, "G")
+    t1 = clock()
+    lam = apply_damping(stats.H, damping, checked=True)
+    t2 = clock()
+    # the ridge shifts every diagonal entry equally, so ordering from the
+    # undamped diagonal is the same permutation
+    perm = _calib.order_by_diag(stats.H) if order == "diag" else np.arange(stats.dim)
+    factored = method in ("optq", "qronos")
+    h = h0 = None
+    if method != "gpfq":  # optq and qronos hold H reversed, as reversed_cholesky needs
+        h = _calib.permute_moment(stats.H, perm[::-1] if factored else perm)
+        if lam:  # the one place the ridge is added to H
+            h.flat[:: stats.dim + 1] += lam
+    t3 = clock()
+    if factored:
+        h0 = h[-1, ::-1].copy() if method == "qronos" else None
+        try:
+            h = reversed_cholesky(h)
+        except NotPositiveDefiniteError as exc:
+            raise _in_caller_order(exc, perm) from None
+    dead = perm[stats.H.diagonal()[perm] + lam <= 0.0].tolist() if method == "gpfq" else []
+    for feature in dead:
+        warnings.warn(f"quantized-path column {feature} has zero norm; falling back to RTN for that step",
+                      RuntimeWarning, stacklevel=3)
+    for a in (perm, h, h0):
+        if a is not None:
+            a.flags.writeable = False
+    timings = {"check": t1 - t0, "damping": t2 - t1, "permute": t3 - t2, "factor": clock() - t3 if factored else 0.0}
+    return PreparedLayer(method, stats, lam, perm, h, h0,
+                         tuple(f"gpfq: zero-norm quantized-path column {f}, RTN fallback" for f in dead), timings)
+
+
+@_linalg.one_lapack_thread
+def round_layer(prepared: PreparedLayer, weights: np.ndarray, grids: _grid.QuantGrid,
+                on_state: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
+    """The half of ``quantize_layer`` that reads the weights: form the cross
+    term, from the stats' G W if formed with these weights, else as G @ W,
+    then run the first step and the sweep.  Returns q in processing order,
+    row t for the caller's row ``prepared.order[t]``.  Arguments are as in
+    ``LayerQuantRequest``.  ``prepared`` is only read, so it serves every
+    weight matrix on its input.  A NotPositiveDefiniteError (qronos_base's
+    per-step solve) names the caller's feature."""
+    return _round(prepared, _as_weights(weights, grids), grids, on_state, dict.fromkeys(PHASES, 0.0))[0]
+
+
+@_linalg.one_lapack_thread
+def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
+    """Quantize all output channels of one layer from its moments alone:
+    ``prepare_layer`` and ``round_layer``, then q in the caller's order,
+    the moment objective and the ``LayerReport``.  Warnings and a
+    NotPositiveDefiniteError name the caller's feature."""
     w = _as_weights(req.weights, req.grids)
     n_in, n_out = w.shape
-    if req.method not in METHODS:
-        raise ValueError(f"unknown method {req.method!r} (expected one of {METHODS})")
-    if req.order not in ORDER_MODES:
-        raise ValueError(f"unknown order mode {req.order!r} (expected one of {ORDER_MODES})")
-
-    report_warnings: list[str] = []
+    _check_modes(req.method, req.order)
     timings = dict.fromkeys(PHASES, 0.0)
     clock = time.perf_counter
-
     if req.method == "rtn":
         t0 = clock()
         q = _grid.quantize_rtn(w, req.grids)
         timings["sweep"] = clock() - t0
-        lam = 0.0
-        order = np.arange(n_in)
-        objectives = np.full(n_out, np.nan)
-        objective_form = "unavailable"
+        return q, LayerReport(0.0, list(range(n_in)), "unavailable", np.full(n_out, np.nan), timings=timings)
+    prep = prepare_layer(req.stats, req.damping, req.order, req.method)
+    timings.update(prep.timings)
+    qp, gw = _round(prep, w, req.grids, req.on_state, timings)
+    t0 = clock()
+    q = _calib.unpermute_result(qp, prep.order)
+    t1 = clock()
+    # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
+    stats, lam = req.stats, prep.damping_lambda
+    if req.method in ("optq", "qronos"):
+        # q^T (H + lam I) q = ||c^T q_r||^2, in place of q_r, q reversed in processing order
+        cq = blas.dtrmm(1.0, prep.h, qp[::-1].T, side=1, lower=1, overwrite_b=1)
+        qhq = np.einsum("ij,ij->i", cq, cq)
     else:
-        stats = req.stats
-        if stats is None:
-            raise ValueError(f"method {req.method!r} requires calibration stats")
-        if stats.dim != n_in:
-            raise ShapeError(f"stats dim {stats.dim} does not match weight rows {n_in}")
-        reads_g = METHOD_SPECS[req.method].reads_g
-        if stats.GW is not None:
-            if reads_g:
-                raise ValueError(f"method {req.method!r} reads the entries of G; these stats hold only G W")
-            if stats.GW.shape != w.shape or not np.array_equal(stats.W, w):
-                raise ValueError("these stats hold G W for other weights")
-        elif stats.G is None:
-            raise ValueError("these stats hold no cross moment")
-        if stats.H is None:
-            raise ValueError("these stats hold no second moment H")
+        qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
+    objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, stats.G @ w if gw is None else gw)
+    timings.update(unpermute=t1 - t0, objective=clock() - t1)
+    return q, LayerReport(lam, prep.order.tolist(), "moment_quadratic", objectives, list(prep.warnings), timings)
 
-        t0 = clock()
-        # the one finiteness and symmetry scan of H: the sweeps would carry
-        # a NaN or inf into q without raising, and the damping call below
-        # skips its own scan
-        check_symmetric(stats.H, "H")
-        if stats.GW is not None:
-            check_finite(stats.GW, "GW")
-        elif stats.G is not stats.H:
-            check_finite(stats.G, "G")
-        t1 = clock()
-        lam = apply_damping(stats.H, req.damping, checked=True)
-        t2 = clock()
-        # the ridge shifts every diagonal entry equally, so ordering from the
-        # undamped diagonal is the same permutation
-        order = _calib.order_by_diag(stats.H) if req.order == "diag" else np.arange(n_in)
-        wp = _calib.permute_weights(w, order)
-        factored = req.method in ("optq", "qronos")
-        swept_gw = req.method in ("qronos", "qronos_base")
-        gw = stats.G @ w if stats.GW is None and swept_gw else stats.GW
-        # optq and qronos hold H and the cross term reversed, as reversed_cholesky
-        # needs; gpfq reads the caller's H and G through the order and holds neither
-        perm, wx = (order[::-1], wp[::-1]) if factored else (order, wp)
-        hx = None if req.method == "gpfq" else stats.H[np.ix_(perm, perm)]
-        gwx = gw[perm] if swept_gw else None
-        if lam and hx is not None:
-            # the one place the ridge is added to H and the cross term; a
-            # permutation keeps the diagonal on the diagonal
-            hx.flat[:: n_in + 1] += lam
-            if swept_gw:  # lam W a row block at a time
-                for r0 in range(0, n_in, SWEEP_BLOCK):
-                    gwx[r0 : r0 + SWEEP_BLOCK] += lam * wx[r0 : r0 + SWEEP_BLOCK]
-        t3 = clock()
-        timings.update(check=t1 - t0, damping=t2 - t1, permute=t3 - t2)
-        try:
-            if factored:
-                h0 = hx[-1, ::-1].copy() if req.method == "qronos" else None
-                c = reversed_cholesky(hx)
-                timings["factor"] = clock() - t3
-                qp = _sweep(wp, req.grids, c, h0, gwx, req.on_state, timings)
-            elif hx is None:
-                for feature in order[stats.H.diagonal()[order] + lam <= 0.0].tolist():
-                    msg = f"quantized-path column {feature} has zero norm; falling back to RTN for that step"
-                    warnings.warn(msg, RuntimeWarning, stacklevel=2)
-                    report_warnings.append(f"gpfq: zero-norm quantized-path column {feature}, RTN fallback")
-                qp = _gpfq_sweep(wp, req.grids, stats.H, stats.G, order, lam)
-            else:
-                qp = _direct_sweep(wp, req.grids, hx, gwx, req.on_state)
-            if not factored:
-                timings["sweep"] = clock() - t3
-        except NotPositiveDefiniteError as exc:
-            feature = int(order[exc.index - 1]) + 1
-            raise NotPositiveDefiniteError(
-                feature, f"H is not positive definite (failing pivot at feature {feature}, 1-based)"
-            ) from None
-        del wp, wx, gwx  # the sweep has used up these buffers
-        t0 = clock()
-        q = _calib.unpermute_result(qp, order)
-        t1 = clock()
-        # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
+
+def _round(prep, w, grid, on_state, timings):
+    """``round_layer`` on checked weights: q in processing order and the
+    cross term G W in the caller's, or None where it formed none.  Adds
+    the cross term's seconds to timings["permute"], sets the first step's
+    and the sweep's."""
+    stats, method, order, lam = prep.stats, prep.method, prep.order, prep.damping_lambda
+    if stats.dim != w.shape[0]:
+        raise ShapeError(f"stats dim {stats.dim} does not match weight rows {w.shape[0]}")
+    if stats.GW is not None and (stats.GW.shape != w.shape or not np.array_equal(stats.W, w)):
+        raise ValueError("these stats hold G W for other weights")
+    t0 = time.perf_counter()
+    wp = _calib.permute_weights(w, order)
+    factored = method in ("optq", "qronos")
+    swept_gw = method in ("qronos", "qronos_base")
+    gw = stats.G @ w if stats.GW is None and swept_gw else stats.GW
+    perm, wx = (order[::-1], wp[::-1]) if factored else (order, wp)  # reversed as H
+    gwx = gw[perm] if swept_gw else None
+    if lam and swept_gw:  # the ridge's lam W, a row block at a time
+        for r0 in range(0, len(wx), SWEEP_BLOCK):
+            gwx[r0 : r0 + SWEEP_BLOCK] += lam * wx[r0 : r0 + SWEEP_BLOCK]
+    t1 = time.perf_counter()
+    timings["permute"] += t1 - t0
+    try:
         if factored:
-            # q^T (H + lam I) q = ||c^T q_r||^2, in place of q_r, q reversed in processing order
-            cq = blas.dtrmm(1.0, c, qp[::-1].T, side=1, lower=1, overwrite_b=1)
-            qhq = np.einsum("ij,ij->i", cq, cq)
+            return _sweep(wp, grid, prep.h, prep.h0, gwx, on_state, timings), gw
+        if method == "gpfq":
+            qp = _gpfq_sweep(wp, grid, stats.H, stats.G, order, lam)
         else:
-            qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
-        objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, stats.G @ w if gw is None else gw)
-        objective_form = "moment_quadratic"
-        timings.update(unpermute=t1 - t0, objective=clock() - t1)
+            qp = _direct_sweep(wp, grid, prep.h, gwx, on_state)
+    except NotPositiveDefiniteError as exc:
+        raise _in_caller_order(exc, order) from None
+    timings["sweep"] = time.perf_counter() - t1
+    return qp, gw
 
-    report = LayerReport(
-        damping_lambda=lam,
-        order=order.tolist(),
-        objective_form=objective_form,
-        objectives=objectives,
-        warnings=report_warnings,
-        timings=timings,
-    )
-    return q, report
+
+def _in_caller_order(exc, order):
+    """``exc``, whose 1-based pivot counts processing steps, naming the caller's feature."""
+    feature = int(order[exc.index - 1]) + 1
+    return NotPositiveDefiniteError(feature, f"H is not positive definite (failing pivot at feature {feature}, 1-based)")
 
 
 def _gpfq_sweep(wp, grid, h, g, order, lam):
@@ -598,15 +592,14 @@ def _sweep(wp, grid, c, h0, gwr, on_state, timings):
 
 
 def _round_column(method, w, h, g, grid, record_trace) -> RoundingTrace:
-    """One column through ``quantize_layer`` (n_out = 1), in the caller's
-    order and with no ridge beyond the one already in (h, g)."""
+    """One column through ``prepare_layer`` and ``round_layer`` (n_out = 1),
+    in the caller's order and with no ridge beyond the one already in
+    (h, g); q and the states come back as fresh C-contiguous vectors."""
     w = _as_column(w)
     states = []
-    req = LayerQuantRequest(weights=w[:, None], grids=grid, method=method,
-                            stats=_calib.CalibStats(w.size, H=h, G=g), order="natural",
-                            on_state=states.append if record_trace else None)
-    q, _ = quantize_layer(req)
-    return RoundingTrace(q=q[:, 0], w_states=[s[:, 0] for s in states] if record_trace else None)
+    prep = prepare_layer(_calib.CalibStats(w.size, H=h, G=g), _NO_RIDGE, "natural", method)
+    q = round_layer(prep, w[:, None], grid, states.append if record_trace else None)
+    return RoundingTrace(q=q[:, 0].copy(), w_states=[s[:, 0].copy() for s in states] if record_trace else None)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +611,13 @@ def _as_column(w) -> np.ndarray:
     if w.ndim != 1 or w.size == 0:
         raise ShapeError(f"expected a non-empty 1-D weight column, got shape {w.shape}")
     return w.copy()
+
+
+def _check_modes(method, order):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
+    if order not in ORDER_MODES:
+        raise ValueError(f"unknown order mode {order!r} (expected one of {ORDER_MODES})")
 
 
 def _as_weights(w, grid) -> np.ndarray:

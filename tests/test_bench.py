@@ -47,6 +47,16 @@ def test_tiny_run_report_shape():
     med = median_algo_times(report)
     assert set(med) == {(m, k) for m in ("optq", "qronos") for k in (8, 16)}
     assert all(v > 0 for v in med.values())
+    shared = report["timing"]["shared_input"]
+    assert {key: shared[key] for key in ("method", "k", "matrices")} == {"method": "qronos", "k": 16, "matrices": 3}
+    assert shared["prepare_s"] > 0
+    assert len(shared["round_s"]) == len(shared["quantize_layer_s"]) == 3
+    assert all(t > 0 for t in shared["round_s"] + shared["quantize_layer_s"])
+
+
+def test_shared_input_cell_only_when_qronos_is_benchmarked():
+    report = run_bench(BenchConfig(k_min=8, k_max=8, m=32, seeds=1, inner_reps=1, methods=("optq",)))
+    assert report["timing"]["shared_input"] is None
 
 
 @pytest.mark.parametrize("method, form", [("qronos", "GW"), ("qronos_base", "GW"), ("optq", "shared"), ("gpfq", "G")])
@@ -61,13 +71,14 @@ def test_cell_hands_the_layer_the_cli_stats(monkeypatch, method, form):
 
     monkeypatch.setattr(rounding_mod, "quantize_layer", spy)
     run_bench(BenchConfig(k_min=16, k_max=16, m=32, seeds=1, inner_reps=2, methods=(method,)))
-    # the two timed repetitions and the untimed one that takes the peak
-    assert len(seen) == 3
-    for stats in seen:
-        got = "GW" if stats.GW is not None else "shared" if stats.G is stats.H else "G"
-        assert got == form
-        if form == "GW":
-            assert stats.GW.shape == (16, 4)
+    forms = ["GW" if s.GW is not None else "shared" if s.G is s.H else "G" for s in seen]
+    # the two timed repetitions and the untimed one that takes the peak;
+    # then, for qronos, the shared-input cell's three layers per repetition,
+    # whose stats hold the G all three share
+    assert forms[:3] == [form] * 3
+    assert forms[3:] == (["G"] * 6 if method == "qronos" else [])
+    if form == "GW":
+        assert all(s.GW.shape == (16, 4) for s in seen[:3])
 
 
 def test_cell_out_of_memory_is_skipped(monkeypatch):

@@ -456,7 +456,8 @@ def test_bench_tiny_ladder(tmp_path, capsys):
     assert {(c["method"], c["k"]) for c in cells} == {
         ("optq", 32), ("optq", 64), ("qronos", 32), ("qronos", 64),
     }
-    assert "K=32" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "K=32" in out and "shared input K=64: prepare=" in out
 
 
 def test_bench_prints_the_efficient_form_speedup(capsys):

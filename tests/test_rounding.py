@@ -22,8 +22,11 @@ from qronos import (
     accumulate,
     grid_from_minmax,
     layer_stats,
+    prepare_layer,
     quantize_layer,
     quantize_rtn,
+    round_layer,
+    unpermute_result,
 )
 from qronos.linalg import chol_of_inverse
 from qronos.rounding import (
@@ -983,3 +986,138 @@ def _optq_layer(grid, stats, order="diag"):
 def test_malformed_rounding_input_raises(call, error, match):
     with pytest.raises(error, match=match):
         call(grid_from_minmax(np.array([-1.0, 1.0]), 4))
+
+
+# ---------------------------------------------------------------------------
+# prepare once, round many
+
+
+def _column_routes(h, g, hx):
+    return {
+        "optq": (lambda w, grid, rec: quantize_optq_column(w, hx, grid, rec), hx, hx),
+        "qronos_base": (lambda w, grid, rec: quantize_qronos_base_column(w, h, g, grid, rec), h, g),
+        "qronos": (lambda w, grid, rec: quantize_qronos_column(w, h, g, grid, rec), h, g),
+    }
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos_base", "qronos"])
+def test_column_route_is_a_one_column_layer(method):
+    """Each per-column entry point returns quantize_layer's q and states on
+    one column, bit for bit, as fresh C-contiguous vectors."""
+    x, xq, w, layer_grid = _golden_instance(0, 24, 3)
+    route, h, g = _column_routes(xq.T @ xq, xq.T @ x, x.T @ x)[method]
+    for j in range(3):
+        grid = column_grid(layer_grid, j)
+        states = []
+        q, _ = quantize_layer(LayerQuantRequest(w[:, j : j + 1], grid, method, stats=CalibStats(24, H=h, G=g),
+                                                order="natural", on_state=states.append))
+        tr = route(w[:, j], grid, True)
+        assert tr.q.tobytes() == q[:, 0].tobytes()
+        assert [s.tobytes() for s in tr.w_states] == [s[:, 0].tobytes() for s in states]
+        assert route(w[:, j], grid, False).q.tobytes() == tr.q.tobytes()
+        for out in (tr.q, *tr.w_states):
+            assert out.ndim == 1 and out.flags.c_contiguous and out.flags.owndata
+
+
+def test_column_routes_never_enter_quantize_layer(monkeypatch):
+    import qronos.rounding as rounding_mod
+
+    def refuse(req):
+        raise AssertionError("a per-column route built a whole layer report")
+
+    monkeypatch.setattr(rounding_mod, "quantize_layer", refuse)
+    x, xq, w, layer_grid = _golden_instance(1, 12, 1)
+    for route, _, _ in _column_routes(xq.T @ xq, xq.T @ x, x.T @ x).values():
+        for rec in (False, True):
+            assert route(w[:, 0], column_grid(layer_grid, 0), rec).q.shape == (12,)
+
+
+@pytest.mark.parametrize("method", ["optq", "gpfq", "qronos_base", "qronos"])
+def test_one_preparation_rounds_two_weight_matrices(method):
+    """prepare_layer once, round_layer on two weight matrices: the two
+    quantize_layer outputs bit for bit, and the preparation unchanged."""
+    rng = np.random.default_rng(43)
+    n, n_out = 150, 5
+    x = rng.standard_normal((3 * n, n)) * np.exp(rng.uniform(-1.0, 1.0, n))
+    xq = x + 0.1 * rng.standard_normal(x.shape)
+    stats = accumulate(CalibStats(n), x, x if method == "optq" else xq)  # holds G, which every W shares
+    damping = METHOD_SPECS[method].damping
+    prep = prepare_layer(stats, damping, "diag", method)
+    before = [a.tobytes() for a in (prep.order, prep.h, prep.h0) if a is not None]
+    for w in (rng.standard_normal((n, n_out)), rng.standard_normal((n, n_out + 2))):
+        grid = grid_from_minmax(w, 16)
+        q, _ = quantize_layer(LayerQuantRequest(w, grid, method, stats=stats, damping=damping))
+        qp = round_layer(prep, w, grid)
+        assert unpermute_result(qp, prep.order).tobytes() == q.tobytes()
+        assert [a.tobytes() for a in (prep.order, prep.h, prep.h0) if a is not None] == before
+    assert all(not a.flags.writeable for a in (prep.order, prep.h, prep.h0) if a is not None)
+
+
+@pytest.mark.parametrize("method", ["optq", "qronos_base", "qronos"])
+def test_each_half_names_the_failing_feature(method):
+    """The factor fails in prepare_layer (optq, qronos), qronos_base's
+    per-step solve in round_layer; both name the caller's feature 3."""
+    from qronos import NotPositiveDefiniteError
+
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((40, 6))
+    x[:, 2] = 0.0
+    w = rng.standard_normal((6, 2))
+    stats = _stats_of(x, x)
+    with pytest.raises(NotPositiveDefiniteError, match="feature 3") as exc:
+        round_layer(prepare_layer(stats, DampingPolicy("none"), "diag", method), w, grid_from_minmax(w, 4))
+    assert exc.value.index == 3
+    if method != "qronos_base":
+        with pytest.raises(NotPositiveDefiniteError, match="feature 3"):
+            prepare_layer(stats, DampingPolicy("none"), "diag", method)
+
+
+def test_prepare_layer_refuses_rtn_and_round_layer_other_weights():
+    rng = np.random.default_rng(44)
+    w, _, _, stats, grid = layer_instance(rng, 6, 48, 2, 4)
+    with pytest.raises(ValueError, match="reads no moments"):
+        prepare_layer(stats, DampingPolicy("none"), "diag", "rtn")
+    prep = prepare_layer(stats, DampingPolicy("none"), "diag", "qronos")
+    with pytest.raises(ShapeError, match="stats dim 6 does not match weight rows 5"):
+        round_layer(prep, w[:5], grid)
+
+
+def test_scipy_pool_runs_the_layer_on_one_thread_and_is_restored(monkeypatch):
+    """Inside each half and quantize_layer SciPy's OpenBLAS pool has one
+    thread; the caller's count comes back on return and on a raise."""
+    import qronos.linalg as linalg_mod
+    import qronos.rounding as rounding_mod
+    from qronos import NotPositiveDefiniteError
+
+    pool = linalg_mod._scipy_pool()
+    if pool is None:
+        pytest.skip("SciPy's BLAS exports no thread-count symbols")
+    get, put = pool
+    seen = []
+    original = rounding_mod.reversed_cholesky
+
+    def spy(rev, **kwargs):
+        seen.append(get())
+        return original(rev, **kwargs)
+
+    monkeypatch.setattr(rounding_mod, "reversed_cholesky", spy)
+    rng = np.random.default_rng(45)
+    w, x, _, stats, grid = layer_instance(rng, 8, 64, 2, 4)
+    dead = x.copy()
+    dead[:, 3] = 0.0
+    caller = get()
+    put(2)
+    try:
+        quantize_layer(LayerQuantRequest(w, grid, "qronos", stats=stats))
+        assert get() == 2
+        with pytest.raises(NotPositiveDefiniteError):
+            quantize_layer(LayerQuantRequest(w, grid, "optq", stats=_stats_of(dead, dead)))
+        assert get() == 2
+        prep = prepare_layer(stats, DampingPolicy("none"), "diag", "qronos")
+        assert get() == 2
+        with pytest.raises(ShapeError):
+            round_layer(prep, w[:4], grid)
+        assert get() == 2
+    finally:
+        put(caller)
+    assert seen == [1, 1, 1]
