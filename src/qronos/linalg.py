@@ -15,8 +15,10 @@ H^-1, and the explicit inverse below is the verification suites'
 independent route to the same objects.
 
 The spectral norm used for damping is one Lanczos (ARPACK) solve from a
-fixed-seed start vector, stopped at a relative Ritz residual of 1e-8;
-the eigenvalue's own error is of the order of that residual squared.
+fixed-seed start vector, stopped at a relative Ritz residual of 1e-8
+(the eigenvalue's error is of the order of its square).  Its products
+read one triangle of H, as the Cholesky does, on one BLAS thread: a
+threaded ``dsymv`` sums in an order set by the thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import (
     ConvergenceError,
@@ -222,6 +224,7 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+@one_lapack_thread
 def top_singular_value(m: np.ndarray, *, checked: bool = False) -> float:
     """Largest singular value of a symmetric PSD matrix by Lanczos.
 
@@ -248,11 +251,13 @@ def top_singular_value(m: np.ndarray, *, checked: bool = False) -> float:
         return float(m[0, 0])
     # imported here: loading scipy.sparse.linalg adds about 3.5 MB of
     # resident memory, which runs that never use this damping mode skip
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+    ft = np.asfortranarray(m.T)  # a view of a C-ordered m: dsymv reads its upper triangle, m's lower, alone
+    op = LinearOperator((n, n), matvec=lambda v: blas.dsymv(1.0, ft, v), dtype=np.float64)
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     try:
-        vals = eigsh(m, k=1, which="LA", v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False)
+        vals = eigsh(op, k=1, which="LA", v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         found = np.asarray(exc.eigenvalues, dtype=np.float64)
         last = float(found.max()) if found.size else float(np.diag(m).max())

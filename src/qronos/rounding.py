@@ -45,20 +45,20 @@ preparation: it forms the cross term and runs the first step and the
 sweep.  Layers on one input (a block's q/k/v projections; H depends on
 the input alone) so pay for the scan, ridge, order and factor once.
 ``quantize_layer`` is the two halves, then q in the caller's order, the
-moment objective (q^T (H + lambda I) q = ||U^T q||^2 under the factor)
+moment objective (q^T (H + lambda I) q = ||U^T q||^2, read off the sweep)
 and the report; the per-column entry points run the halves on one
 channel, in the caller's order with no ridge of their own, and skip the
 rest.  Only gpfq reads G's entries; the others hold G W as one n x n_out
 cross term, (G W)[perm] + lambda W[perm], from the stats' GW when
 calibration folded Xq^T (X W) (``layer_stats``), else from one G @ W.
 Each whole array exists once: optq and qronos hold H's factored copy and
-three arrays of W's size (W in processing order, q, q - w), and qronos
-forms its first-step right-hand side and refit in the cross term's
-buffer; gpfq reads its rows of the caller's H and G through the order.
+three arrays of W's size (W in processing order, then s - q and U^T q;
+q; the sweep's z, in the cross term's buffer for qronos); gpfq reads its
+rows of the caller's H and G through the order.
 At n_out = n / 4 the peak is under 2 H.  All output channels run at
 once, step-synchronously, in a sweep blocked on two levels (GPTQ's lazy
 batch, read left-looking): a block of SWEEP_BLOCK steps, then each
-sub-block of SWEEP_SUB steps in it, takes the errors of the (sub-)blocks
+sub-block of SWEEP_SUB steps in it, takes the q of the (sub-)blocks
 before it in one product, then its own step by step.  With ``on_state``
 the layer hands each step's state, the least-squares refit of the rows
 not yet quantized, to the caller and keeps none; a state is never
@@ -414,28 +414,24 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
         return q, LayerReport(0.0, list(range(n_in)), "unavailable", np.full(n_out, np.nan), timings=timings)
     prep = prepare_layer(req.stats, req.damping, req.order, req.method)
     timings.update(prep.timings)
-    qp, gw = _round(prep, w, req.grids, req.on_state, timings)
+    qp, qhq, gw = _round(prep, w, req.grids, req.on_state, timings, objective=True)
     t0 = clock()
     q = _calib.unpermute_result(qp, prep.order)
     t1 = clock()
     # 0.5 q^T (H + lam I) q - q^T G w on the caller's undamped pair
     stats, lam = req.stats, prep.damping_lambda
-    if req.method in ("optq", "qronos"):
-        # q^T (H + lam I) q = ||c^T q_r||^2, in place of q_r, q reversed in processing order
-        cq = blas.dtrmm(1.0, prep.h, qp[::-1].T, side=1, lower=1, overwrite_b=1)
-        qhq = np.einsum("ij,ij->i", cq, cq)
-    else:
+    if qhq is None:  # optq and qronos read it off the sweep
         qhq = np.einsum("ij,ij->j", q, stats.H @ q) + lam * np.einsum("ij,ij->j", q, q)
     objectives = 0.5 * qhq - np.einsum("ij,ij->j", q, stats.G @ w if gw is None else gw)
     timings.update(unpermute=t1 - t0, objective=clock() - t1)
     return q, LayerReport(lam, prep.order.tolist(), "moment_quadratic", objectives, list(prep.warnings), timings)
 
 
-def _round(prep, w, grid, on_state, timings):
-    """``round_layer`` on checked weights: q in processing order and the
-    cross term G W in the caller's, or None where it formed none.  Adds
-    the cross term's seconds to timings["permute"], sets the first step's
-    and the sweep's."""
+def _round(prep, w, grid, on_state, timings, objective=False):
+    """``round_layer`` on checked weights: q in processing order, optq's
+    and qronos's q^T (H + lambda I) q if ``objective`` (else None) and G W
+    in the caller's order (None where it formed none).  Adds the cross
+    term's seconds to timings["permute"], sets the first step's and the sweep's."""
     stats, method, order, lam = prep.stats, prep.method, prep.order, prep.damping_lambda
     if stats.dim != w.shape[0]:
         raise ShapeError(f"stats dim {stats.dim} does not match weight rows {w.shape[0]}")
@@ -455,7 +451,7 @@ def _round(prep, w, grid, on_state, timings):
     timings["permute"] += t1 - t0
     try:
         if factored:
-            return _sweep(wp, grid, prep.h, prep.h0, gwx, on_state, timings), gw
+            return *_sweep(wp, grid, prep.h, prep.h0, gwx, on_state, timings, objective), gw
         if method == "gpfq":
             qp = _gpfq_sweep(wp, grid, stats.H, stats.G, order, lam)
         else:
@@ -463,7 +459,7 @@ def _round(prep, w, grid, on_state, timings):
     except NotPositiveDefiniteError as exc:
         raise _in_caller_order(exc, order) from None
     timings["sweep"] = time.perf_counter() - t1
-    return qp, gw
+    return qp, None, gw
 
 
 def _in_caller_order(exc, order):
@@ -518,45 +514,47 @@ def _direct_sweep(wp, grid, hp, gwp, on_state):
     return q
 
 
-def _sweep(wp, grid, c, h0, gwr, on_state, timings):
+def _sweep(wp, grid, c, h0, gwr, on_state, timings, objective=False):
     """optq, or given hp's row 0 ``h0`` and the reversed cross term ``gwr``
     qronos, on every column of ``wp`` (n, n_out), step-synchronously.
 
     ``c`` factors the damped H index-reversed (``reversed_cholesky``:
-    hp = U U^T, U = J c J).  Step t rounds s_t = w_t - sum_{j<t}
-    (U[j, t] / U[t, t]) (q_j - w_j), in reversed coordinates, where
-    U[:t, t] is a column of c below its diagonal: a block of SWEEP_BLOCK
-    steps takes the errors of the blocks before it in one product with a
-    slab of c, each sub-block of SWEEP_SUB those of the block's earlier
-    sub-blocks, then its own step by step.  qronos first rounds q_1 and
-    refits the rest, w = hp[1:, 1:]^-1 (gw[1:] - hp[1:, 0] q_1), by two
-    triangular solves in gwr's buffer, then sweeps on U[1:, 1:] with
-    wp's buffer holding q - w unless ``on_state`` takes the states
-    (``LayerQuantRequest``), the least-squares refits of the rows ahead,
-    read off c^-1.  Returns q; ``timings`` gets the seconds of the first
-    step and of the sweep.
+    hp = U U^T, U = J c J).  In reversed coordinates step k rounds s_k =
+    w_k - sum_{i>k} (c_ik / c_kk) (q_i - w_i) = (z_k - sum_{i>k} c_ik q_i) /
+    c_kk, as the weights solve c^T w = z: optq's z = c^T w is one
+    triangular product, and qronos, after q_1, sweeps on U[1:, 1:] and
+    z = c^-1 (gw[1:] - hp[1:, 0] q_1), one solve in gwr's buffer.  A block
+    of SWEEP_BLOCK steps, then each sub-block of SWEEP_SUB in it, takes
+    the q before it in one product with a slab of c, then its own step by
+    step.  wp's buffer, unless ``on_state`` took it, holds s - q, then with
+    ``objective`` c^T q_r = z - c_kk (s - q) plus qronos's step-0 row.
+    ``on_state`` takes the states (``LayerQuantRequest``), the refits, from
+    a second solve and c^-1.  Returns q and, with ``objective``, q^T hp q =
+    ||c^T q_r||^2; ``timings`` gets the first step's and the sweep's seconds.
     """
     n, n_out = wp.shape
     t0 = time.perf_counter()
     rtn = grid.rounder
     qr = np.empty((n, n_out))  # q in reversed order
-    wr = wp[::-1]
     top = n  # the sweep's steps are the reversed rows [0, top)
+    refit = wp[::-1]  # the state's rows ahead, reversed
     if on_state is not None:
         on_state(wp)
-    if h0 is not None:
+    if h0 is None:
+        z = blas.dtrmm(1.0, c, wp[::-1].T, side=1, lower=1).T
+    else:
         qr[-1] = rtn((gwr[-1] - h0[1:] @ wp[1:]) / h0[0])
         top = n - 1
-        # hp[1:, 1:] reversed leads c c^T: two solves with all of c (a slice is
-        # copied) on a right-hand side formed in gwr a row block at a time, the
-        # first solve's last column, fed by gwr's last row alone, then zeroed
+        # hp[1:, 1:] reversed leads c c^T: one solve with all of c (a slice is
+        # copied) on a right-hand side formed in gwr a row block at a time;
+        # row top, fed by gwr's last row alone, is not z's and is zeroed
         for r0 in range(0, n, SWEEP_BLOCK):
             gwr[r0 : r0 + SWEEP_BLOCK] -= h0[::-1][r0 : r0 + SWEEP_BLOCK, None] * qr[-1]
-        z = blas.dtrsm(1.0, c, gwr.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-        z[:, top] = 0.0
-        wr = blas.dtrsm(1.0, c, z, side=1, lower=1, overwrite_b=1).T
-        if on_state is not None and top:
-            on_state(wr[top - 1 :: -1])
+        z = blas.dtrsm(1.0, c, gwr.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+        z[top] = 0.0
+        if on_state is not None and top:  # the refit, by a second solve
+            refit = blas.dtrsm(1.0, c, z.T, side=1, lower=1).T[:top]
+            on_state(refit[::-1])
         t1 = time.perf_counter()
         timings["first_step"] = t1 - t0
         t0 = t1
@@ -564,31 +562,37 @@ def _sweep(wp, grid, c, h0, gwr, on_state, timings):
     # every slab below a positive-stride slice
     ct = c.T
     diag = c.diagonal()[:, None]
-    # q - w, reversed; once qronos has refit w, wp is free unless handed over
-    d = wp[:top] if h0 is not None and on_state is None else np.empty((top, n_out))
+    e = wp if on_state is None else np.empty((n, n_out))  # s - q, reversed
     if on_state is not None:
         # the refits of the rows ahead move along column t of L = U^-T, the
         # factor of hp^-1, scaled by L[t, t]: row k of c^-1 (scaled in place), reversed
-        lrows, refit = lapack.dtrtri(c, lower=1)[0], wr[:top]
+        lrows = lapack.dtrtri(c, lower=1)[0]
         lrows /= lrows.diagonal().copy()[:, None]
     for b1 in range(top, 0, -SWEEP_BLOCK):
         b0 = max(b1 - SWEEP_BLOCK, 0)
-        # the block's U[j, t] / U[t, t], and its states after the blocks before it
+        # the block's c_ik / c_kk, and its states after the blocks before it
         scaled = ct[b0:b1, b0:b1] / diag[b0:b1]
-        s = wr[b0:b1] - (ct[b0:b1, b1:top] @ d[b1:top]) / diag[b0:b1]
+        s = (z[b0:b1] - ct[b0:b1, b1:top] @ qr[b1:top]) / diag[b0:b1]
         for u1 in range(b1 - b0, 0, -SWEEP_SUB):
             u0 = max(u1 - SWEEP_SUB, 0)
-            s[u0:u1] -= scaled[u0:u1, u1:] @ d[b0 + u1 : b1]
+            s[u0:u1] -= scaled[u0:u1, u1:] @ qr[b0 + u1 : b1]
             for i in range(u1 - 1, u0 - 1, -1):
                 k = b0 + i
                 qr[k] = rtn(s[i])
-                d[k] = qr[k] - wr[k]
-                s[u0:i] -= scaled[u0:i, i, None] * d[k]
+                e[k] = s[i] - qr[k]
+                s[u0:i] -= scaled[u0:i, i, None] * qr[k]
                 if on_state is not None and k:
-                    refit = refit[:k] + lrows[k, :k, None] * (qr[k] - s[i])
+                    refit = refit[:k] - lrows[k, :k, None] * e[k]
                     on_state(refit[::-1])
+    if objective:
+        e[top:] = 0.0  # qronos's step 0, where z is 0 too
+        e *= -diag
+        e += z
+        if h0 is not None:  # and qronos's step-0 row c[top, :] q_1, a row block at a time
+            for r0 in range(0, n, SWEEP_BLOCK):
+                e[r0 : r0 + SWEEP_BLOCK] += c[top, r0 : r0 + SWEEP_BLOCK, None] * qr[top]
     timings["sweep"] = time.perf_counter() - t0
-    return qr[::-1]
+    return qr[::-1], np.einsum("ij,ij->j", e, e) if objective else None
 
 
 def _round_column(method, w, h, g, grid, record_trace) -> RoundingTrace:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,11 +126,49 @@ def _spd_with_top_vector(rng, n, top, gap):
     return (m + m.T) / 2.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 64, 700])
+@pytest.mark.parametrize("n", [1, 2, 64, 300, 700])
 def test_top_singular_matches_eigvalsh(n):
     m = random_spd(np.random.default_rng(n), n)
     dense = float(np.linalg.eigvalsh(m)[-1])
     assert top_singular_value(m) == pytest.approx(dense, rel=1e-12)
+
+
+def test_top_singular_reads_one_triangle():
+    """The Lanczos products read m's lower triangle alone: an upper
+    triangle off by less than the symmetry check's tolerance gives the
+    same bits, and the same change to the lower one does not."""
+    m = random_spd(np.random.default_rng(12), 300)
+    noise = 1e-12 * np.abs(m).max() * np.random.default_rng(13).uniform(-1.0, 1.0, m.shape)
+    upper, lower = m + np.triu(noise, 1), m + np.tril(noise, -1)
+    assert top_singular_value(upper).hex() == top_singular_value(m).hex()
+    assert top_singular_value(lower).hex() != top_singular_value(m).hex()
+
+
+# H is built without a BLAS call, whose own sums could depend on the thread count
+_DAMPING_THREADS_SCRIPT = """
+import numpy as np
+from qronos import DampingPolicy, apply_damping
+rng = np.random.default_rng(5)
+a, v = rng.standard_normal((300, 300)), rng.standard_normal(300)
+print(apply_damping((a + a.T) / 2.0 + 32.0 * np.eye(300) + np.outer(v, v), DampingPolicy("top_singular_fraction")).hex())
+"""
+
+
+def test_damping_independent_of_blas_threads():
+    """apply_damping, public and callable outside the layer's pinned BLAS
+    pool, gives the same lambda on 1 and 2 BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    lams = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", _DAMPING_THREADS_SCRIPT], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        )
+        lams.append(out.stdout.strip())
+    assert float.fromhex(lams[0]) > 0.0
+    assert lams[0] == lams[1]
 
 
 @pytest.mark.parametrize("gap", [1.0, 0.015])

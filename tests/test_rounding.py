@@ -523,10 +523,10 @@ def test_layer_factors_its_one_copy_of_h_in_place(method):
 def test_layer_peaks_under_two_copies_of_h(method):
     """At n_out = n / 4, the layer holds H's factored copy and three
     weight-sized arrays at a time: qronos forms its first-step right-hand
-    side and refit in the cross term's buffer (its stats hold G W), optq
+    side and z in the cross term's buffer (its stats hold G W), optq
     forms G W for its objective after the sweep, the caller's frame drops
-    W and the cross term once the sweep is done with them, and the
-    objective's product overwrites q's processing-order copy."""
+    W and the cross term once the sweep is done with them, and the sweep
+    turns its own buffer into U^T q and hands back only q^T H q."""
     rng = np.random.default_rng(37)
     n, n_out = 1024, 256
     x = rng.standard_normal((2 * n, n))
@@ -661,6 +661,27 @@ def test_layer_moment_objective_is_shifted_residual(mode):
     for j in range(3):
         direct = 0.5 * float(q[:, j] @ h_damped @ q[:, j]) - float(q[:, j] @ stats.G @ w[:, j])
         assert rep_m.objectives[j] == pytest.approx(direct, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
+@pytest.mark.parametrize("method", ["optq", "qronos"])
+def test_objective_read_off_the_sweep_is_the_moment_quadratic(method, mode):
+    """optq's and qronos's q^T (H + lam I) q comes from the sweep's own
+    state, not a product with q: it matches the moment form computed
+    directly, and tracing, which moves that state to another buffer,
+    leaves the objectives bit for bit.  n = 300 spans three sweep blocks."""
+    rng = np.random.default_rng(26)
+    n = 300
+    w, x, xq, stats, grid = layer_instance(rng, n, 2 * n, 4, 16)
+    reports = []
+    for on_state in (None, lambda state: None):
+        q, report = quantize_layer(LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
+                                                     damping=DampingPolicy(mode), on_state=on_state))
+        reports.append(report)
+    assert reports[0].objectives.tobytes() == reports[1].objectives.tobytes()
+    h_damped = stats.H + reports[0].damping_lambda * np.eye(n)
+    direct = 0.5 * np.einsum("ij,ij->j", q, h_damped @ q) - np.einsum("ij,ij->j", q, stats.G @ w)
+    np.testing.assert_allclose(reports[0].objectives, direct, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("mode", ["none", "mean_diag_percent", "top_singular_fraction"])
