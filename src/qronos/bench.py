@@ -68,37 +68,20 @@ def _time_cell(method, x, xq, w, grid, cfg):
     """Return (stats_time, algo_time, timings) lists over the inner
     repetitions, and the peak bytes of one more layer run.
 
-    Even repetitions run the stats phase, then the layer on those stats;
-    odd ones run the layer on the previous stats first, so it starts
-    right after the previous layer run rather than after the stats'
-    threaded products.  Either start can catch idle BLAS threads waking
-    (milliseconds on a small layer), and which one does depends on the
-    layer, so the minimum sees both.  The layer never writes its stats.
+    Each repetition runs the stats phase, then the layer on those stats.
+    The layer never writes its stats.
     """
-    stats_times = []
-    algo_times = []
-    phases = []
-    req = None
-    for rep in range(cfg.inner_reps):
-        if rep % 2 == 0:
-            t0 = time.perf_counter()
-            stats = _rounding.layer_stats(method, w, x, xq)
-            stats_times.append(time.perf_counter() - t0)
-            req = _rounding.LayerQuantRequest(
-                weights=w,
-                grids=grid,
-                method=method,
-                stats=stats,
-                damping=_rounding.METHOD_SPECS[method].damping,
-            )
+    stats_times, algo_times, phases = [], [], []
+    for _ in range(cfg.inner_reps):
+        t0 = time.perf_counter()
+        stats = _rounding.layer_stats(method, w, x, xq)
+        stats_times.append(time.perf_counter() - t0)
+        req = _rounding.LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
+                                          damping=_rounding.METHOD_SPECS[method].damping)
         t0 = time.perf_counter()
         _, report = _rounding.quantize_layer(req)
         algo_times.append(time.perf_counter() - t0)
         phases.append(report.timings)
-        if rep % 2 == 1:
-            t0 = time.perf_counter()
-            _rounding.layer_stats(method, w, x, xq)
-            stats_times.append(time.perf_counter() - t0)
     tracemalloc.start()
     try:
         _rounding.quantize_layer(req)
@@ -140,6 +123,10 @@ def _shared_input_cell(cfg, x, xq, rng) -> dict:
 
 def run_bench(cfg: BenchConfig) -> dict:
     """Execute the full ladder and return the report dictionary."""
+    # the topsv ridge imports scipy.sparse.linalg on first use; load it here,
+    # not at package import, so the first timed layer does not pay for it
+    import scipy.sparse.linalg  # noqa: F401
+
     rows = []
     shared = None
     for k in cfg.ladder:

@@ -160,11 +160,8 @@ def cmd_quantize(args) -> int:
     stats_given = args.stats_h is not None or args.stats_g is not None
     if raw_given and stats_given:
         raise UsageError("give raw activations or precomputed stats, not both")
-
-    stats = None
     t_load = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     if method != "rtn":
         if not (raw_given or stats_given):
             raise UsageError(
@@ -177,22 +174,27 @@ def cmd_quantize(args) -> int:
         for name in flags[: 1 + needs_pair]:
             if getattr(args, name) is None:
                 raise UsageError(f"--method {args.method} needs --{name.replace('_', '-')}")
-        if raw_given:
-            x = _read_shaped(args.calib_x, None, n_in)
-            xq = _read_shaped(args.calib_xt, x.shape[0], n_in) if needs_pair else None
-            stats = _rounding.layer_stats(method, w, x, xq)
-            x = xq = None  # the moments hold everything the layer reads
-        else:
-            h = _read_shaped(args.stats_h, n_in, n_in)
-            g = _read_shaped(args.stats_g, n_in, n_in) if needs_pair else h
-            stats = _calib.CalibStats(n_in, H=h, G=g)
-    t_stats = time.perf_counter() - t0
 
+    # the grid before any calibration read, so a bad weights column ends the run first
     try:
         grid = (_grid.symmetric_scale_search(w, levels) if args.symmetric
                 else _grid.grid_from_minmax(w, levels, args.beta))
     except (NonFiniteInputError, ShapeError) as exc:
         raise type(exc)(f"{args.weights}: {exc}") from None
+
+    t0 = time.perf_counter()
+    if method == "rtn":
+        stats = None
+    elif raw_given:
+        x = _read_shaped(args.calib_x, None, n_in)
+        xq = _read_shaped(args.calib_xt, x.shape[0], n_in) if needs_pair else None
+        stats = _rounding.layer_stats(method, w, x, xq)
+        x = xq = None  # the moments hold everything the layer reads
+    else:
+        h = _read_shaped(args.stats_h, n_in, n_in)
+        g = _read_shaped(args.stats_g, n_in, n_in) if needs_pair else h
+        stats = _calib.CalibStats(n_in, H=h, G=g)
+    t_stats = time.perf_counter() - t0
 
     # --trace takes each step's move norm as the next state arrives and keeps
     # only the last state; squaring in place holds the peak near two states

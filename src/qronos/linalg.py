@@ -14,6 +14,11 @@ U[t:, t:]^T.  ``chol_of_inverse`` turns it into the factor L = U^-T of
 H^-1, and the explicit inverse below is the verification suites'
 independent route to the same objects.
 
+Every public routine that reads H scans it for NaN, inf and asymmetry
+once, and no parameter turns the scan off; ``apply_damping`` is the
+layer's one scan.  ``reversed_cholesky``, which factors the layer's own
+gathered copy, and the private routines scan nothing.
+
 The spectral norm used for damping is one Lanczos (ARPACK) solve from a
 fixed-seed start vector, stopped at a relative Ritz residual of 1e-8
 (the eigenvalue's error is of the order of its square).  Its products
@@ -224,8 +229,7 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-@one_lapack_thread
-def top_singular_value(m: np.ndarray, *, checked: bool = False) -> float:
+def top_singular_value(m: np.ndarray) -> float:
     """Largest singular value of a symmetric PSD matrix by Lanczos.
 
     One ARPACK solve for the largest algebraic eigenvalue, started from
@@ -236,13 +240,17 @@ def top_singular_value(m: np.ndarray, *, checked: bool = False) -> float:
     carrying the best estimate: a converged Ritz value if ARPACK has
     one, else the largest diagonal entry, which bounds the top
     eigenvalue from below.  A 1x1 matrix, the one size ARPACK rejects,
-    is read off directly.  ``checked`` skips the finiteness and symmetry
-    scan, for a caller that has made it.
+    is read off directly.
     """
     m = _as_square(m)
+    check_symmetric(m)
+    return _top_eigenvalue(m)
+
+
+@one_lapack_thread
+def _top_eigenvalue(m: np.ndarray) -> float:
+    """``top_singular_value`` on a square m scanned for NaN, inf and asymmetry."""
     n = m.shape[0]
-    if not checked:
-        check_symmetric(m)
     # a zero matrix is the one ARPACK cannot start on; the diagonal rules
     # it out without a full scan on every other input
     if not (m.diagonal().any() or m.any()):
@@ -285,24 +293,25 @@ class DampingPolicy:
             raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
 
 
-def apply_damping(h: np.ndarray, policy: DampingPolicy, *, checked: bool = False) -> float:
-    """Resolve the policy on the undamped H and return the ridge lambda.
+def apply_damping(h: np.ndarray, policy: DampingPolicy) -> float:
+    """Scan the undamped H for NaN, inf and asymmetry, in every mode, then
+    resolve the policy on it and return the ridge lambda.
 
     H is only read.  The caller adds lambda to the diagonal of the
     copies it holds, and everything downstream shares that one number
-    rather than re-resolving it on a modified matrix.  ``checked`` skips
-    the spectral norm's finiteness and symmetry scan, for a caller that
-    has made it.  A finite H can still give a ridge past float64's range,
-    which raises NonFiniteInputError.
+    rather than re-resolving it on a modified matrix.  A finite H can
+    still give a ridge past float64's range, which raises
+    NonFiniteInputError.
     """
     h = _as_square(h, "H")
+    check_symmetric(h, "H")
     if policy.mode == "none":
         return 0.0
     if policy.mode == "mean_diag_percent":
         with np.errstate(over="ignore"):  # an overflowing mean is rejected below
             lam = 0.01 * float(np.mean(np.diag(h))) if h.shape[0] else 0.0
     else:
-        lam = policy.alpha * top_singular_value(h, checked=checked)
+        lam = policy.alpha * _top_eigenvalue(h)
     if not math.isfinite(lam):
         raise NonFiniteInputError(f"damping {policy.mode} with alpha {policy.alpha:g} gives the ridge {lam}")
     return lam

@@ -1,4 +1,4 @@
-"""Independent oracles the rounding code is checked against.
+"""Independent oracles the rounding code is tested against.
 
 Nothing here shares a factorization path with the engine: least-squares
 solves go through numpy's SVD-based lstsq, pseudoinverses through numpy

@@ -37,7 +37,7 @@ sqrt(lambda) I were appended to both activation sets as calibration
 rows.  The caller's matrices are never written.
 
 The layer driver is two halves.  ``prepare_layer`` reads the stats
-alone: one finiteness and symmetry scan of H, the ridge, the order, and
+alone: the ridge (``apply_damping``, the one scan of H), the order, and
 the damped H gathered in processing order, which optq and qronos factor
 in place by one Cholesky of its index reversal (``reversed_cholesky``).
 ``round_layer`` reads one weight matrix and, never writing it, the
@@ -46,10 +46,11 @@ sweep.  Layers on one input (a block's q/k/v projections; H depends on
 the input alone) so pay for the scan, ridge, order and factor once.
 ``quantize_layer`` is the two halves, then q in the caller's order, the
 moment objective (q^T (H + lambda I) q = ||U^T q||^2, read off the sweep)
-and the report; the per-column entry points run the halves on one
-channel, in the caller's order with no ridge of their own, and skip the
-rest.  Only gpfq reads G's entries; the others hold G W as one n x n_out
-cross term, (G W)[perm] + lambda W[perm], from the stats' GW when
+and the report; both it and ``round_layer`` first match the weights to
+the stats.  The per-column entry points run the halves on one channel,
+in the caller's order with no ridge of their own, and skip the rest.
+Only gpfq reads G's entries; the others hold G W as one n x n_out cross
+term, (G W)[perm] + lambda W[perm], from the stats' GW when
 calibration folded Xq^T (X W) (``layer_stats``), else from one G @ W.
 Each whole array exists once: optq and qronos hold H's factored copy and
 three arrays of W's size (W in processing order, then s - q and U^T q;
@@ -80,7 +81,7 @@ from . import calib as _calib
 from . import grid as _grid
 from . import linalg as _linalg
 from .errors import NotPositiveDefiniteError, ShapeError
-from .linalg import DampingPolicy, apply_damping, check_finite, check_symmetric, reversed_cholesky
+from .linalg import DampingPolicy, apply_damping, check_finite, reversed_cholesky
 
 # the factor L = U^-T of H^-1, exported here: the independent reference
 # for the sweep's U
@@ -116,9 +117,10 @@ ORDER_MODES = ("diag", "natural")
 # blocks before it in one matrix product
 SWEEP_BLOCK = 128
 SWEEP_SUB = 16  # steps per sub-block, whose own rows alone take rank-1 updates
-# LayerReport.timings keys, in the order the layer runs them; "permute"
-# also forms the cross term, G @ W included when the stats hold G
-PHASES = ("check", "damping", "permute", "factor", "first_step", "sweep", "unpermute", "objective")
+# LayerReport.timings keys, in the order the layer runs them; "damping" also
+# scans H, "check" scans the cross moment, and "permute" forms the cross
+# term, G @ W included when the stats hold G
+PHASES = ("damping", "check", "permute", "factor", "first_step", "sweep", "unpermute", "objective")
 
 
 @dataclass
@@ -299,7 +301,7 @@ class LayerReport:
     objective_form: str
     objectives: np.ndarray
     warnings: list[str] = field(default_factory=list)
-    # wall-clock seconds per phase, keyed by PHASES
+    # wall-clock seconds per phase, keyed by PHASES; "damping" includes H's scan
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -312,7 +314,7 @@ class PreparedLayer(NamedTuple):
     reversed factor c (``reversed_cholesky``) for optq and qronos, and
     None for gpfq, which reads the caller's H and G through ``order``;
     ``h0`` is the damped H's row 0 in processing order (qronos).
-    ``timings`` holds the check, damping, permute and factor seconds.
+    ``timings`` holds the damping, check, permute and factor seconds.
     """
 
     method: str
@@ -327,11 +329,11 @@ class PreparedLayer(NamedTuple):
 
 @_linalg.one_lapack_thread
 def prepare_layer(stats: _calib.CalibStats, damping: DampingPolicy, order: str, method: str) -> PreparedLayer:
-    """The half of ``quantize_layer`` that reads the stats alone: scan H and
-    the cross moment, resolve the ridge on the undamped H, order, and
-    gather the damped H in processing order, which optq and qronos factor
-    in place.  Arguments are as in ``LayerQuantRequest``.  Warnings and a
-    NotPositiveDefiniteError name the caller's feature."""
+    """The half of ``quantize_layer`` that reads the stats alone: resolve the
+    ridge (``apply_damping``, which scans H), scan the cross moment, order,
+    and gather the damped H in processing order, which optq and qronos
+    factor in place.  Arguments are as in ``LayerQuantRequest``.  Warnings
+    and a NotPositiveDefiniteError name the caller's feature."""
     _check_modes(method, order)
     if method == "rtn":
         raise ValueError("method 'rtn' reads no moments; quantize_layer rounds it directly")
@@ -345,15 +347,13 @@ def prepare_layer(stats: _calib.CalibStats, damping: DampingPolicy, order: str, 
         raise ValueError("these stats hold no second moment H")
     clock = time.perf_counter
     t0 = clock()
-    # the one finiteness and symmetry scan of H: the sweeps would carry a NaN
-    # or inf into q without raising, and the damping call skips its own scan
-    check_symmetric(stats.H, "H")
+    # the layer's one scan of H, without which the sweeps carry a NaN or inf into q
+    lam = apply_damping(stats.H, damping)
+    t1 = clock()
     if stats.GW is not None:
         check_finite(stats.GW, "GW")
     elif stats.G is not stats.H:
         check_finite(stats.G, "G")
-    t1 = clock()
-    lam = apply_damping(stats.H, damping, checked=True)
     t2 = clock()
     # the ridge shifts every diagonal entry equally, so ordering from the
     # undamped diagonal is the same permutation
@@ -378,7 +378,7 @@ def prepare_layer(stats: _calib.CalibStats, damping: DampingPolicy, order: str, 
     for a in (perm, h, h0):
         if a is not None:
             a.flags.writeable = False
-    timings = {"check": t1 - t0, "damping": t2 - t1, "permute": t3 - t2, "factor": clock() - t3 if factored else 0.0}
+    timings = {"damping": t1 - t0, "check": t2 - t1, "permute": t3 - t2, "factor": clock() - t3 if factored else 0.0}
     return PreparedLayer(method, stats, lam, perm, h, h0,
                          tuple(f"gpfq: zero-norm quantized-path column {f}, RTN fallback" for f in dead), timings)
 
@@ -386,14 +386,16 @@ def prepare_layer(stats: _calib.CalibStats, damping: DampingPolicy, order: str, 
 @_linalg.one_lapack_thread
 def round_layer(prepared: PreparedLayer, weights: np.ndarray, grids: _grid.QuantGrid,
                 on_state: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
-    """The half of ``quantize_layer`` that reads the weights: form the cross
-    term, from the stats' G W if formed with these weights, else as G @ W,
-    then run the first step and the sweep.  Returns q in processing order,
-    row t for the caller's row ``prepared.order[t]``.  Arguments are as in
-    ``LayerQuantRequest``.  ``prepared`` is only read, so it serves every
-    weight matrix on its input.  A NotPositiveDefiniteError (qronos_base's
-    per-step solve) names the caller's feature."""
-    return _round(prepared, _as_weights(weights, grids), grids, on_state, dict.fromkeys(PHASES, 0.0))[0]
+    """The half of ``quantize_layer`` that reads the weights: match them to
+    the stats, form the cross term, from the stats' G W if formed with
+    these weights, else as G @ W, then run the first step and the sweep.
+    Returns q in processing order, row t for the caller's row
+    ``prepared.order[t]``.  Arguments are as in ``LayerQuantRequest``.
+    ``prepared`` is only read, so it serves every weight matrix on its
+    input.  A NotPositiveDefiniteError (qronos_base's per-step solve)
+    names the caller's feature."""
+    w = _as_weights(weights, grids, prepared.stats)
+    return _round(prepared, w, grids, on_state, dict.fromkeys(PHASES, 0.0))[0]
 
 
 @_linalg.one_lapack_thread
@@ -402,7 +404,9 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
     ``prepare_layer`` and ``round_layer``, then q in the caller's order,
     the moment objective and the ``LayerReport``.  Warnings and a
     NotPositiveDefiniteError name the caller's feature."""
-    w = _as_weights(req.weights, req.grids)
+    # the weights matched to the stats before any stats-side work; with no
+    # stats, prepare_layer names what is missing
+    w = _as_weights(req.weights, req.grids, None if req.method == "rtn" else req.stats)
     n_in, n_out = w.shape
     _check_modes(req.method, req.order)
     timings = dict.fromkeys(PHASES, 0.0)
@@ -428,15 +432,11 @@ def quantize_layer(req: LayerQuantRequest) -> tuple[np.ndarray, LayerReport]:
 
 
 def _round(prep, w, grid, on_state, timings, objective=False):
-    """``round_layer`` on checked weights: q in processing order, optq's
+    """``round_layer`` on matched weights: q in processing order, optq's
     and qronos's q^T (H + lambda I) q if ``objective`` (else None) and G W
     in the caller's order (None where it formed none).  Adds the cross
     term's seconds to timings["permute"], sets the first step's and the sweep's."""
     stats, method, order, lam = prep.stats, prep.method, prep.order, prep.damping_lambda
-    if stats.dim != w.shape[0]:
-        raise ShapeError(f"stats dim {stats.dim} does not match weight rows {w.shape[0]}")
-    if stats.GW is not None and (stats.GW.shape != w.shape or not np.array_equal(stats.W, w)):
-        raise ValueError("these stats hold G W for other weights")
     t0 = time.perf_counter()
     wp = _calib.permute_weights(w, order)
     factored = method in ("optq", "qronos")
@@ -491,7 +491,7 @@ def _direct_sweep(wp, grid, hp, gwp, on_state):
     """qronos_base on every column of ``wp`` (n, n_out), as ``_sweep``:
     every step re-solves the trailing normal equations of the damped,
     permuted H ``hp``, right-hand side from gwp = (G W)[perm], by one
-    ``dposv`` (hp was checked whole, so its trailing blocks need no
+    ``dposv`` (hp was scanned whole, so its trailing blocks need no
     scan), and hands its state to ``on_state``.  A
     NotPositiveDefiniteError names its 1-based pivot in processing
     order.  Returns q."""
@@ -499,6 +499,8 @@ def _direct_sweep(wp, grid, hp, gwp, on_state):
     rtn = grid.rounder
     q = np.empty_like(wp)
     tail = wp  # the rows from step t on, refit by the step before
+    if not hp[0, 0] > 0.0:  # the one pivot no step's trailing solve factors
+        raise NotPositiveDefiniteError(1)
     if on_state is not None:
         on_state(wp)
     for t in range(n):
@@ -624,9 +626,11 @@ def _check_modes(method, order):
         raise ValueError(f"unknown order mode {order!r} (expected one of {ORDER_MODES})")
 
 
-def _as_weights(w, grid) -> np.ndarray:
+def _as_weights(w, grid, stats) -> np.ndarray:
     """``w`` as a float64 weight matrix with at least one output column,
-    and ``grid`` one QuantGrid whose arrays, if any, match its columns."""
+    ``grid`` one QuantGrid whose arrays, if any, match its columns, and
+    ``stats``, unless None, of w's row count and, if they hold G W,
+    formed with w."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] == 0:
         raise ShapeError(f"expected a 2-D weight matrix with output columns, got shape {w.shape}")
@@ -635,4 +639,8 @@ def _as_weights(w, grid) -> np.ndarray:
     shapes = (np.shape(grid.step_size), np.shape(grid.zero_point))
     if set(shapes) - {(), (w.shape[1],)}:
         raise ShapeError(f"grid step and zero point of shapes {shapes} do not match {w.shape[1]} output columns")
+    if stats is not None and stats.dim != w.shape[0]:
+        raise ShapeError(f"stats dim {stats.dim} does not match weight rows {w.shape[0]}")
+    if stats is not None and stats.GW is not None and (stats.GW.shape != w.shape or not np.array_equal(stats.W, w)):
+        raise ValueError("these stats hold G W for other weights")
     return w

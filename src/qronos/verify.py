@@ -225,7 +225,7 @@ def _check_oracle(rng, i, tol, detail):
     squares problem enumerates fully.  Every greedy method must be
     dominated by the global optimum and must match the per-step argmin
     either by value or by objective within the tie tolerance; the steps
-    checked and agreeing are counted into ``detail``.
+    compared and agreeing are counted into ``detail``.
     """
     x, xq, w, grid = _instance(rng, 4, 32, 4)
     h = xq.T @ xq

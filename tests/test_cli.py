@@ -709,6 +709,19 @@ def test_weights_column_whose_range_overflows_is_numeric_error(tmp_path, capsys,
     assert not (tmp_path / "q.qmx").exists()
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_weights_grid_is_built_before_any_calibration_read(tmp_path, capsys, symmetric):
+    """A weights column whose step overflows exits 5 before the calibration
+    files are opened: a --calib-x that does not exist is never read."""
+    w = np.ones((6, 3))
+    w[1, 2], w[4, 2] = 1e308, -1e308
+    args = quantize_args(tmp_path, w, method="qronos", levels=2, calib_x=tmp_path / "absent.qmx",
+                         calib_xt=tmp_path / "absent_too.qmx", **({"symmetric": True} if symmetric else {}))
+    assert run(args) == 5
+    err = capsys.readouterr().err
+    assert "column 2" in err and "absent" not in err
+
+
 @pytest.mark.parametrize("top, bottom, symmetric", [(1e308, 0.0, True), (1e308, -1e308, False),
                                                     (1e308, -1e308, True)])
 def test_weights_column_whose_range_overflows_gets_a_finite_grid(tmp_path, top, bottom, symmetric):

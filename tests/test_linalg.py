@@ -244,8 +244,11 @@ def test_symmetry_check_spans_tiles(where):
         chol_of_inverse,
         top_singular_value,
         lambda m: apply_damping(m, DampingPolicy("top_singular_fraction")),
+        lambda m: apply_damping(m, DampingPolicy("none")),
+        lambda m: apply_damping(m, DampingPolicy("mean_diag_percent")),
     ],
-    ids=["cholesky_lower", "chol_of_inverse", "top_singular_value", "apply_damping"],
+    ids=["cholesky_lower", "chol_of_inverse", "top_singular_value", "apply_damping",
+         "apply_damping_none", "apply_damping_meandiag"],
 )
 def test_public_routes_still_reject_asymmetry(route):
     m = random_spd(np.random.default_rng(9), 6)
@@ -273,10 +276,13 @@ def _qronos_layer(h, method="qronos"):
     [
         top_singular_value,
         lambda h: apply_damping(h, DampingPolicy("top_singular_fraction")),
+        lambda h: apply_damping(h, DampingPolicy("none")),
+        lambda h: apply_damping(h, DampingPolicy("mean_diag_percent")),
         _qronos_layer,
         lambda h: _qronos_layer(h, method="gpfq"),
     ],
-    ids=["top_singular_value", "apply_damping", "quantize_layer", "quantize_layer_gpfq"],
+    ids=["top_singular_value", "apply_damping", "apply_damping_none", "apply_damping_meandiag",
+         "quantize_layer", "quantize_layer_gpfq"],
 )
 def test_non_finite_matrix_is_named_without_warnings(bad, route):
     h = np.eye(5)

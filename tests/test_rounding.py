@@ -17,6 +17,7 @@ from qronos import (
     METHOD_SPECS,
     METHODS,
     NonFiniteInputError,
+    NotPositiveDefiniteError,
     QuantGrid,
     ShapeError,
     accumulate,
@@ -907,12 +908,64 @@ def test_layer_scans_h_for_symmetry_once(monkeypatch, method, mode):
         return original(m, name)
 
     monkeypatch.setattr(linalg_mod, "check_symmetric", counting)
-    monkeypatch.setattr(rounding_mod, "check_symmetric", counting)
+    monkeypatch.setattr(rounding_mod, "check_symmetric", counting, raising=False)
     rng = np.random.default_rng(34)
     w, _, _, stats, grid = layer_instance(rng, 40, 160, 3, 8)
     quantize_layer(LayerQuantRequest(weights=w, grids=grid, method=method, stats=stats,
                                      damping=DampingPolicy(mode)))
     assert calls == [(40, 40)]
+
+
+@pytest.mark.parametrize("method", ["qronos", "optq", "qronos_base", "gpfq"])
+def test_weights_are_matched_to_the_stats_before_any_stats_side_work(monkeypatch, method):
+    """Weights with the wrong row count raise ShapeError, and weights other
+    than those in the stats' G W raise ValueError, before H is scanned or
+    damped: here H holds a NaN that a scan would name first."""
+    import qronos.rounding as rounding_mod
+
+    calls = []
+    monkeypatch.setattr(rounding_mod, "apply_damping", lambda *a: calls.append(a))
+    rng = np.random.default_rng(35)
+    w = rng.standard_normal((8, 2))
+    grid = grid_from_minmax(w, 4)
+    h = np.eye(8)
+    h[3, 3] = np.nan
+    stats = CalibStats(8, H=h, G=np.eye(8))
+    with pytest.raises(ShapeError, match="weight rows 7"):
+        quantize_layer(LayerQuantRequest(weights=w[:7], grids=grid, method=method, stats=stats))
+    if method != "gpfq":
+        gw_stats = CalibStats(8, H=h, GW=np.ones((8, 2)), W=w)
+        with pytest.raises(ValueError, match="other weights"):
+            quantize_layer(LayerQuantRequest(weights=w + 1.0, grids=grid, method=method, stats=gw_stats))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, order", [(1, "diag"), (3, "natural")])
+def test_direct_form_names_a_zero_leading_pivot(n, order):
+    """Processing step 0's pivot lies in no trailing block, so qronos_base
+    raises on it as qronos does, rather than rounding 0 / 0."""
+    h = np.diag([0.0] + [1.0] * (n - 1))
+    w = np.ones((n, 2))
+    for method in ("qronos_base", "qronos"):
+        req = LayerQuantRequest(w, grid_from_minmax(w * [1.0, 2.0], 4), method, CalibStats(n, H=h, G=h.copy()),
+                                DampingPolicy("none"), order)
+        with pytest.raises(NotPositiveDefiniteError, match="feature 1,"):
+            quantize_layer(req)
+
+
+def test_round_layer_matches_the_weights_before_the_cross_term(monkeypatch):
+    import qronos.calib as calib_mod
+
+    rng = np.random.default_rng(36)
+    w, x, xq, _, grid = layer_instance(rng, 12, 48, 2, 8)
+    prep = prepare_layer(layer_stats("qronos", w, x, xq), DampingPolicy("none"), "diag", "qronos")
+    calls = []
+    monkeypatch.setattr(calib_mod, "permute_weights", lambda *a: calls.append(a))
+    with pytest.raises(ShapeError, match="weight rows 11"):
+        round_layer(prep, w[:11], grid)
+    with pytest.raises(ValueError, match="other weights"):
+        round_layer(prep, w + 1.0, grid)
+    assert calls == []
 
 
 # the inputs calib.accumulate gets for each method, spelled out by hand:
