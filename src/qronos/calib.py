@@ -19,6 +19,15 @@ itself from a G.  When both paths are the same array (one-path methods)
 the cross moment is H itself: G shares H's array and one product feeds
 both.
 
+The moments do not depend on the BLAS thread count.  A threaded product
+sums in an order set by the count, so ``accumulate`` runs each product
+as one whole call with NumPy's OpenBLAS pool pinned to one thread
+(``linalg.one_blas_thread``) and restores the caller's count.  To use a
+second core anyway, the cross product runs on a worker thread while the
+calling thread forms H; one-path batches have one product and no
+worker.  Row or column blocks of one product would split the work too,
+but they change its last bits.
+
 The processing order is one permutation array, entry t the caller's
 index of step t: by descending diagonal of H with stable ties.  The
 layer applies it to weight rows and reads H and G through it, and
@@ -29,10 +38,12 @@ order-agnostic.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg as _linalg
 from .errors import NonFiniteInputError, ShapeError
 
 
@@ -109,16 +120,9 @@ def accumulate(
     if stats.GW is not None and (w is None or not np.array_equal(w, stats.W)):
         raise ValueError("these stats hold G W; every batch must pass the same weights")
 
+    h_part, cross = _products(x, xq, w if use_gw else None, one_path)
     # an inf or NaN in xq reaches H's diagonal, one in x every entry of
     # its cross column; only then is the batch scanned for the cell
-    with np.errstate(invalid="ignore", over="ignore"):
-        h_part = xq.T @ xq
-        if use_gw:
-            cross = xq.T @ (x @ w)
-        elif one_path:
-            cross = h_part
-        else:
-            cross = xq.T @ x
     bad = not np.isfinite(h_part.diagonal()).all()
     if cross is not h_part:
         bad |= not (math.isfinite(cross.max(initial=0.0)) and math.isfinite(cross.min(initial=0.0)))
@@ -146,6 +150,44 @@ def accumulate(
         stats.G += cross
     stats.n_samples += x.shape[0]
     return stats
+
+
+def _products(x, xq, w, one_path):
+    """(Xq^T Xq, the cross product) of one batch: Xq^T (X W) with ``w``,
+    else Xq^T X, or the first product itself for one path.
+
+    Each product is one call with NumPy's OpenBLAS pool at one thread, so
+    its bits do not depend on the caller's thread count.  The cross
+    product runs on a worker thread while this one forms H; the worker
+    fills arrays allocated here, which keeps them in this thread's heap.
+    """
+    with _linalg.one_blas_thread("numpy"), np.errstate(invalid="ignore", over="ignore"):
+        if one_path:
+            h = xq.T @ xq
+            return h, h
+        xw = None if w is None else np.empty((x.shape[0], w.shape[1]))
+        cross = np.empty((x.shape[1], x.shape[1] if w is None else w.shape[1]))
+        failed = []
+
+        def work():
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):  # per thread
+                    if xw is None:
+                        np.matmul(xq.T, x, out=cross)
+                    else:
+                        np.matmul(xq.T, np.matmul(x, w, out=xw), out=cross)
+            except BaseException as exc:  # re-raised on the calling thread
+                failed.append(exc)
+
+        worker = threading.Thread(target=work, name="qronos-cross-moment")
+        worker.start()
+        try:
+            h = xq.T @ xq
+        finally:
+            worker.join()
+    if failed:
+        raise failed[0]
+    return h, cross
 
 
 def _raise_non_finite(x, xq, one_path):

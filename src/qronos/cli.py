@@ -129,10 +129,11 @@ def _read_finite(path) -> np.ndarray:
     return arr
 
 
-def _read_shaped(path, rows, cols) -> np.ndarray:
-    """Read a matrix file as float64, rejecting non-finite entries and any
-    shape but (rows, cols); ``rows`` None takes any row count."""
-    a = np.asarray(_read_finite(path), dtype=np.float64)
+def _read_shaped(path, rows, cols, finite=True) -> np.ndarray:
+    """Read a matrix file as float64, rejecting any shape but (rows, cols)
+    and, if ``finite``, non-finite entries; ``rows`` None takes any row
+    count."""
+    a = np.asarray(_read_finite(path) if finite else _qmx.read_qmx(path), dtype=np.float64)
     if a.shape[1] != cols or rows not in (None, a.shape[0]):
         raise ShapeError(f"{path}: shape {a.shape} must be ({'m' if rows is None else rows}, {cols})")
     return a
@@ -191,8 +192,9 @@ def cmd_quantize(args) -> int:
         stats = _rounding.layer_stats(method, w, x, xq)
         x = xq = None  # the moments hold everything the layer reads
     else:
-        h = _read_shaped(args.stats_h, n_in, n_in)
-        g = _read_shaped(args.stats_g, n_in, n_in) if needs_pair else h
+        # the layer scans both (its errors name the file below), so no scan here
+        h = _read_shaped(args.stats_h, n_in, n_in, finite=False)
+        g = _read_shaped(args.stats_g, n_in, n_in, finite=False) if needs_pair else h
         stats = _calib.CalibStats(n_in, H=h, G=g)
     t_stats = time.perf_counter() - t0
 
@@ -216,7 +218,13 @@ def cmd_quantize(args) -> int:
         order=args.order,
         on_state=take_move if args.trace else None,
     )
-    q, layer_report = _rounding.quantize_layer(req)
+    try:
+        q, layer_report = _rounding.quantize_layer(req)
+    except (NonFiniteInputError, NotSymmetricError) as exc:
+        if not stats_given:
+            raise
+        path = args.stats_g if str(exc).startswith("G:") else args.stats_h
+        raise type(exc)(f"{path}: {exc}") from None
     t_algo = time.perf_counter() - t0
 
     out_dtype = "f32" if weights_raw.dtype == np.float32 else "f64"

@@ -24,12 +24,19 @@ fixed-seed start vector, stopped at a relative Ritz residual of 1e-8
 (the eigenvalue's error is of the order of its square).  Its products
 read one triangle of H, as the Cholesky does, on one BLAS thread: a
 threaded ``dsymv`` sums in an order set by the thread count.
+
+NumPy and SciPy each bundle an OpenBLAS with its own thread pool, and
+``one_blas_thread`` pins either to one thread for a block:
+``one_lapack_thread`` pins SciPy's around the layer, and
+``calib.accumulate`` NumPy's around the moments.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,13 +62,13 @@ DAMPING_MODES = ("mean_diag_percent", "top_singular_fraction", "none")
 
 
 @functools.cache
-def _scipy_pool():
-    """(get, set) for the thread count of the OpenBLAS SciPy bundles, or
-    None where SciPy uses a BLAS without them.  Opening the library SciPy
-    has loaded returns that same library; ILP64 builds suffix 64_."""
-    import scipy
-
-    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*")):
+def _openblas_pool(package: str):
+    """(get, set) for the thread count of the OpenBLAS ``package`` (numpy or
+    scipy) bundles, or None where it uses a BLAS without them.  Opening the
+    library the package has loaded returns that same library; ILP64 builds
+    suffix 64_."""
+    root = Path(importlib.import_module(package).__file__).parent.parent
+    for path in sorted((root / f"{package}.libs").glob("libscipy_openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
@@ -76,31 +83,43 @@ def _scipy_pool():
     return None
 
 
+@contextlib.contextmanager
+def one_blas_thread(package: str):
+    """The block run with ``package``'s OpenBLAS pool at one thread, the
+    caller's count restored when it exits or raises.  The count is per
+    process, so blocks run concurrently in threads may restore it out of
+    order."""
+    pool = _openblas_pool(package)
+    prev = pool[0]() if pool else 1
+    if prev == 1:
+        yield
+        return
+    pool[1](1)
+    try:
+        yield
+    finally:
+        pool[1](prev)
+
+
 def one_lapack_thread(fn):
-    """``fn`` run with SciPy's OpenBLAS pool at one thread, the caller's
-    count restored when it returns or raises.
+    """``fn`` run with SciPy's OpenBLAS pool at one thread
+    (``one_blas_thread("scipy")``).
 
     SciPy loads its own OpenBLAS, apart from NumPy's, and its pool stalls
     for milliseconds on calls that follow each other closely: the layer's
     factor, triangular solves and per-step ``dposv``.  On a 2-vCPU Xeon
     one thread cut a K=512 qronos_base layer from 5.05 to 0.75 s, and no
-    layer from K=32 to 2048 gained from a second one.  NumPy's pool, which
-    runs the layer's matrix products, is left alone, and so is SciPy's
-    where the symbols are absent.  The count is per process, so layers
-    run concurrently in threads may restore it out of order.
+    layer from K=32 to 2048 gained from a second one.  NumPy's pool runs
+    the layer's matrix products at the caller's count; ``calib.accumulate``
+    pins it to one thread for the moments, which must not depend on the
+    count.  Where SciPy uses a BLAS without the pool symbols, nothing is
+    pinned.
     """
 
     @functools.wraps(fn)
     def pinned(*args, **kwargs):
-        pool = _scipy_pool()
-        prev = pool[0]() if pool else 1
-        if prev == 1:
+        with one_blas_thread("scipy"):
             return fn(*args, **kwargs)
-        pool[1](1)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            pool[1](prev)
 
     return pinned
 

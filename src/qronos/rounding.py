@@ -248,6 +248,9 @@ def layer_stats(method: str, weights: np.ndarray, x: np.ndarray, xq: np.ndarray 
     calibrate on the pair (x, xq), the others on x alone (``xq`` is not
     read).  The weights go to ``calib.accumulate`` unless the method
     reads G's entries, so the stats hold G W whenever 2 n_out < n_in.
+    ``accumulate`` forms each product with NumPy's OpenBLAS pool at one
+    thread, the cross product on a worker beside H, so the stats have
+    the same bits at every BLAS thread count.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")

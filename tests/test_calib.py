@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,3 +310,45 @@ def test_malformed_calibration_input_raises(call, error, match):
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             call()
+
+
+_POOL_SCRIPT = """
+import numpy as np
+from qronos import CalibStats, NonFiniteInputError, accumulate
+from qronos.linalg import _openblas_pool
+pool = _openblas_pool("numpy")
+if pool is None:
+    raise SystemExit("no pool")
+x = np.random.default_rng(3).standard_normal((64, 16))
+seen = [pool[0]()]
+accumulate(CalibStats(16), x, x + 1.0, weights=np.ones((16, 2)))
+seen.append(pool[0]())
+bad = x.copy()
+bad[5, 7] = np.nan
+try:
+    accumulate(CalibStats(16), x, bad)
+except NonFiniteInputError:
+    seen.append(pool[0]())
+def fail(*args, **kwargs):  # the worker's product, which must reach the caller
+    raise MemoryError("cross product")
+np.matmul = fail
+try:
+    accumulate(CalibStats(16), x, x + 1.0)
+except MemoryError:
+    seen.append(pool[0]())
+print(seen)
+"""
+
+
+def test_numpy_pool_count_is_restored():
+    """accumulate pins NumPy's OpenBLAS pool to one thread for its products
+    and gives the caller's count back, also when it or its worker raises."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _POOL_SCRIPT], env=env, capture_output=True, text=True,
+                         timeout=300)
+    if out.returncode and "no pool" in out.stderr:
+        pytest.skip("NumPy's BLAS exports no thread-count symbols")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[2, 2, 2, 2]"

@@ -1,10 +1,14 @@
 import contextlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qronos import grid_from_minmax, read_qmx, write_qmx
+from qronos import CalibStats, accumulate, grid_from_minmax, read_qmx, write_qmx
 from qronos.rounding import quantize_optq_column, quantize_qronos_base_column, quantize_qronos_column
 from qronos.cli import main
 
@@ -566,11 +570,53 @@ def test_raw_activations_and_stats_files_give_the_same_q(tmp_path, method):
     two_path = method != "optq"
     assert run(quantize_args(a, w, x=x, xq=xq if two_path else None, method=method,
                              report=a / "r.json")) == 0
-    h, g = (xq.T @ xq, xq.T @ x) if two_path else (x.T @ x, None)
+    # the program's own route to the moments, whose bits do not depend on the thread count
+    stats = accumulate(CalibStats(n), x, xq if two_path else x)
+    h, g = stats.H, stats.G if two_path else None
     assert run(_stats_args(b, w, h, g, method=method, report=b / "r.json")) == 0
     assert read_qmx(a / "q.qmx").tobytes() == read_qmx(b / "q.qmx").tobytes()
     lams = [json.loads((d / "r.json").read_text())["result"]["lambda"] for d in (a, b)]
     assert lams[0] == lams[1]
+
+
+# one quantize per method, run from the current directory, so the report's
+# --out (and every other flag) reads the same at either thread count
+_QUANTIZE_SCRIPT = """
+import sys
+from qronos.cli import main
+inputs = sys.argv[1]
+for method in ("qronos", "optq", "gpfq"):
+    code = main(["quantize", "--weights", inputs + "/w.qmx", "--calib-x", inputs + "/x.qmx",
+                 "--calib-xt", inputs + "/xq.qmx", "--method", method,
+                 "--out", f"q-{method}.qmx", "--report", f"r-{method}.json"])
+    assert code == 0, (method, code)
+"""
+
+
+def test_quantize_from_activations_independent_of_blas_threads(tmp_path):
+    """q and everything in the report outside "timing" are the same at 1 and
+    2 BLAS threads: the moments, the ridge and the objectives."""
+    rng = np.random.default_rng(300)
+    x = rng.standard_normal((700, 300)) * np.exp(rng.uniform(-1.0, 1.0, 300))
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_qmx(inputs / "w.qmx", rng.standard_normal((300, 75)))
+    write_qmx(inputs / "x.qmx", x)
+    write_qmx(inputs / "xq.qmx", x + 0.1 * rng.standard_normal(x.shape))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run([sys.executable, "-c", _QUANTIZE_SCRIPT, str(inputs)], cwd=tmp_path / threads,
+                       env=env, capture_output=True, text=True, check=True, timeout=300)
+    for method in ("qronos", "optq", "gpfq"):
+        q1, q2 = ((tmp_path / t / f"q-{method}.qmx").read_bytes() for t in ("1", "2"))
+        assert q1 == q2, method
+        reports = [json.loads((tmp_path / t / f"r-{method}.json").read_text()) for t in ("1", "2")]
+        for r in reports:
+            assert r.pop("timing")
+        assert reports[0] == reports[1], method
 
 
 @pytest.mark.parametrize(

@@ -1163,7 +1163,7 @@ def test_scipy_pool_runs_the_layer_on_one_thread_and_is_restored(monkeypatch):
     import qronos.rounding as rounding_mod
     from qronos import NotPositiveDefiniteError
 
-    pool = linalg_mod._scipy_pool()
+    pool = linalg_mod._openblas_pool("scipy")
     if pool is None:
         pytest.skip("SciPy's BLAS exports no thread-count symbols")
     get, put = pool
