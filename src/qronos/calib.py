@@ -23,10 +23,12 @@ The moments do not depend on the BLAS thread count.  A threaded product
 sums in an order set by the count, so ``accumulate`` runs each product
 as one whole call with NumPy's OpenBLAS pool pinned to one thread
 (``linalg.one_blas_thread``) and restores the caller's count.  To use a
-second core anyway, the cross product runs on a worker thread while the
-calling thread forms H; one-path batches have one product and no
-worker.  Row or column blocks of one product would split the work too,
-but they change its last bits.
+second core anyway, the cross product runs as one future on a worker
+thread while the calling thread forms H; one-path batches have one
+product and no worker.  Row or column blocks of one product would split
+the work too, but they change its last bits.  The products are also the
+activations' one scan: a NaN or inf shows in them, and only then is the
+batch searched for the cell to name.
 
 The processing order is one permutation array, entry t the caller's
 index of step t: by descending diagonal of H with stable ties.  The
@@ -38,7 +40,7 @@ order-agnostic.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +160,9 @@ def _products(x, xq, w, one_path):
 
     Each product is one call with NumPy's OpenBLAS pool at one thread, so
     its bits do not depend on the caller's thread count.  The cross
-    product runs on a worker thread while this one forms H; the worker
-    fills arrays allocated here, which keeps them in this thread's heap.
+    product is one future on a worker thread, whose result re-raises any
+    error, while this one forms H; the worker fills arrays allocated
+    here, which keeps them in this thread's heap.
     """
     with _linalg.one_blas_thread("numpy"), np.errstate(invalid="ignore", over="ignore"):
         if one_path:
@@ -167,26 +170,18 @@ def _products(x, xq, w, one_path):
             return h, h
         xw = None if w is None else np.empty((x.shape[0], w.shape[1]))
         cross = np.empty((x.shape[1], x.shape[1] if w is None else w.shape[1]))
-        failed = []
 
         def work():
-            try:
-                with np.errstate(invalid="ignore", over="ignore"):  # per thread
-                    if xw is None:
-                        np.matmul(xq.T, x, out=cross)
-                    else:
-                        np.matmul(xq.T, np.matmul(x, w, out=xw), out=cross)
-            except BaseException as exc:  # re-raised on the calling thread
-                failed.append(exc)
+            with np.errstate(invalid="ignore", over="ignore"):  # per thread
+                if xw is None:
+                    np.matmul(xq.T, x, out=cross)
+                else:
+                    np.matmul(xq.T, np.matmul(x, w, out=xw), out=cross)
 
-        worker = threading.Thread(target=work, name="qronos-cross-moment")
-        worker.start()
-        try:
+        with ThreadPoolExecutor(1, thread_name_prefix="qronos-cross-moment") as pool:
+            future = pool.submit(work)
             h = xq.T @ xq
-        finally:
-            worker.join()
-    if failed:
-        raise failed[0]
+            future.result()
     return h, cross
 
 

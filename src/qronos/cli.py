@@ -17,6 +17,7 @@ every NaN or infinity as null, so strict JSON parsers read it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -122,21 +123,26 @@ def _at_least(args, **floors):
             raise UsageError(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
 
 
-def _read_finite(path) -> np.ndarray:
-    """Read a matrix file and reject it if any entry is NaN or infinite."""
-    arr = _qmx.read_qmx(path)
-    check_finite(arr, path)
-    return arr
-
-
-def _read_shaped(path, rows, cols, finite=True) -> np.ndarray:
+def _read_shaped(path, rows, cols) -> np.ndarray:
     """Read a matrix file as float64, rejecting any shape but (rows, cols)
-    and, if ``finite``, non-finite entries; ``rows`` None takes any row
-    count."""
-    a = np.asarray(_read_finite(path) if finite else _qmx.read_qmx(path), dtype=np.float64)
+    (``rows`` None takes any row count); the call that reads it scans it."""
+    a = np.asarray(_qmx.read_qmx(path), dtype=np.float64)
     if a.shape[1] != cols or rows not in (None, a.shape[0]):
         raise ShapeError(f"{path}: shape {a.shape} must be ({'m' if rows is None else rows}, {cols})")
     return a
+
+
+@contextlib.contextmanager
+def _in_file(*subjects):
+    """Re-raise a library error with the path of the first (prefix, path)
+    of ``subjects`` whose prefix starts its message ("" starts any)."""
+    try:
+        yield
+    except (NonFiniteInputError, NotSymmetricError, ShapeError) as exc:
+        for prefix, path in subjects:
+            if str(exc).startswith(prefix):
+                raise type(exc)(f"{path}: {exc}") from None
+        raise
 
 
 def cmd_quantize(args) -> int:
@@ -154,7 +160,8 @@ def cmd_quantize(args) -> int:
         raise UsageError(f"--alpha: {exc}") from exc
 
     t0 = time.perf_counter()
-    weights_raw = _read_finite(args.weights)
+    weights_raw = _qmx.read_qmx(args.weights)
+    check_finite(weights_raw, args.weights)  # the one scan: no library call reads every weight
     w = np.asarray(weights_raw, dtype=np.float64)
     n_in, n_out = w.shape
     raw_given = args.calib_x is not None or args.calib_xt is not None
@@ -177,24 +184,23 @@ def cmd_quantize(args) -> int:
                 raise UsageError(f"--method {args.method} needs --{name.replace('_', '-')}")
 
     # the grid before any calibration read, so a bad weights column ends the run first
-    try:
+    with _in_file(("", args.weights)):
         grid = (_grid.symmetric_scale_search(w, levels) if args.symmetric
                 else _grid.grid_from_minmax(w, levels, args.beta))
-    except (NonFiniteInputError, ShapeError) as exc:
-        raise type(exc)(f"{args.weights}: {exc}") from None
 
     t0 = time.perf_counter()
     if method == "rtn":
         stats = None
     elif raw_given:
+        # both files read before accumulate's one scan, which names the batch
         x = _read_shaped(args.calib_x, None, n_in)
         xq = _read_shaped(args.calib_xt, x.shape[0], n_in) if needs_pair else None
-        stats = _rounding.layer_stats(method, w, x, xq)
+        with _in_file(("x batch", args.calib_x), ("xq batch", args.calib_xt)):
+            stats = _rounding.layer_stats(method, w, x, xq)
         x = xq = None  # the moments hold everything the layer reads
     else:
-        # the layer scans both (its errors name the file below), so no scan here
-        h = _read_shaped(args.stats_h, n_in, n_in, finite=False)
-        g = _read_shaped(args.stats_g, n_in, n_in, finite=False) if needs_pair else h
+        h = _read_shaped(args.stats_h, n_in, n_in)
+        g = _read_shaped(args.stats_g, n_in, n_in) if needs_pair else h
         stats = _calib.CalibStats(n_in, H=h, G=g)
     t_stats = time.perf_counter() - t0
 
@@ -218,13 +224,10 @@ def cmd_quantize(args) -> int:
         order=args.order,
         on_state=take_move if args.trace else None,
     )
-    try:
+    # on the stats route the layer's errors name G, or H or the ridge from it
+    named = (("G:", args.stats_g), ("H", args.stats_h), ("damping", args.stats_h)) if stats_given else ()
+    with _in_file(*named):
         q, layer_report = _rounding.quantize_layer(req)
-    except (NonFiniteInputError, NotSymmetricError) as exc:
-        if not stats_given:
-            raise
-        path = args.stats_g if str(exc).startswith("G:") else args.stats_h
-        raise type(exc)(f"{path}: {exc}") from None
     t_algo = time.perf_counter() - t0
 
     out_dtype = "f32" if weights_raw.dtype == np.float32 else "f64"

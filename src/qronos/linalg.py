@@ -183,23 +183,22 @@ def cholesky_lower(m: np.ndarray) -> np.ndarray:
     return c
 
 
-def reversed_cholesky(rev: np.ndarray, *, clean: bool = False) -> np.ndarray:
+def reversed_cholesky(rev: np.ndarray) -> np.ndarray:
     """Factor the index reversal ``rev`` = J m J of an SPD m in place.
 
     Returns the lower C with rev = C C^T, so m = U U^T for the upper
     triangular U = J C J, as a Fortran-ordered view of rev's memory:
     LAPACK factors rev^T, the same matrix, with no copy when ``rev`` is
-    C-contiguous.  Only C's triangle is written unless ``clean`` zeroes
-    the other, as a caller reading C as a full matrix needs.  A pivot
-    with c_ii^2 <= n eps rev_ii (the default tolerance of LAPACK's
-    pivoted Cholesky) also fails, so an exactly singular matrix raises
-    rather than passing on rounding noise.  The NotPositiveDefiniteError
-    pivot is 1-based in m's order.  rev is not scanned for NaN or
-    asymmetry.
+    C-contiguous.  Only C's triangle is written; the other keeps rev's
+    entries.  A pivot with c_ii^2 <= n eps rev_ii (the default tolerance
+    of LAPACK's pivoted Cholesky) also fails, so an exactly singular
+    matrix raises rather than passing on rounding noise.  The
+    NotPositiveDefiniteError pivot is 1-based in m's order.  rev is not
+    scanned for NaN or asymmetry.
     """
     n = rev.shape[0]
     diag = rev.diagonal().copy()
-    c, info = lapack.dpotrf(rev.T, lower=1, clean=int(clean), overwrite_a=1)
+    c, info = lapack.dpotrf(rev.T, lower=1, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     if info == 0:
@@ -223,11 +222,11 @@ def chol_of_inverse(m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    c = reversed_cholesky(m[::-1, ::-1].copy(), clean=True)
+    c = reversed_cholesky(m[::-1, ::-1].copy())
     cinv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefiniteError(n + 1 - int(info))
-    return np.ascontiguousarray(cinv.T[::-1, ::-1])
+    return np.tril(cinv.T[::-1, ::-1])
 
 
 def spd_inverse(m: np.ndarray) -> np.ndarray:
@@ -248,8 +247,10 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def top_singular_value(m: np.ndarray) -> float:
-    """Largest singular value of a symmetric PSD matrix by Lanczos.
+@one_lapack_thread
+def _top_eigenvalue(m: np.ndarray) -> float:
+    """Largest eigenvalue, which is its largest singular value, of a square
+    symmetric PSD m already scanned for NaN, inf and asymmetry, by Lanczos.
 
     One ARPACK solve for the largest algebraic eigenvalue, started from
     a fixed-seed Gaussian vector: deterministic, and unlike a structured
@@ -261,14 +262,6 @@ def top_singular_value(m: np.ndarray) -> float:
     eigenvalue from below.  A 1x1 matrix, the one size ARPACK rejects,
     is read off directly.
     """
-    m = _as_square(m)
-    check_symmetric(m)
-    return _top_eigenvalue(m)
-
-
-@one_lapack_thread
-def _top_eigenvalue(m: np.ndarray) -> float:
-    """``top_singular_value`` on a square m scanned for NaN, inf and asymmetry."""
     n = m.shape[0]
     # a zero matrix is the one ARPACK cannot start on; the diagonal rules
     # it out without a full scan on every other input

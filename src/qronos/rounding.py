@@ -68,6 +68,7 @@ written after it is handed over, so tracing never changes q.
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 from collections.abc import Callable
@@ -83,8 +84,8 @@ from . import linalg as _linalg
 from .errors import NotPositiveDefiniteError, ShapeError
 from .linalg import DampingPolicy, apply_damping, check_finite, reversed_cholesky
 
-# the factor L = U^-T of H^-1, exported here: the independent reference
-# for the sweep's U
+# L = U^-T, H^-1's factor, named here for perfbench's rounding.factor_s span;
+# it runs the layer's own reversed_cholesky, so it is no independent reference
 chol_of_inverse = _linalg.chol_of_inverse
 
 
@@ -206,8 +207,7 @@ def quantize_gpfq_column(w: np.ndarray, x: np.ndarray, xq: np.ndarray, grid: _gr
         if norm2 > 0.0:
             q[t] = _grid.quantize_rtn(float(col @ ahead) / norm2, grid)
         else:
-            warnings.warn(f"quantized-path column {t} has zero norm; falling back to RTN for that step",
-                          RuntimeWarning, stacklevel=2)
+            _warn_caller(f"quantized-path column {t} has zero norm; falling back to RTN for that step")
             q[t] = _grid.quantize_rtn(w[t], grid)
         u = ahead - q[t] * col
         if record_trace and t + 1 < n:
@@ -376,8 +376,7 @@ def prepare_layer(stats: _calib.CalibStats, damping: DampingPolicy, order: str, 
             raise _in_caller_order(exc, perm) from None
     dead = perm[stats.H.diagonal()[perm] + lam <= 0.0].tolist() if method == "gpfq" else []
     for feature in dead:
-        warnings.warn(f"quantized-path column {feature} has zero norm; falling back to RTN for that step",
-                      RuntimeWarning, stacklevel=3)
+        _warn_caller(f"quantized-path column {feature} has zero norm; falling back to RTN for that step")
     for a in (perm, h, h0):
         if a is not None:
             a.flags.writeable = False
@@ -613,6 +612,14 @@ def _round_column(method, w, h, g, grid, record_trace) -> RoundingTrace:
 
 # ---------------------------------------------------------------------------
 # shared helpers
+
+
+def _warn_caller(message):
+    """A RuntimeWarning attributed to the first frame outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def _as_column(w) -> np.ndarray:

@@ -356,7 +356,7 @@ def test_inf_activation_is_numeric_error(tmp_path, capsys):
     code = run(quantize_args(tmp_path, w, x=x, xq=xq, method="qronos", bits=4))
     assert code == 5
     err = capsys.readouterr().err
-    assert "xq.qmx" in err and "row 100, col 7" in err and "inf" in err
+    assert "xq.qmx" in err and "row 100, feature 7" in err and "inf" in err
 
 
 @pytest.mark.parametrize("method, damping", [("qronos-base", None), ("qronos", None), ("gpfq", "topsv"),
@@ -373,23 +373,48 @@ def test_ridge_that_overflows_is_numeric_error(tmp_path, capsys, method, damping
     assert not (tmp_path / "q.qmx").exists() and not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("which", ["calib_x", "stats_h", "stats_g"])
-def test_non_finite_input_files_are_numeric_errors(tmp_path, capsys, which):
+# id: (method, the file holding the inf); qronos's activations reach
+# accumulate's G W route, gpfq's its G route and optq's its one path
+_NON_FINITE_FILES = {
+    "calib_x": ("qronos", "calib_x"),
+    "calib_xt": ("qronos", "calib_xt"),
+    "gpfq-calib_x": ("gpfq", "calib_x"),
+    "gpfq-calib_xt": ("gpfq", "calib_xt"),
+    "optq-calib_x": ("optq", "calib_x"),
+    "stats_h": ("qronos", "stats_h"),
+    "stats_g": ("qronos", "stats_g"),
+}
+
+
+@pytest.mark.parametrize("method, which", list(_NON_FINITE_FILES.values()), ids=list(_NON_FINITE_FILES))
+def test_non_finite_input_files_are_numeric_errors(tmp_path, capsys, method, which):
     rng = np.random.default_rng(13)
     w = rng.standard_normal((6, 2))
     x = rng.standard_normal((40, 6))
     mats = {"calib_x": x, "calib_xt": x, "stats_h": x.T @ x, "stats_g": x.T @ x}
     mats[which] = mats[which].copy()
     mats[which][2, 1] = -np.inf
-    route = ("calib_x", "calib_xt") if which == "calib_x" else ("stats_h", "stats_g")
-    args = quantize_args(tmp_path, w, method="qronos")
-    for name in route:
+    route = ("stats_h", "stats_g") if which.startswith("stats") else ("calib_x", "calib_xt")
+    args = quantize_args(tmp_path, w, method=method)
+    for name in route[: 1 + (method != "optq")]:
         path = tmp_path / f"{name}.qmx"
         write_qmx(path, mats[name])
         args += ["--" + name.replace("_", "-"), path]
     assert run(args) == 5
     err = capsys.readouterr().err
-    assert f"{which}.qmx" in err and "row 2, col 1" in err
+    cell = "row 2, col 1" if which.startswith("stats") else "row 2, feature 1"
+    assert err.count("\n") == 1 and f"{which}.qmx" in err and cell in err
+
+
+def test_non_finite_activations_behind_a_shape_error_exit_4(tmp_path, capsys):
+    """Both activation files are read, and their shapes checked, before
+    either is scanned: a NaN in --calib-x does not hide a bad --calib-xt."""
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((40, 6))
+    x[3, 0] = np.nan
+    args = quantize_args(tmp_path, rng.standard_normal((6, 2)), x=x, xq=x[:39], method="qronos")
+    assert run(args) == 4
+    assert "xq.qmx" in capsys.readouterr().err
 
 
 # verify

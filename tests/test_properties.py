@@ -25,6 +25,7 @@ from qronos import (
     NonFiniteInputError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    SUITE_NAMES,
     ShapeError,
     grid_from_minmax,
     layer_stats,
@@ -150,3 +151,26 @@ def test_cli_quantize_ends_in_a_documented_exit_code(n, n_out, rows, method, dam
             code = main([str(a) for a in argv])
         assert code in (0, 2, 3, 4, 5)
         assert (tmp / "q.qmx").exists() == (code == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    suite=st.one_of(st.none(), st.sampled_from((*SUITE_NAMES, "all"))),
+    trials=st.integers(0, 3),  # the default counts take seconds a suite
+    tol=st.one_of(st.none(), st.floats()),
+    seed=st.one_of(st.none(), st.integers(-2, 2**64)),
+    out=st.booleans(),
+)
+def test_cli_verify_ends_in_a_documented_exit_code(suite, trials, tol, seed, out):
+    """Any suite, tolerance (NaN and infinities included) and seed ends in
+    a pass, a usage error or a suite failure, with a report unless the
+    flags were refused."""
+    flags = {"--suite": suite, "--trials": trials, "--tol": tol, "--seed": seed}
+    # "--flag=value" so that a value such as -inf is not taken for a flag
+    argv = ["verify", *(f"{k}={v}" for k, v in flags.items() if v is not None)]
+    with tempfile.TemporaryDirectory() as d:
+        argv += ["--out", str(Path(d) / "r.json")] if out else []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 6)
+        assert (Path(d) / "r.json").exists() == (out and code != 2)

@@ -148,3 +148,35 @@ def test_unsupported_dtype_is_refused(tmp_path, route):
         path.write_bytes(header + b"\n" + np.zeros(1, dtype=np.float16).tobytes())
         with pytest.raises(QmxFormatError, match="unsupported dtype 'f16'"):
             read_qmx(path)
+
+
+_VALID = json.dumps({"rows": 3, "cols": 2, "dtype": "f64", "order": "row-major"}, sort_keys=True).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_VALID)), st.one_of(st.none(), st.integers(0, 255))),
+                min_size=1, max_size=6))
+def test_mutated_header_reads_its_shape_or_is_a_format_error(edits):
+    """A valid file with header bytes replaced (a byte) or deleted (None):
+    the read matches the header it finds or raises QmxFormatError."""
+    import tempfile, os
+
+    header = bytearray(_VALID + b"\n")
+    for pos, byte in edits:
+        pos = min(pos, len(header) - 1)
+        if byte is None:
+            del header[pos]
+        else:
+            header[pos] = byte
+    fd, path = tempfile.mkstemp(suffix=".qmx")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(bytes(header) + np.arange(6.0).tobytes())
+        try:
+            arr = read_qmx(path)
+        except QmxFormatError:
+            return
+        found = json.loads(bytes(header).partition(b"\n")[0])
+        assert arr.shape == (found["rows"], found["cols"])
+    finally:
+        os.unlink(path)

@@ -21,10 +21,12 @@ from qronos import (
     QuantGrid,
     ShapeError,
     accumulate,
+    build_random_network,
     grid_from_minmax,
     layer_stats,
     prepare_layer,
     quantize_layer,
+    quantize_network,
     quantize_rtn,
     round_layer,
     unpermute_result,
@@ -822,6 +824,28 @@ def test_layer_reports_gpfq_zero_column_warning():
                               damping=DampingPolicy("none"), order="natural")
         )
     assert any("zero" in msg for msg in report.warnings)
+
+
+@pytest.mark.parametrize("entry", ["quantize_layer", "prepare_layer", "quantize_network"])
+def test_gpfq_zero_column_warning_points_at_the_caller(entry):
+    """The zero-norm warning is attributed to the caller's line, not to a
+    frame inside the package, through every wrapper and driver between."""
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((20, 4))
+    x[:, 2] = 0.0  # both paths for the network; the layer zeroes xq alone
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "quantize_network":
+            quantize_network(build_random_network(n_layers=2, width=4, seed=0), x, "gpfq")
+        else:
+            stats = _stats_of(x + 1.0, x)
+            if entry == "prepare_layer":
+                prepare_layer(stats, DampingPolicy("none"), "diag", "gpfq")
+            else:
+                w = rng.standard_normal((4, 2))
+                quantize_layer(LayerQuantRequest(w, grid_from_minmax(w, 4), "gpfq", stats=stats))
+    zero_norm = [c for c in caught if "zero norm" in str(c.message)]
+    assert zero_norm and {c.filename for c in zero_norm} == {__file__}
 
 
 @settings(max_examples=25, deadline=None)
