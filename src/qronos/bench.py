@@ -132,18 +132,24 @@ def run_bench(cfg: BenchConfig) -> dict:
     for k in cfg.ladder:
         n_out = max(1, k // 4)
         for seed in range(cfg.seeds):
+            skipped = [{"method": method, "k": k, "seed": seed, "skipped": "resource"} for method in cfg.methods]
             rng = np.random.default_rng([seed, k])
-            x = rng.standard_normal((cfg.m, k))
-            xq = x + 0.1 * rng.standard_normal((cfg.m, k))
-            w = rng.standard_normal((k, n_out))
+            try:
+                # X is m x K and H is K x K
+                if max(cfg.m, k) * k > np.iinfo(np.intp).max // 8:
+                    raise MemoryError  # past the largest array NumPy can index
+                x = rng.standard_normal((cfg.m, k))
+                xq = x + 0.1 * rng.standard_normal((cfg.m, k))
+                w = rng.standard_normal((k, n_out))
+            except MemoryError:
+                rows += skipped
+                continue
             grid = grid_from_minmax(w, cfg.levels, 1.0)
-            for method in cfg.methods:
+            for method, skip in zip(cfg.methods, skipped):
                 try:
                     stats_t, algo_t, phases, peak = _time_cell(method, x, xq, w, grid, cfg)
                 except MemoryError:
-                    rows.append(
-                        {"method": method, "k": k, "seed": seed, "skipped": "resource"}
-                    )
+                    rows.append(skip)
                     continue
                 e2e = [s + a for s, a in zip(stats_t, algo_t)]
                 rows.append(

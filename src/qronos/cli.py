@@ -161,7 +161,7 @@ def cmd_quantize(args) -> int:
 
     t0 = time.perf_counter()
     weights_raw = _qmx.read_qmx(args.weights)
-    check_finite(weights_raw, args.weights)  # the one scan: no library call reads every weight
+    check_finite(weights_raw, args.weights)  # the scan that names the weight's row and column
     w = np.asarray(weights_raw, dtype=np.float64)
     n_in, n_out = w.shape
     raw_given = args.calib_x is not None or args.calib_xt is not None
@@ -312,6 +312,8 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     names = _verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     _at_least(args, trials=0, seed=0)
+    if args.tol is not None and not (args.tol >= 0.0 and math.isfinite(args.tol)):
+        raise UsageError(f"--tol must be finite and non-negative, got {args.tol}")
     t0 = time.perf_counter()
     results = []
     for name in names:
@@ -347,28 +349,23 @@ def cmd_simulate(args) -> int:
 
     t0 = time.perf_counter()
     results: dict = {m: [] for m in methods}
-    for i in range(args.seeds):
-        seed = args.seed + i
-        spec = _netsim.build_random_network(
-            n_layers=args.layers,
-            width=args.width,
-            seed=seed,
-            weight_levels=args.wlevels,
-            act_levels=alevels,
-            n_blocks=args.blocks,
-            hadamard=bool(args.hadamard),
-        )
-        rng = np.random.default_rng(seed + 10_000)
-        calib = rng.standard_normal((args.samples, args.width))
-        for method in methods:
-            _, rep = _netsim.quantize_network(spec, calib, method)
-            results[method].append(
-                {
-                    "seed": seed,
-                    "rel_errors": [float(v) for v in rep.rel_errors],
-                    "objectives": [float(v) for v in rep.objectives],
-                }
+    try:
+        # a layer's weights are width x width, the calibration set samples x width
+        if max(args.width, args.samples) * args.width > np.iinfo(np.intp).max // 8:
+            raise MemoryError  # past the largest array NumPy can index
+        for seed in range(args.seed, args.seed + args.seeds):
+            spec = _netsim.build_random_network(
+                n_layers=args.layers, width=args.width, seed=seed, weight_levels=args.wlevels,
+                act_levels=alevels, n_blocks=args.blocks, hadamard=bool(args.hadamard),
             )
+            calib = np.random.default_rng(seed + 10_000).standard_normal((args.samples, args.width))
+            for method in methods:
+                _, rep = _netsim.quantize_network(spec, calib, method)
+                results[method].append({"seed": seed, "rel_errors": [float(v) for v in rep.rel_errors],
+                                        "objectives": [float(v) for v in rep.objectives]})
+    except MemoryError:
+        raise UsageError(f"--width {args.width} with --samples {args.samples} needs more memory "
+                         "than NumPy can allocate") from None
     summary = {
         method: {
             "mean_final_rel_error": float(np.mean([r["rel_errors"][-1] for r in rows])),
@@ -418,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetric", action="store_true", help="symmetric grids via scale search")
     p.add_argument("--damping", choices=sorted(_DAMPING_TOKENS), help="ridge mode (default: per method)")
     p.add_argument("--alpha", type=float, default=1e-6, help="fraction for --damping topsv")
-    p.add_argument("--order", choices=["diag", "natural"], default="diag")
+    p.add_argument("--order", choices=_rounding.ORDER_MODES, default="diag")
     p.add_argument("--out", required=True, help="output quantized weights, .qmx")
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--trace", action="store_true", help="add per-column step traces to the --report")

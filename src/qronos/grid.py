@@ -142,7 +142,10 @@ def grid_from_minmax(w: np.ndarray, levels: int, beta: float = 1.0) -> QuantGrid
     whose step is zero (a constant one, or a range that underflows) gets
     a degenerate grid: step 1 anchored at its minimum, flagged.  A range
     that overflows float64 is divided by ``levels - 1`` end by end.
+    A ``beta`` that is not positive and finite raises ValueError.
     """
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     cols = _columns(w, levels)
     # + 0.0 makes a -0.0 minimum +0.0, whichever zero the reduction kept
     lo, hi = np.minimum.reduce(cols) + 0.0, np.maximum.reduce(cols)

@@ -1,23 +1,20 @@
-"""Dense symmetric linear algebra behind the rounding engine.
+"""Dense symmetric linear algebra of the rounding engine, on SciPy's LAPACK.
 
-Everything here operates on small-to-medium SPD matrices (calibration
-second moments and their inverses).  Factorizations and triangular
-solves are LAPACK-backed; the routines the rounding algorithms actually
-reason about (inverse slicing, damping, spectral norm estimation) are
-implemented explicitly on top of them.
+The engine's routines on calibration second moments H: the scans, the
+factor, damping and its spectral norm, and the trailing-inverse step
+the ``lemmaC`` suite checks.  Their references (explicit inverses, the
+factor of H^-1) come from NumPy, whose OpenBLAS is a separate build, in
+``qronos.oracle`` and the suites.
 
-The layer driver never forms H^-1, nor a factor of it: one in-place
-Cholesky of the index-reversed matrix, J H J = C C^T
-(``reversed_cholesky``), gives H = U U^T with U = J C J upper
-triangular, whose trailing blocks factor H's: H[t:, t:] = U[t:, t:]
-U[t:, t:]^T.  ``chol_of_inverse`` turns it into the factor L = U^-T of
-H^-1, and the explicit inverse below is the verification suites'
-independent route to the same objects.
+The layer driver never forms H^-1: one in-place Cholesky of the
+index-reversed matrix, J H J = C C^T (``reversed_cholesky``), gives
+H = U U^T with U = J C J upper triangular, whose trailing blocks factor
+H's (H[t:, t:] = U[t:, t:] U[t:, t:]^T), and L = U^-T factors H^-1.
 
-Every public routine that reads H scans it for NaN, inf and asymmetry
-once, and no parameter turns the scan off; ``apply_damping`` is the
-layer's one scan.  ``reversed_cholesky``, which factors the layer's own
-gathered copy, and the private routines scan nothing.
+``apply_damping`` scans H for NaN, inf and asymmetry in every mode, and
+no parameter turns the scan off: it is the layer's one scan.
+``reversed_cholesky``, which factors the layer's own gathered copy, and
+the private routines scan nothing.
 
 The spectral norm used for damping is one Lanczos (ARPACK) solve from a
 fixed-seed start vector, stopped at a relative Ritz residual of 1e-8
@@ -165,24 +162,6 @@ def check_symmetric(m, name="matrix") -> float:
     return scale
 
 
-def cholesky_lower(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L (L L^T = m) of an SPD matrix, as an array.
-
-    Raises NotPositiveDefiniteError carrying the 1-based failing pivot
-    when the matrix is not positive definite.
-    """
-    m = _as_square(m)
-    check_symmetric(m)
-    if m.shape[0] == 0:
-        return np.zeros((0, 0))
-    c, info = lapack.dpotrf(m, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(int(info))
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return c
-
-
 def reversed_cholesky(rev: np.ndarray) -> np.ndarray:
     """Factor the index reversal ``rev`` = J m J of an SPD m in place.
 
@@ -207,44 +186,6 @@ def reversed_cholesky(rev: np.ndarray) -> np.ndarray:
     if info > 0:
         raise NotPositiveDefiniteError(n + 1 - int(info))
     return c
-
-
-def chol_of_inverse(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L (L L^T = m^-1) of an SPD m's inverse, as an array.
-
-    With m = U U^T from ``reversed_cholesky``, m^-1 = L L^T for L = U^-T =
-    J C^-T J: one Cholesky and one triangular inverse, never m^-1 itself.
-    m is scanned for NaN, inf and asymmetry first; failures raise as in
-    ``reversed_cholesky``.
-    """
-    m = _as_square(m)
-    check_symmetric(m)
-    n = m.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    c = reversed_cholesky(m[::-1, ::-1].copy())
-    cinv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NotPositiveDefiniteError(n + 1 - int(info))
-    return np.tril(cinv.T[::-1, ::-1])
-
-
-def spd_inverse(m: np.ndarray) -> np.ndarray:
-    """Explicit inverse of an SPD matrix, symmetrized exactly.
-
-    Computed as (L^-1)^T (L^-1) from the Cholesky factor, L^-1 by one
-    ``dtrtrs`` (the call ``scipy.linalg.solve_triangular`` makes); the
-    final averaging removes the last-ulp asymmetry of the matmul so
-    callers can factor the result again without a symmetry guard.
-    """
-    low = cholesky_lower(m)
-    if not low.size:
-        return low
-    linv, info = lapack.dtrtrs(low, np.eye(low.shape[0]), lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
-    out = linv.T @ linv
-    return (out + out.T) / 2.0
 
 
 @one_lapack_thread

@@ -1,11 +1,13 @@
 """Independent oracles the rounding code is tested against.
 
-Nothing here shares a factorization path with the engine: least-squares
-solves go through numpy's SVD-based lstsq, pseudoinverses through numpy
-pinv, and the discrete optima through literal enumeration of the
-alphabet.  Ties within 1e-12 of the optimum are broken toward the
-lexicographically smallest integer code so every oracle is
-deterministic.
+The engine's factor and damping live in ``qronos.linalg`` and run
+SciPy's LAPACK.  Nothing here shares a factorization path with them:
+least-squares solves go through numpy's SVD-based lstsq,
+pseudoinverses through numpy pinv, the factor of an inverse through
+numpy's inv and cholesky (NumPy bundles its own OpenBLAS), and the
+discrete optima through literal enumeration of the alphabet.  Ties
+within 1e-12 of the optimum are broken toward the lexicographically
+smallest integer code so every oracle is deterministic.
 """
 
 from __future__ import annotations
@@ -104,6 +106,11 @@ def direct_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"rank-deficient system (rank {rank} of {a.shape[1]})"
         )
     return sol
+
+
+def chol_of_inverse(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L (L L^T = m^-1) of an SPD m, by numpy's inverse."""
+    return np.linalg.cholesky(np.linalg.inv(m))
 
 
 def first_step_pinv(

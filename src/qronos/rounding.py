@@ -81,12 +81,12 @@ from scipy.linalg import blas, lapack
 from . import calib as _calib
 from . import grid as _grid
 from . import linalg as _linalg
+from . import oracle as _oracle
 from .errors import NotPositiveDefiniteError, ShapeError
 from .linalg import DampingPolicy, apply_damping, check_finite, reversed_cholesky
 
-# L = U^-T, H^-1's factor, named here for perfbench's rounding.factor_s span;
-# it runs the layer's own reversed_cholesky, so it is no independent reference
-chol_of_inverse = _linalg.chol_of_inverse
+# NumPy's reference factor of H^-1, named here for perfbench's rounding.factor_s span
+chol_of_inverse = _oracle.chol_of_inverse
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ greedy forms, moment-space versus pseudoinverse first steps, inverse
 slicing identities, residual orthogonality, and literal enumeration
 optima.  Quantized values must match exactly (they are grid points, so
 agreement is bit equality); real-valued states match in relative norm.
+The engine under test is ``qronos.rounding`` on ``qronos.linalg``, which
+runs SciPy's LAPACK; the references are ``qronos.oracle`` and NumPy's
+own inverse and Cholesky, from the OpenBLAS that NumPy bundles.
 
 A suite is a per-trial check ``check(rng, i, tol, detail) -> (passed,
 deviation)``, registered in ``_DEFAULTS`` with its default trial count
@@ -29,7 +32,7 @@ import numpy as np
 from . import oracle as _oracle
 from .calib import CalibStats, accumulate
 from .grid import grid_from_minmax, quantize_rtn
-from .linalg import DampingPolicy, spd_inverse, cholesky_lower, inverse_hessian_step
+from .linalg import DampingPolicy, inverse_hessian_step
 from .rounding import (
     LayerQuantRequest,
     RoundingTrace,
@@ -164,7 +167,7 @@ def _check_first_step(rng, i, tol, detail):
 
 
 def _check_inverse_slicing(rng, i, tol, detail):
-    """Inverse slicing identities against independently computed inverses.
+    """Inverse slicing identities against NumPy's inverses and factor.
 
     Checks both the one-index inverse update chain and the identity
     between trailing-inverse column ratios and Cholesky columns of the
@@ -173,15 +176,15 @@ def _check_inverse_slicing(rng, i, tol, detail):
     n = _DIMS[i % len(_DIMS)]
     a = rng.standard_normal((2 * n, n))
     h = a.T @ a
-    cur = spd_inverse(h)
-    low = cholesky_lower(cur)
+    direct = [np.linalg.inv(h[t:, t:]) for t in range(n)]
+    cur = direct[0]
+    low = np.linalg.cholesky(cur)
     worst = 0.0
     for t in range(n - 1):
-        cur = inverse_hessian_step(cur)
-        worst = max(worst, _rel_dev(cur, spd_inverse(h[t + 1 :, t + 1 :])))
-        trailing_inv = spd_inverse(h[t:, t:])
-        ratio = trailing_inv[1:, 0] / trailing_inv[0, 0]
+        ratio = direct[t][1:, 0] / direct[t][0, 0]
         worst = max(worst, _rel_dev(ratio, low[t + 1 :, t] / low[t, t]))
+        cur = inverse_hessian_step(cur)
+        worst = max(worst, _rel_dev(cur, direct[t + 1]))
     return worst <= tol, worst
 
 
@@ -300,6 +303,9 @@ def run_suite(name: str, trials: int | None = None, tol: float | None = None, se
         raise ValueError(f"unknown suite {name!r} (expected one of {SUITE_NAMES})")
     check, default_trials, default_tol = _DEFAULTS[name]
     trials = default_trials if trials is None else trials
+    tol = default_tol if tol is None else tol
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
-    return _run(name, check, trials, default_tol if tol is None else tol, seed)
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    return _run(name, check, trials, tol, seed)

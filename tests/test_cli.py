@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qronos import CalibStats, accumulate, grid_from_minmax, read_qmx, write_qmx
+from qronos import CalibStats, accumulate, grid_from_minmax, read_qmx, verify, write_qmx
 from qronos.rounding import quantize_optq_column, quantize_qronos_base_column, quantize_qronos_column
 from qronos.cli import main
 
@@ -440,20 +440,29 @@ def _strict_json(path):
 
 
 @pytest.mark.parametrize("command", ["quantize", "verify"])
-def test_reports_write_non_finite_numbers_as_null(tmp_path, command):
+def test_reports_write_non_finite_numbers_as_null(tmp_path, monkeypatch, command):
     report = tmp_path / "r.json"
     if command == "quantize":  # rtn reads no moments: every objective is NaN
         assert run(quantize_args(tmp_path, np.ones((4, 3)), method="rtn", report=report)) == 0
         assert _strict_json(report)["result"]["objectives"] == [None] * 3
-    else:
-        assert run(["verify", "--suite", "oracle", "--trials", "1", "--tol", "inf", "--out", report]) == 0
-        assert _strict_json(report)["suites"][0]["tol"] is None
+    else:  # an infinite deviation, as two state lists of different lengths give
+        monkeypatch.setitem(verify._DEFAULTS, "oracle", (lambda rng, i, tol, detail: (False, np.inf), 1, 1e-12))
+        assert run(["verify", "--suite", "oracle", "--out", report]) == 6
+        assert _strict_json(report)["suites"][0]["max_dev"] is None
 
 
 def test_verify_impossible_tolerance_fails(capsys):
-    code = run(["verify", "--suite", "theorem1", "--trials", "2", "--tol", "-1"])
+    code = run(["verify", "--suite", "theorem1", "--trials", "2", "--tol", "0"])
     assert code == 6
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_verify_tolerance_not_finite_or_negative_is_usage_error(capsys, tol):
+    assert run(["verify", "--suite", "theorem1", "--trials", "1", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--tol" in captured.err
 
 
 def test_verify_small_run_passes_and_reports(tmp_path, capsys):
@@ -498,6 +507,17 @@ def test_bench_prints_the_efficient_form_speedup(capsys):
 
 def test_bench_bad_ladder_is_usage_error():
     assert run(["bench", "--k-min", "128", "--k-max", "64"]) == 2
+
+
+@pytest.mark.parametrize("k, m", [(2**40, 1), (4, 2**40), (4, 2**62)], ids=["k", "m", "past-numpy"])
+def test_bench_cell_past_memory_is_skipped(tmp_path, k, m):
+    out = tmp_path / "b.json"
+    assert run(["bench", "--k-min", k, "--k-max", k, "--m", m, "--seeds", "1", "--methods", "optq,qronos",
+                "--out", out]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["timing"]["cells"] == [{"method": method, "k": k, "seed": 0, "skipped": "resource"}
+                                      for method in ("optq", "qronos")]
+    assert rep["timing"]["shared_input"] is None
 
 
 @pytest.mark.parametrize(
@@ -565,6 +585,14 @@ def test_simulate_rejects_bad_activation_levels():
 
 def test_simulate_hadamard_needs_power_of_two_width():
     assert run(["simulate", "--width", "12", "--hadamard"]) == 2
+
+
+@pytest.mark.parametrize("width, samples", [(2**40, 1), (4, 2**40), (2**80, 2**80)])
+def test_simulate_past_memory_is_usage_error(capsys, width, samples):
+    assert run(["simulate", "--width", width, "--samples", samples, "--layers", "1", "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--width" in captured.err and "--samples" in captured.err
 
 
 def _stats_args(tmp_path, w, h, g=None, **flags):

@@ -38,6 +38,13 @@ def test_minmax_grid_shrink_factor():
     assert np.isclose(g.zero_point, 1.5)
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.5, float("nan"), float("inf")])
+def test_minmax_grid_refuses_a_beta_not_positive_and_finite(beta):
+    for w in (np.array([1.0, 3.0]), np.array([[1.0, -2.0], [3.0, 5.0]])):
+        with pytest.raises(ValueError, match="^beta must be positive and finite"):
+            grid_from_minmax(w, 4, beta)
+
+
 def test_grids_compare_and_hash_by_identity():
     """A grid of per-column arrays can be compared, hashed and kept in a
     set like any object; equal fields do not make two grids equal."""

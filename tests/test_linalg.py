@@ -21,8 +21,8 @@ from qronos import (
     grid_from_minmax,
     quantize_layer,
 )
-from qronos.linalg import cholesky_lower, inverse_hessian_step, spd_inverse
-from qronos.rounding import chol_of_inverse
+from qronos.linalg import check_symmetric, inverse_hessian_step, reversed_cholesky
+from qronos.oracle import chol_of_inverse
 from helpers import random_spd
 
 
@@ -32,63 +32,49 @@ def top_singular_value(m):
     return apply_damping(m, DampingPolicy("top_singular_fraction", alpha=1.0))
 
 
+def engine_factor(m):
+    """The engine's upper triangular U with m = U U^T: J C J from
+    ``reversed_cholesky``'s lower C, whose other triangle is not C's."""
+    return np.tril(reversed_cholesky(m[::-1, ::-1].copy()))[::-1, ::-1]
+
+
 def test_cholesky_identity():
-    assert np.array_equal(cholesky_lower(np.eye(3)), np.eye(3))
+    assert np.array_equal(engine_factor(np.eye(3)), np.eye(3))
 
 
 def test_cholesky_hand_two_by_two():
-    low = cholesky_lower(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    assert np.allclose(low, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
+    up = engine_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
+    assert np.allclose(up, [[np.sqrt(8.0 / 3.0), 2.0 / np.sqrt(3.0)], [0.0, np.sqrt(3.0)]])
 
 
 def test_cholesky_indefinite_reports_pivot():
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert exc.value.index == 2
-
-
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        cholesky_lower(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    """The failing pivot is 1-based in m's order; the factor runs from the
+    last feature back, and an exactly singular m fails too."""
+    for m, index in ((np.array([[1.0, 2.0], [2.0, 1.0]]), 1), (np.diag([1.0, -1.0, 2.0]), 2)):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            engine_factor(m)
+        assert exc.value.index == index
+    x = np.random.default_rng(13).standard_normal((12, 5))
+    x[:, 4] = x[:, 3]
+    with pytest.raises(NotPositiveDefiniteError):
+        engine_factor(x.T @ x)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 10_000))
 def test_cholesky_round_trip(n, seed):
     m = random_spd(np.random.default_rng(seed), n)
-    low = cholesky_lower(m)
-    assert np.tril(low).tolist() == low.tolist()
-    assert np.all(np.diag(low) > 0)
-    rel = np.linalg.norm(low @ low.T - m) / np.linalg.norm(m)
+    up = engine_factor(m)
+    assert np.triu(up).tolist() == up.tolist()
+    assert np.all(np.diag(up) > 0)
+    rel = np.linalg.norm(up @ up.T - m) / np.linalg.norm(m)
     assert rel <= 1e-10
 
 
 def test_cholesky_round_trip_large():
     m = random_spd(np.random.default_rng(0), 256)
-    low = cholesky_lower(m)
-    assert np.linalg.norm(low @ low.T - m) <= 1e-10 * np.linalg.norm(m)
-
-
-def test_solves_match_the_solve_triangular_route_bit_for_bit():
-    rng = np.random.default_rng(4)
-    for n in range(1, 80):
-        m = random_spd(rng, n)
-        low = cholesky_lower(m)
-        linv = solve_triangular(low, np.eye(n), lower=True)
-        ref = linv.T @ linv
-        assert spd_inverse(m).tobytes() == ((ref + ref.T) / 2.0).tobytes(), n
-
-
-def test_spd_inverse_diagonal():
-    assert np.allclose(spd_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-    assert np.allclose(spd_inverse(np.eye(4)), np.eye(4))
-
-
-def test_spd_inverse_round_trip_and_symmetry():
-    m = random_spd(np.random.default_rng(2), 16)
-    inv = spd_inverse(m)
-    assert np.array_equal(inv, inv.T)
-    assert np.linalg.norm(m @ inv - np.eye(16)) <= 1e-10 * np.linalg.norm(m) * np.linalg.norm(inv)
+    up = engine_factor(m)
+    assert np.linalg.norm(up @ up.T - m) <= 1e-10 * np.linalg.norm(m)
 
 
 def test_top_singular_identity_and_diag():
@@ -191,25 +177,15 @@ def test_top_singular_top_vector_orthogonal_to_ones(gap):
 
 @pytest.mark.parametrize("n", [1, 5, 64, 300])
 def test_chol_of_inverse_factors_the_inverse(n):
+    """The engine's factor gives H^-1's: L = U^-T, against NumPy's factor
+    of NumPy's inverse."""
     h = random_spd(np.random.default_rng(12 + n), n)
-    low = chol_of_inverse(h)
+    low = solve_triangular(engine_factor(h), np.eye(n)).T
     assert np.array_equal(np.tril(low), low)
     assert np.all(np.diag(low) > 0)
     assert np.linalg.norm(low @ low.T @ h - np.eye(n)) <= 1e-10 * np.sqrt(n)
-    ref = cholesky_lower(spd_inverse(h))
+    ref = chol_of_inverse(h)
     assert np.max(np.abs(low - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_chol_of_inverse_rejects_singular_and_indefinite():
-    x = np.random.default_rng(13).standard_normal((12, 5))
-    x[:, 4] = x[:, 3]
-    with pytest.raises(NotPositiveDefiniteError):
-        chol_of_inverse(x.T @ x)
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        chol_of_inverse(np.diag([1.0, -1.0, 2.0]))
-    assert exc.value.index == 2
-    with pytest.raises(ValueError):
-        chol_of_inverse(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_damping_mean_diag_percent():
@@ -240,21 +216,18 @@ def test_symmetry_check_spans_tiles(where):
     m[where] += 1e-3
     skew = float(np.abs(m - m.T).max())
     with pytest.raises(ValueError, match=f"max asymmetry {skew:.3e} "):
-        cholesky_lower(m)
+        check_symmetric(m)
 
 
 @pytest.mark.parametrize(
     "route",
     [
-        cholesky_lower,
-        chol_of_inverse,
         top_singular_value,
         lambda m: apply_damping(m, DampingPolicy("top_singular_fraction")),
         lambda m: apply_damping(m, DampingPolicy("none")),
         lambda m: apply_damping(m, DampingPolicy("mean_diag_percent")),
     ],
-    ids=["cholesky_lower", "chol_of_inverse", "top_singular_value", "apply_damping",
-         "apply_damping_none", "apply_damping_meandiag"],
+    ids=["top_singular_value", "apply_damping", "apply_damping_none", "apply_damping_meandiag"],
 )
 def test_public_routes_still_reject_asymmetry(route):
     m = random_spd(np.random.default_rng(9), 6)
@@ -331,17 +304,17 @@ def test_inverse_step_identity_and_diag():
 
 def test_inverse_step_matches_direct_submatrix_inverse():
     h = random_spd(np.random.default_rng(6), 8)
-    stepped = inverse_hessian_step(spd_inverse(h))
-    direct = spd_inverse(h[1:, 1:])
+    stepped = inverse_hessian_step(np.linalg.inv(h))
+    direct = np.linalg.inv(h[1:, 1:])
     assert np.linalg.norm(stepped - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 def test_inverse_step_chain_reproduces_all_trailing_inverses():
     h = random_spd(np.random.default_rng(7), 8)
-    cur = spd_inverse(h)
+    cur = np.linalg.inv(h)
     for t in range(1, 8):
         cur = inverse_hessian_step(cur)
-        direct = spd_inverse(h[t:, t:])
+        direct = np.linalg.inv(h[t:, t:])
         assert np.linalg.norm(cur - direct) <= 1e-8 * max(1.0, np.linalg.norm(direct))
 
 
@@ -353,8 +326,8 @@ def test_inverse_step_edge_cases():
 
 @pytest.mark.parametrize(
     "route, m",
-    [(cholesky_lower, np.ones((2, 3))), (inverse_hessian_step, np.zeros((0, 0)))],
-    ids=["cholesky_lower-non-square", "inverse_hessian_step-empty"],
+    [(top_singular_value, np.ones((2, 3))), (inverse_hessian_step, np.zeros((0, 0)))],
+    ids=["apply_damping-non-square", "inverse_hessian_step-empty"],
 )
 def test_malformed_matrix_is_a_shape_error(route, m):
     with pytest.raises(ShapeError):

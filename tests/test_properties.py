@@ -4,13 +4,15 @@ result, a documented exception or a documented exit code.
 The draws reach the inputs the hand-written tests name one at a time:
 NaN and inf cells, H = 0, fewer calibration rows than features,
 asymmetric H, weights that do not match the stats, and activations
-scaled toward float64's ends.  An uncaught NumPy, SciPy or ARPACK error
-fails the test.
+scaled toward float64's ends.  The flags of ``simulate`` and ``bench``
+draw small sizes and sizes no machine can hold.  An uncaught NumPy,
+SciPy or ARPACK error fails the test.
 """
 
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,3 +176,60 @@ def test_cli_verify_ends_in_a_documented_exit_code(suite, trials, tol, seed, out
             code = main(argv)
         assert code in (0, 2, 6)
         assert (Path(d) / "r.json").exists() == (out and code != 2)
+
+
+def _size(top):
+    """A size from 1 to ``top`` or an absurd one, from 2**40 up: never one
+    in between, whose arrays could be allocated for real."""
+    return st.sampled_from((*range(1, top + 1), 2**40, 2**62, 2**80))
+
+
+def _ends_in(argv, codes):
+    """Run the CLI; assert it returns one of ``codes``, having written one
+    error line unless it returns 0.  Warnings, gpfq's zero-norm column
+    among them, are not the CLI's lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([str(a) for a in argv])
+    assert code in codes, (argv, err.getvalue())
+    assert err.getvalue().startswith("error: ") == (code != 0) and err.getvalue().count("\n") == (code != 0), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    layers=st.integers(1, 3),
+    width=_size(16),
+    samples=_size(32),
+    blocks=st.integers(1, 3),
+    wlevels=st.sampled_from(("2", "3", "16", "1")),
+    alevels=st.sampled_from((None, "off", "4", "1")),
+    methods=st.lists(st.sampled_from(METHODS), min_size=1, max_size=3),
+    seeds=st.integers(1, 2),
+    seed=st.integers(-1, 2**16),
+    hadamard=st.booleans(),
+)
+def test_cli_simulate_ends_in_a_documented_exit_code(layers, width, samples, blocks, wlevels, alevels, methods,
+                                                     seeds, seed, hadamard):
+    argv = ["simulate", "--layers", layers, "--width", width, "--samples", samples, "--blocks", blocks,
+            "--wlevels", wlevels, "--methods", ",".join(methods), "--seeds", seeds, f"--seed={seed}"]
+    argv += ["--alevels", alevels] if alevels else []
+    argv += ["--hadamard"] if hadamard else []
+    # 5: a ReLU that zeros a layer's every input row leaves H = 0, singular under optq's mean-diagonal ridge
+    _ends_in(argv, (0, 2, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ks=st.lists(_size(16), min_size=2, max_size=2).map(sorted),
+    m=_size(32),
+    levels=st.sampled_from(("2", "3", "16", "1")),
+    methods=st.lists(st.sampled_from(METHODS), min_size=1, max_size=3),
+    seeds=st.integers(1, 2),
+)
+def test_cli_bench_ends_in_a_result_or_a_usage_error(ks, m, levels, methods, seeds):
+    # a ladder from a small K to an absurd one would pass through every size between
+    k_min, k_max = ks if (ks[0] > 16) == (ks[1] > 16) else (ks[0], ks[0])
+    argv = ["bench", "--k-min", k_min, "--k-max", k_max, "--m", m, "--levels", levels,
+            "--methods", ",".join(methods), "--seeds", seeds, "--reps", 1]
+    _ends_in(argv, (0, 2))

@@ -31,7 +31,6 @@ from qronos import (
     round_layer,
     unpermute_result,
 )
-from qronos.linalg import chol_of_inverse
 from qronos.rounding import (
     quantize_gpfq_column,
     quantize_optq_column,
@@ -39,7 +38,7 @@ from qronos.rounding import (
     quantize_qronos_base_column,
     quantize_qronos_column,
 )
-from qronos.oracle import TIE_TOL, step_objective, stepwise_argmin_oracle
+from qronos.oracle import TIE_TOL, chol_of_inverse, step_objective, stepwise_argmin_oracle
 from qronos.rounding import PHASES, SWEEP_BLOCK
 from helpers import column_grid, column_instance, layer_instance, on_grid_weights
 

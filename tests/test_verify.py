@@ -23,6 +23,12 @@ def test_negative_trials_raise():
         run_suite("lemmaC", trials=-1)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-300])
+def test_tolerance_not_finite_or_negative_raises(tol):
+    with pytest.raises(ValueError, match="^tol must be finite and non-negative"):
+        run_suite("theorem1", trials=1, tol=tol)
+
+
 def test_zero_trials_is_a_vacuous_pass():
     res = run_suite("corollary1", trials=0)
     assert res.passed
